@@ -1,32 +1,29 @@
-//! Real mini-apps on the partitioned engine at 1024 and 4096 nodes.
+//! Real mini-apps recorded and replayed at 1024 and 4096 nodes.
 //!
 //! `fig_scale` sweeps the *windowed BSP proxy* at paper scale; this
 //! binary runs the actual Fig. 8 workload — `workloads::miniapps` over
 //! the exact collectives layer (`mpisim::collectives`), with the
 //! registration cache, rendezvous protocol and per-port LogGP
-//! timelines — through the record-and-replay partitioned path
-//! (`mpisim::replay`) at node counts the shared-fabric walk was never
-//! meant to reach.
+//! timelines — through record-and-replay (`mpisim::replay`, one program
+//! per node) at node counts the shared-fabric walk was never meant to
+//! reach.
 //!
-//! Each point records the walk once (symbolic clocks, no fabric/host
-//! state touched), then replays the op stream with one partition per
-//! node, timing 1 worker thread against the full `simcore::par` pool.
-//! The per-node value logs are digest-checked across thread counts and,
-//! at 1024 nodes, the resolved clocks are verified against a direct
-//! global-wheel walk.
+//! Each point runs three trials. A trial records the walk (symbolic
+//! clocks, no fabric/host state touched), then replays the op stream on
+//! fresh seats; both phases are timed and each keeps its best trial.
+//! Every trial must reproduce the first one's makespan and the FNV
+//! digest of the raw per-node value logs, and the 1024-node makespan is
+//! verified against a direct global-wheel walk.
 //!
 //! Metrics merge into `HLWK_BENCH_OUT` (default `BENCH_engine.json`) as
-//! `app_scale_{nodes}_{wall_1t_ms,wall_nt_ms,speedup_x}`. Like
-//! `fig_scale`, this must run *after* `fig_engine`, which rewrites the
-//! file wholesale.
+//! `app_scale_{nodes}_{record_ms,replay_ms}` plus `app_scale_nproc`,
+//! the host's core count. Like `fig_scale`, this must run *after*
+//! `fig_engine`, which rewrites the file wholesale.
 //!
 //! Modes:
-//! * default       — 1024- and 4096-node points + metric merge;
-//! * `--check`     — 1024-node digest invariance at 1/2/4/pool threads
-//!   plus a pool-gated speedup floor (explicitly skipped, with a log
-//!   line, when the host has a single worker).
-//!
-//! `HLWK_SCALE_APP_ITERS` sets BSP iterations per run (default 6).
+//! * default          — 1024- and 4096-node points + metric merge;
+//! * `--check <path>` — the 1024-node point, walk-verified, with
+//!   `app_scale_1024_replay_ms` gated at 2x of the baseline in `<path>`.
 
 use mpisim::collectives::{Ctx, Recorder};
 use mpisim::host::IdealHost;
@@ -35,21 +32,24 @@ use mpisim::regcache::RegCache;
 use mpisim::{replay, NodeSeat, P2pParams, RecordSink, ReplayConfig, ReplayOp};
 use netsim::reliable::ReliableFabric;
 use netsim::LinkParams;
-use simcore::{par, Cycles, StreamRng};
+use simcore::{Cycles, StreamRng};
 use std::sync::Arc;
 use std::time::Instant;
 use workloads::miniapps::{self, MiniApp};
 
-fn iterations() -> u32 {
-    std::env::var("HLWK_SCALE_APP_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6)
-}
+/// BSP iterations per run; the committed baseline is recorded at this.
+const ITERATIONS: u32 = 6;
+
+/// Tolerance for the `--check` gate, the one `fig_engine` uses: the
+/// replay may take up to this factor of the committed baseline.
+const REGRESSION_TOLERANCE: f64 = 2.0;
+
+/// Timed trials per point; each phase keeps its best.
+const TRIALS: u32 = 3;
 
 fn app() -> MiniApp {
     MiniApp {
-        iterations: iterations(),
+        iterations: ITERATIONS,
         ..MiniApp::hpccg()
     }
 }
@@ -109,8 +109,8 @@ struct Outcome {
     digest: u64,
 }
 
-/// One timed replay at `threads` workers (fresh seats each run).
-fn timed_replay(r: &Recording, p: usize, threads: usize) -> (f64, Outcome) {
+/// Replay `r` on fresh seats; returns the replay's wall time and outcome.
+fn timed_replay(r: Recording, p: usize) -> (f64, Outcome) {
     let mut fresh = ReliableFabric::new(p, LinkParams::fdr_infiniband());
     let seats: Vec<NodeSeat<IdealHost>> = fresh
         .detach_ends()
@@ -118,9 +118,8 @@ fn timed_replay(r: &Recording, p: usize, threads: usize) -> (f64, Outcome) {
         .zip(caches(p))
         .map(|(end, regcache)| NodeSeat { host: IdealHost::new(), regcache, end })
         .collect();
-    let ops = r.ops.clone();
     let start = Instant::now();
-    let (res, _seats) = replay(ops, seats, &r.cfg, threads);
+    let (res, _seats) = replay(r.ops, seats, &r.cfg, 1);
     let ms = start.elapsed().as_secs_f64() * 1e3;
     let logs = res.expect("fault-free replay");
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -142,49 +141,29 @@ fn timed_replay(r: &Recording, p: usize, threads: usize) -> (f64, Outcome) {
 
 struct Point {
     nodes: usize,
-    makespan: Cycles,
+    outcome: Outcome,
     ops: usize,
-    wall_1t_ms: f64,
-    wall_nt_ms: f64,
+    record_ms: f64,
+    replay_ms: f64,
 }
 
-impl Point {
-    fn speedup(&self) -> f64 {
-        self.wall_1t_ms / self.wall_nt_ms
-    }
-}
-
-fn best_of(r: &Recording, p: usize, threads: usize, trials: u32) -> (f64, Outcome) {
-    let mut best = f64::INFINITY;
-    let mut out: Option<Outcome> = None;
-    for _ in 0..trials {
-        let (ms, o) = timed_replay(r, p, threads);
-        if let Some(prev) = out {
-            assert_eq!(prev, o, "identical replay must reproduce identically");
-        }
-        out = Some(o);
-        best = best.min(ms);
-    }
-    (best, out.expect("at least one trial"))
-}
-
+/// Record and replay `nodes` nodes [`TRIALS`] times, keeping each
+/// phase's best wall time; every trial must reproduce the first.
 fn run_point(nodes: usize) -> Point {
-    let threads = par::pool_size();
-    let r = record(nodes);
-    let ops: usize = r.ops.iter().map(Vec::len).sum();
-    let (wall_1t, o1) = best_of(&r, nodes, 1, 2);
-    let (wall_nt, on) = best_of(&r, nodes, threads, 2);
-    assert_eq!(
-        o1, on,
-        "{nodes}-node mini-app must be value-identical at 1 and {threads} threads"
-    );
-    Point {
-        nodes,
-        makespan: o1.makespan,
-        ops,
-        wall_1t_ms: wall_1t,
-        wall_nt_ms: wall_nt,
+    let (mut record_ms, mut replay_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut first = None;
+    for _ in 0..TRIALS {
+        let start = Instant::now();
+        let r = record(nodes);
+        record_ms = record_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        let ops: usize = r.ops.iter().map(Vec::len).sum();
+        let (ms, outcome) = timed_replay(r, nodes);
+        replay_ms = replay_ms.min(ms);
+        let want = *first.get_or_insert((outcome, ops));
+        assert_eq!((outcome, ops), want, "identical {nodes}-node runs must reproduce identically");
     }
+    let (outcome, ops) = first.expect("at least one trial");
+    Point { nodes, outcome, ops, record_ms, replay_ms }
 }
 
 /// Verify the replay against a direct global-wheel walk at `p` nodes.
@@ -207,89 +186,76 @@ fn verify_against_walk(p: usize, replayed: Cycles) {
         sink: None,
     };
     let walked = miniapps::run(&mut ctx, &app(), p, START).expect("fault-free");
-    assert_eq!(replayed, walked, "partitioned replay diverged from the global wheel at {p} nodes");
-}
-
-/// Speedup floor: the ISSUE requires enforcement whenever the pool has
-/// real workers; on one core the ratio is scheduling noise.
-fn speedup_floor() -> Option<f64> {
-    match par::pool_size() {
-        0 | 1 => None,
-        2 | 3 => Some(1.2),
-        _ => Some(2.0),
-    }
+    assert_eq!(replayed, walked, "replay diverged from the global wheel at {p} nodes");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let threads = par::pool_size();
 
-    if args.iter().any(|a| a == "--check") {
-        let nodes = 1024;
-        let r = record(nodes);
-        let (_, base) = timed_replay(&r, nodes, 1);
-        for t in [2usize, 4, threads.max(1)] {
-            let (_, o) = timed_replay(&r, nodes, t);
-            assert_eq!(o, base, "{nodes}-node mini-app digest must not depend on {t} threads");
-        }
-        verify_against_walk(nodes, base.makespan);
+    if let Some(i) = args.iter().position(|a| a == "--check") {
+        let path = args.get(i + 1).expect("--check needs a baseline path");
+        let baseline = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        let key = "app_scale_1024_replay_ms";
+        let Some(base) = bench::parse_metrics(&baseline)
+            .into_iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+        else {
+            eprintln!("baseline {path} is missing {key}");
+            std::process::exit(1);
+        };
+        let p = run_point(1024);
+        verify_against_walk(p.nodes, p.outcome.makespan);
         println!(
-            "determinism: {nodes}-node {} digest {:016x} identical at 1/2/4/{threads} threads, walk-verified",
+            "{}-node {} digest {:016x} reproduced over {TRIALS} trials, walk-verified",
+            p.nodes,
             app().name,
-            base.digest
+            p.outcome.digest
         );
-        let p = run_point(nodes);
-        match speedup_floor() {
-            Some(floor) if p.speedup() < floor => {
-                eprintln!(
-                    "PERF REGRESSION: app_scale_1024_speedup_x = {:.2}x on {threads} workers (floor {floor:.1}x)",
-                    p.speedup()
-                );
-                std::process::exit(1);
-            }
-            Some(floor) => println!(
-                "app_scale_1024_speedup_x: ok ({:.2}x on {threads} workers, floor {floor:.1}x)",
-                p.speedup()
-            ),
-            None => println!("speedup floor skipped: pool_threads=1"),
+        if p.replay_ms > base * REGRESSION_TOLERANCE {
+            eprintln!(
+                "PERF REGRESSION: {key} = {:.1} ms vs baseline {base:.1} ms (>{REGRESSION_TOLERANCE}x)",
+                p.replay_ms
+            );
+            std::process::exit(1);
         }
-        println!("app scale check passed");
+        println!("{key}: ok ({:.1} ms, {:.2}x of baseline)", p.replay_ms, p.replay_ms / base);
+        println!("app scale check passed (tolerance {REGRESSION_TOLERANCE}x)");
         return;
     }
 
     let points: Vec<Point> = [1024usize, 4096].iter().map(|&n| run_point(n)).collect();
-    verify_against_walk(1024, points[0].makespan);
+    verify_against_walk(1024, points[0].outcome.makespan);
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
 
-    println!("=== real mini-app ({}) on the partitioned engine ===", app().name);
+    println!("=== real mini-app ({}), recorded and replayed ===", app().name);
     println!(
-        "{:>6} {:>10} {:>10} {:>12} {:>12} {:>9}",
-        "nodes", "app s", "ops", "wall 1t ms", "wall Nt ms", "speedup"
+        "{:>6} {:>10} {:>10} {:>12} {:>12}",
+        "nodes", "app s", "ops", "record ms", "replay ms"
     );
     for p in &points {
         println!(
-            "{:>6} {:>10.4} {:>10} {:>12.1} {:>12.1} {:>8.2}x",
+            "{:>6} {:>10.4} {:>10} {:>12.1} {:>12.1}",
             p.nodes,
-            p.makespan.as_secs_f64(),
+            p.outcome.makespan.as_secs_f64(),
             p.ops,
-            p.wall_1t_ms,
-            p.wall_nt_ms,
-            p.speedup()
+            p.record_ms,
+            p.replay_ms
         );
     }
-    if speedup_floor().is_none() {
-        println!("speedup floor skipped: pool_threads=1");
-    }
+    println!("best of {TRIALS} trials, one thread, nproc {nproc}");
 
-    let fresh: Vec<(String, f64)> = points
+    let mut fresh: Vec<(String, f64)> = points
         .iter()
         .flat_map(|p| {
             [
-                (format!("app_scale_{}_wall_1t_ms", p.nodes), p.wall_1t_ms),
-                (format!("app_scale_{}_wall_nt_ms", p.nodes), p.wall_nt_ms),
-                (format!("app_scale_{}_speedup_x", p.nodes), p.speedup()),
+                (format!("app_scale_{}_record_ms", p.nodes), p.record_ms),
+                (format!("app_scale_{}_replay_ms", p.nodes), p.replay_ms),
             ]
         })
         .collect();
+    fresh.push(("app_scale_nproc".into(), nproc as f64));
     let out = std::env::var("HLWK_BENCH_OUT").unwrap_or_else(|_| "BENCH_engine.json".into());
     bench::merge_metrics_into(&out, &fresh);
 }

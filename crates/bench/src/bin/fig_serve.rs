@@ -21,9 +21,8 @@
 //!   no job corrupted, and every released core fully reclaimed.
 //!
 //! Every number is simulated time — deterministic at any
-//! `HLWK_THREADS`/`HLWK_ENGINE_THREADS` — so `--check` compares the
-//! committed `BENCH_serve.json` exactly. Claims asserted in every
-//! mode:
+//! `HLWK_THREADS` — so `--check` compares the committed
+//! `BENCH_serve.json` exactly. Claims asserted in every mode:
 //!
 //! 1. conservation: every profile's arrivals == completed + shed;
 //! 2. idle never resizes and sheds only a tail-trim fraction (<1%);
@@ -295,7 +294,7 @@ fn assert_claims(metrics: &[(String, f64)]) -> bool {
     claim(find(metrics, "storm_resumes") >= 1.0, "storm never resumed the gang");
     claim(find(metrics, "storm_jobs_done") == 1.0, "storm lost the gang job");
     claim(find(metrics, "storm_digests_ok") == 1.0, "storm corrupted the gang job");
-    claim(find(metrics, "partitioned") == 1.0, "a profile fell off the partitioned engine");
+    claim(find(metrics, "partitioned") == 1.0, "a profile fell off the record-and-replay path");
     failed
 }
 

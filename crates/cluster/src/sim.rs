@@ -12,21 +12,11 @@ use mpisim::{replay, NodeSeat, RankFailure, RecordSink, ReplayConfig};
 use netsim::reliable::CrashTrigger;
 use netsim::{LinkParams, ReliableFabric};
 use simcore::fault::{DomainFaultPlan, DomainTopology};
-use simcore::{par, Cycles, StreamRng};
+use simcore::{Cycles, StreamRng};
 use std::sync::Arc;
 use workloads::miniapps::MiniApp;
 use workloads::osu::{self, Collective, OsuConfig, OsuResult};
 use workloads::{fwq, miniapps};
-
-/// Worker threads for the partitioned engine: `HLWK_ENGINE_THREADS`,
-/// defaulting to the shared pool size.
-pub fn engine_threads() -> usize {
-    std::env::var("HLWK_ENGINE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(par::pool_size)
-}
 
 /// A fully built cluster: nodes + InfiniBand fabric + MPI state.
 pub struct Cluster {
@@ -218,13 +208,11 @@ impl Cluster {
     /// fabric cannot hide surfaces as a typed [`RankFailure`] (see
     /// [`crate::recovery`] for the job-level policies on top).
     ///
-    /// Fault-free runs execute on the partitioned engine: the walk is
-    /// recorded once with symbolic clocks, then replayed with one
-    /// partition per node (`HLWK_ENGINE_THREADS` workers, defaulting to
-    /// the shared pool size). The replay is value-identical to the
-    /// global-wheel walk at any thread count, so this changes wall-clock
-    /// time only. With faults armed the conservative lookahead collapses
-    /// and the walk runs directly.
+    /// Fault-free runs record the walk once with symbolic clocks, then
+    /// replay it one program per node ([`mpisim::replay`]). The replay
+    /// is value-identical to the global-wheel walk, so this changes
+    /// wall-clock time only. With random link faults or crash plans
+    /// armed (`partition_view()` is `None`) the walk runs directly.
     pub fn run_miniapp(&mut self, app: &MiniApp, at: Cycles) -> Result<Cycles, RankFailure> {
         self.set_mem_intensity(app.mem_intensity);
         let p = self.cfg.nodes as usize;
@@ -244,9 +232,9 @@ impl Cluster {
 
     /// One BSP step of `app` for the recovery layer: `ranks[r]` is the
     /// fabric node behind communicator rank `r`. On the full, unshrunk
-    /// communicator with no faults armed the step runs on the
-    /// partitioned engine exactly like [`Cluster::run_miniapp`]; a
-    /// shrunk communicator or armed faults take the global-wheel walk.
+    /// communicator with no faults armed the step records and replays
+    /// exactly like [`Cluster::run_miniapp`]; a shrunk communicator or
+    /// armed faults take the global-wheel walk.
     pub fn step_miniapp(
         &mut self,
         app: &MiniApp,
@@ -271,12 +259,12 @@ impl Cluster {
         miniapps::step(&mut self.ctx_with_ranks(ranks), app, quantum, clocks)
     }
 
-    /// Replay a recorded walk on the partitioned engine and resolve the
-    /// symbolic clocks `sym` against the per-node value logs. Node
-    /// state (host runtimes, registration caches, fabric ends) moves
-    /// into per-partition seats for the replay and is merged back in
-    /// node-index order either way, so on success the cluster is in
-    /// exactly the state the global-wheel walk would have left.
+    /// Replay a recorded walk and resolve the symbolic clocks `sym`
+    /// against the per-node value logs. Node state (host runtimes,
+    /// registration caches, fabric ends) moves into per-node seats for
+    /// the replay and is merged back in node-index order either way, so
+    /// on success the cluster is in exactly the state the global-wheel
+    /// walk would have left.
     fn replay_recorded(
         &mut self,
         sink: RecordSink,
@@ -297,7 +285,7 @@ impl Cluster {
             .zip(self.fabric.detach_ends())
             .map(|((node, regcache), end)| NodeSeat { host: NodeHost(node), regcache, end })
             .collect();
-        let (res, seats) = replay(sink.into_ops(), seats, &cfg, engine_threads());
+        let (res, seats) = replay(sink.into_ops(), seats, &cfg, 1);
         let mut ends = Vec::with_capacity(seats.len());
         for seat in seats {
             self.host.nodes.push(seat.host.0);
@@ -421,10 +409,10 @@ mod tests {
         assert!(armed.lookahead() >= Cycles(1));
     }
 
-    /// The partitioned engine must be value-identical to the
-    /// global-wheel walk with *real* stateful node runtimes — Linux
-    /// scheduler noise, busy-phase DMA stretch, offloaded MR
-    /// registration — not just the ideal host the mpisim suite uses.
+    /// The replay must be value-identical to the global-wheel walk
+    /// with *real* stateful node runtimes — Linux scheduler noise,
+    /// busy-phase DMA stretch, offloaded MR registration — not just the
+    /// ideal host the mpisim suite uses.
     #[test]
     fn partitioned_miniapp_matches_global_wheel_walk() {
         let app = MiniApp {

@@ -22,14 +22,13 @@
 //!   [`simcore::hist::LogHistogram`], whose exact-tail reservoir makes
 //!   every reported percentile exact at serving window sizes.
 //! * **Batch plane** — a priority job queue of [`workloads::miniapps`]
-//!   gangs stepping through [`Cluster::step_miniapp`] (so they run on
-//!   the partitioned engine, byte-identical at any
-//!   `HLWK_ENGINE_THREADS`). Preemption reuses the asynchronous
-//!   hierarchical checkpoint cost model: jobs snapshot every
-//!   `local_interval` iterations, eviction rolls back to the last
-//!   snapshot, and resumption charges restore + rebuild. A per-
-//!   iteration digest fold proves resumed jobs produce byte-identical
-//!   results.
+//!   gangs stepping through [`Cluster::step_miniapp`] (so they run as
+//!   a recorded walk replayed one program per node, byte-identical to
+//!   the walk). Preemption reuses the asynchronous hierarchical
+//!   checkpoint cost model: jobs snapshot every `local_interval`
+//!   iterations, eviction rolls back to the last snapshot, and
+//!   resumption charges restore + rebuild. A per-iteration digest fold
+//!   proves resumed jobs produce byte-identical results.
 //! * **SLO controller** — steers on the previous window's exact p99
 //!   with a hysteresis dead band and a cooldown so it never thrashes:
 //!   sustained breach shrinks the LWK by one core per node (serving
@@ -176,7 +175,7 @@ pub struct TenancyReport {
     pub max_width: usize,
     /// Width at the end of the run.
     pub final_width: usize,
-    /// Whether the batch plane replayed on the partitioned engine.
+    /// Whether the batch plane took the record-and-replay path.
     pub partitioned: bool,
     /// Arrivals in windows before the first shrink (the whole run if
     /// the partition never resized).

@@ -81,8 +81,8 @@ pub struct Ctx<'a, H: HostModel> {
     /// When set, the walk runs in *recording* mode: clocks carry symbolic
     /// tokens, every hook appends a [`crate::record::ReplayOp`] to the
     /// sink instead of touching host/fabric/cache state, and transfers
-    /// never fail. The recorded per-node op lists replay on the
-    /// partitioned engine (see [`crate::pcoll`]).
+    /// never fail. The recorded per-node op lists replay one program
+    /// per node (see [`crate::pcoll`]).
     pub sink: Option<&'a mut RecordSink>,
 }
 

@@ -1,22 +1,18 @@
-//! Partitioned replay of a recorded collectives walk.
+//! Replay of a recorded collectives walk, one program per node.
 //!
-//! [`replay`] runs the op lists a [`crate::record::RecordSink`] captured
-//! on a [`simcore::partition::PartitionedEngine`], one partition per
-//! fabric node. Each [`RankWorld`] owns exactly its node's state — its
-//! [`HostModel`] seat, its [`RegCache`], and its [`LinkEnd`] (NIC port
-//! timeline + traffic counters) — and executes its ops strictly in
+//! [`replay`] runs the op lists a [`crate::record::RecordSink`] captured,
+//! one per fabric node. Each [`RankWorld`] owns exactly its node's state
+//! — its [`HostModel`] seat, its [`RegCache`], and its [`LinkEnd`] (NIC
+//! port timeline + traffic counters) — and executes its ops strictly in
 //! cursor order, so every stateful interaction (host scheduler, cache
 //! slots, port timelines) happens in the same per-resource order as the
-//! single-threaded walk, at any worker-thread count.
+//! single-threaded walk.
 //!
 //! # The protocol
 //!
 //! A transfer's two halves ([`crate::record::ReplayOp::Send`] /
-//! [`crate::record::ReplayOp::Recv`]) rendezvous by exchanging
-//! cross-partition events that carry *computed instants* — event
-//! timestamps only satisfy the engine's conservative lookahead floor and
-//! never feed timing, so `at = bound.max(now + lookahead)` is always
-//! sound. Mirroring [`crate::p2p::send`]:
+//! [`crate::record::ReplayOp::Recv`]) rendezvous by exchanging messages
+//! that carry *computed instants*. Mirroring [`crate::p2p::send`]:
 //!
 //! * **eager, control-sized** (`bytes + ctrl < CONTROL_CUTOFF`): the
 //!   cascade never touches the receiver's port, so the sender runs it
@@ -43,9 +39,18 @@
 //!   failure, and later state (which the walk never produced) is
 //!   discarded.
 //!
-//! Messages between each directed node pair are consumed in send order
-//! (per-pair sequence numbers; out-of-order arrivals buffer), which by
-//! construction equals walk order restricted to the pair.
+//! # Scheduling
+//!
+//! The replay is a Kahn process network: a node blocks only by reading
+//! the next message from one named peer, and every directed pair's
+//! messages are delivered in post order, which by construction is walk
+//! order restricted to the pair. A node's values therefore depend on
+//! nothing but its own program and those per-pair sequences, never on
+//! the order in which nodes run. [`replay`] needs no clock: it pops a
+//! node off a FIFO worklist, runs it until it blocks or halts, appends
+//! what it posted to each destination's inbox and queues those
+//! destinations. When the worklist empties every node has run as far as
+//! its inputs allow.
 
 use crate::failure::RankFailure;
 use crate::host::HostModel;
@@ -56,9 +61,8 @@ use netsim::fabric::{PortTimeline, CONTROL_CUTOFF};
 use netsim::plink::{pair_send, FaultView, LinkEnd};
 use netsim::reliable::{LinkError, RetransmitPolicy};
 use netsim::LinkParams;
-use simcore::partition::{PartIo, PartWorld, PartitionedEngine};
 use simcore::Cycles;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Everything one node contributes to (and takes back from) a replay.
@@ -81,8 +85,9 @@ pub struct ReplayConfig {
     pub link: LinkParams,
     /// Retransmit policy.
     pub policy: RetransmitPolicy,
-    /// Conservative lookahead for cross-partition events (the fabric's
-    /// guaranteed minimum latency; see `ReliableFabric::lookahead`).
+    /// The fabric's minimum cross-node latency
+    /// (`ReliableFabric::lookahead`). Not read by [`replay`], which has
+    /// no clock to bound; kept for the callers that fill it in.
     pub lookahead: Cycles,
     /// Deterministic fault schedule snapshot
     /// (`ReliableFabric::partition_view`); fault-free when unarmed.
@@ -92,9 +97,8 @@ pub struct ReplayConfig {
 /// A failure found during replay, keyed by the transfer's walk order.
 type Failure = (u32, RankFailure);
 
-/// Cross-partition message payloads. All instants are computed values;
-/// event timestamps are transport only.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Message payloads between nodes; every instant is a computed value.
+#[derive(Debug)]
 enum Kind {
     /// Control-sized eager payload fully timed at the sender.
     EagerCtrl {
@@ -145,11 +149,33 @@ enum Fail {
     Link(LinkError),
 }
 
-/// Engine event: the initial kick, or a sequenced peer message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Wire {
-    Kick,
-    Msg { src: u32, seq: u64, xid: u32, kind: Kind },
+/// A posted message; `src` is the node that posted it.
+#[derive(Debug)]
+struct Msg {
+    src: u32,
+    xid: u32,
+    kind: Kind,
+}
+
+/// Messages a node posted during one [`RankWorld::pump`], as
+/// `(destination, message)` in post order.
+type Outbox = Vec<(u32, Msg)>;
+
+/// The mail a running node sees: its inbox (delivered, not yet taken
+/// messages in arrival order) and the shared outbox.
+struct Mail<'m> {
+    inbox: &'m mut Vec<Msg>,
+    out: &'m mut Outbox,
+}
+
+impl Mail<'_> {
+    /// The oldest delivered message from `peer`, if any. Removal keeps
+    /// the order of the rest: per-peer order is post order.
+    fn take(&mut self, peer: u32) -> Option<(u32, Kind)> {
+        let i = self.inbox.iter().position(|m| m.src == peer)?;
+        let m = self.inbox.remove(i);
+        Some((m.xid, m.kind))
+    }
 }
 
 /// Where a blocked op is waiting.
@@ -164,24 +190,21 @@ enum Pend {
     AwaitData,
 }
 
-/// One node of the partitioned replay.
-struct RankWorld<H> {
+/// One node of the replay.
+struct RankWorld<'a, H> {
     node: usize,
-    cfg: ReplayConfig,
+    cfg: &'a ReplayConfig,
     armed: bool,
     ops: Vec<ReplayOp>,
     cursor: usize,
     log: Vec<Cycles>,
     seat: NodeSeat<H>,
     pend: Pend,
-    send_seq: HashMap<u32, u64>,
-    recv_next: HashMap<u32, u64>,
-    inbox: HashMap<u32, BTreeMap<u64, (u32, Kind)>>,
     failure: Option<Failure>,
     halted: bool,
 }
 
-impl<H: HostModel> RankWorld<H> {
+impl<H: HostModel> RankWorld<'_, H> {
     fn res(&self, a: At) -> Cycles {
         resolve(a, &self.log)
     }
@@ -198,27 +221,8 @@ impl<H: HostModel> RankWorld<H> {
         self.halted = true;
     }
 
-    fn post(
-        &mut self,
-        io: &mut PartIo<'_, Wire>,
-        now: Cycles,
-        dst: u32,
-        bound: Cycles,
-        xid: u32,
-        kind: Kind,
-    ) {
-        let seq = self.send_seq.entry(dst).or_insert(0);
-        let at = bound.max(now + self.cfg.lookahead);
-        io.send(dst as usize, at, Wire::Msg { src: self.node as u32, seq: *seq, xid, kind });
-        *seq += 1;
-    }
-
-    /// Next in-order message from `peer`, if it has arrived.
-    fn take(&mut self, peer: u32) -> Option<(u32, Kind)> {
-        let next = self.recv_next.get(&peer).copied().unwrap_or(0);
-        let got = self.inbox.get_mut(&peer)?.remove(&next)?;
-        *self.recv_next.entry(peer).or_insert(0) += 1;
-        Some(got)
+    fn post(&self, mail: &mut Mail<'_>, dst: u32, xid: u32, kind: Kind) {
+        mail.out.push((dst, Msg { src: self.node as u32, xid, kind }));
     }
 
     /// Run a control-sized cascade locally: its absorb half never
@@ -256,9 +260,10 @@ impl<H: HostModel> RankWorld<H> {
         tx_start
     }
 
-    fn pump(&mut self, now: Cycles, io: &mut PartIo<'_, Wire>) {
+    /// Run ops until one blocks on a missing message or the node halts.
+    fn pump(&mut self, mail: &mut Mail<'_>) {
         while !self.halted && self.cursor < self.ops.len() {
-            match self.ops[self.cursor].clone() {
+            match self.ops[self.cursor] {
                 ReplayOp::Cpu { at, work } => {
                     let t = self.res(at);
                     let v = self.seat.host.cpu(self.node, t, work);
@@ -272,12 +277,12 @@ impl<H: HostModel> RankWorld<H> {
                     self.cursor += 1;
                 }
                 ReplayOp::Send { xid, peer, bytes, churn, at, merge } => {
-                    if !self.step_send(now, io, xid, peer, bytes, churn, at, merge) {
+                    if !self.step_send(mail, xid, peer, bytes, churn, at, merge) {
                         return;
                     }
                 }
                 ReplayOp::Recv { xid, peer, bytes, churn, at, merge } => {
-                    if !self.step_recv(now, io, xid, peer, bytes, churn, at, merge) {
+                    if !self.step_recv(mail, xid, peer, bytes, churn, at, merge) {
                         return;
                     }
                 }
@@ -289,8 +294,7 @@ impl<H: HostModel> RankWorld<H> {
     #[allow(clippy::too_many_arguments)]
     fn step_send(
         &mut self,
-        now: Cycles,
-        io: &mut PartIo<'_, Wire>,
+        mail: &mut Mail<'_>,
         xid: u32,
         peer: u32,
         bytes: u64,
@@ -305,7 +309,7 @@ impl<H: HostModel> RankWorld<H> {
                 // Dead-sender pre-check (walk: top of `p2p::send`).
                 if let Some(d) = self.cfg.view.dead_at(self.node) {
                     if d <= src_at {
-                        self.post(io, now, peer, now, xid, Kind::Fail(Fail::DeadSender { dead_at: d }));
+                        self.post(mail, peer, xid, Kind::Fail(Fail::DeadSender { dead_at: d }));
                         self.halted = true;
                         return false;
                     }
@@ -317,38 +321,25 @@ impl<H: HostModel> RankWorld<H> {
                     if total < CONTROL_CUTOFF {
                         match self.ctrl_send(peer as usize, total, ready) {
                             Ok(t) => {
-                                self.post(
-                                    io,
-                                    now,
-                                    peer,
-                                    t.delivered,
-                                    xid,
-                                    Kind::EagerCtrl { delivered: t.delivered },
-                                );
+                                let kind = Kind::EagerCtrl { delivered: t.delivered };
+                                self.post(mail, peer, xid, kind);
                                 self.finish(merge, t.sender_free);
                                 true
                             }
                             Err(e) => {
-                                self.post(io, now, peer, now, xid, Kind::Fail(Fail::Link(e)));
+                                self.post(mail, peer, xid, Kind::Fail(Fail::Link(e)));
                                 self.halted = true;
                                 false
                             }
                         }
                     } else if !self.armed {
                         let tx_start = self.inject_bulk(total, ready);
-                        self.post(
-                            io,
-                            now,
-                            peer,
-                            tx_start + self.cfg.link.wire_time(total),
-                            xid,
-                            Kind::EagerBulk { tx_start },
-                        );
+                        self.post(mail, peer, xid, Kind::EagerBulk { tx_start });
                         self.finish(merge, tx_start);
                         true
                     } else {
                         let end = Box::new(self.seat.end.clone());
-                        self.post(io, now, peer, now, xid, Kind::EagerReq { ready, end });
+                        self.post(mail, peer, xid, Kind::EagerReq { ready, end });
                         self.pend = Pend::AwaitSettle;
                         false
                     }
@@ -357,19 +348,12 @@ impl<H: HostModel> RankWorld<H> {
                     let rts_ready = self.seat.host.cpu(self.node, src_at, p.sw_overhead);
                     match self.ctrl_send(peer as usize, p.ctrl_bytes, rts_ready) {
                         Ok(rts) => {
-                            self.post(
-                                io,
-                                now,
-                                peer,
-                                rts.delivered,
-                                xid,
-                                Kind::Rts { delivered: rts.delivered },
-                            );
+                            self.post(mail, peer, xid, Kind::Rts { delivered: rts.delivered });
                             self.pend = Pend::AwaitCts { rts_sender_free: rts.sender_free };
                             false
                         }
                         Err(e) => {
-                            self.post(io, now, peer, now, xid, Kind::Fail(Fail::Link(e)));
+                            self.post(mail, peer, xid, Kind::Fail(Fail::Link(e)));
                             self.halted = true;
                             false
                         }
@@ -377,7 +361,7 @@ impl<H: HostModel> RankWorld<H> {
                 }
             }
             Pend::AwaitCts { rts_sender_free } => {
-                let Some((mxid, kind)) = self.take(peer) else { return false };
+                let Some((mxid, kind)) = mail.take(peer) else { return false };
                 assert_eq!(mxid, xid, "protocol: message for a different transfer");
                 match kind {
                     Kind::Cts { delivered } => {
@@ -391,10 +375,8 @@ impl<H: HostModel> RankWorld<H> {
                         let s_src = self.seat.host.dma_stretch(self.node, data_ready);
                         let end = Box::new(self.seat.end.clone());
                         self.post(
-                            io,
-                            now,
+                            mail,
                             peer,
-                            now,
                             xid,
                             Kind::DataReq {
                                 ready: data_ready,
@@ -422,7 +404,7 @@ impl<H: HostModel> RankWorld<H> {
                 }
             }
             Pend::AwaitSettle => {
-                let Some((mxid, kind)) = self.take(peer) else { return false };
+                let Some((mxid, kind)) = mail.take(peer) else { return false };
                 assert_eq!(mxid, xid, "protocol: message for a different transfer");
                 match kind {
                     Kind::Settle { sender_free, end } => {
@@ -441,8 +423,7 @@ impl<H: HostModel> RankWorld<H> {
     #[allow(clippy::too_many_arguments)]
     fn step_recv(
         &mut self,
-        now: Cycles,
-        io: &mut PartIo<'_, Wire>,
+        mail: &mut Mail<'_>,
         xid: u32,
         peer: u32,
         bytes: u64,
@@ -451,7 +432,7 @@ impl<H: HostModel> RankWorld<H> {
         merge: At,
     ) -> bool {
         let p = self.cfg.params;
-        let Some((mxid, kind)) = self.take(peer) else { return false };
+        let Some((mxid, kind)) = mail.take(peer) else { return false };
         assert_eq!(mxid, xid, "protocol: message for a different transfer");
         match kind {
             Kind::EagerCtrl { delivered } => {
@@ -497,14 +478,8 @@ impl<H: HostModel> RankWorld<H> {
                             recv_start,
                             p.sw_overhead + p.copy_cost(bytes),
                         );
-                        self.post(
-                            io,
-                            now,
-                            peer,
-                            now,
-                            xid,
-                            Kind::Settle { sender_free: t.sender_free, end },
-                        );
+                        let kind = Kind::Settle { sender_free: t.sender_free, end };
+                        self.post(mail, peer, xid, kind);
                         self.finish(merge, done);
                         true
                     }
@@ -525,23 +500,16 @@ impl<H: HostModel> RankWorld<H> {
                 let cts_ready = self.seat.host.cpu(self.node, dst_reg, p.sw_overhead);
                 match self.ctrl_send(peer as usize, p.ctrl_bytes, cts_ready) {
                     Ok(cts) => {
-                        self.post(
-                            io,
-                            now,
-                            peer,
-                            cts.delivered,
-                            xid,
-                            Kind::Cts { delivered: cts.delivered },
-                        );
+                        self.post(mail, peer, xid, Kind::Cts { delivered: cts.delivered });
                         self.pend = Pend::AwaitData;
                         // Stay on this op; the data leg comes next.
-                        self.step_recv(now, io, xid, peer, bytes, churn, at, merge)
+                        self.step_recv(mail, xid, peer, bytes, churn, at, merge)
                     }
                     Err(LinkError::PeerDead { node, gave_up_at, .. }) if node == self.node => {
                         // Walk: the receiver died at/while CTS; the
                         // sender's straggler timer notices.
                         let death = self.cfg.view.dead_at(self.node).unwrap_or(gave_up_at);
-                        self.post(io, now, peer, now, xid, Kind::Fail(Fail::CtsDead { death }));
+                        self.post(mail, peer, xid, Kind::Fail(Fail::CtsDead { death }));
                         self.halted = true;
                         false
                     }
@@ -569,14 +537,8 @@ impl<H: HostModel> RankWorld<H> {
                 ) {
                     Ok(t) => {
                         let done = self.seat.host.cpu(self.node, t.delivered, p.sw_overhead);
-                        self.post(
-                            io,
-                            now,
-                            peer,
-                            now,
-                            xid,
-                            Kind::Settle { sender_free: t.sender_free, end },
-                        );
+                        let kind = Kind::Settle { sender_free: t.sender_free, end };
+                        self.post(mail, peer, xid, kind);
                         self.finish(merge, done);
                         true
                     }
@@ -610,64 +572,66 @@ impl<H: HostModel> RankWorld<H> {
     }
 }
 
-impl<H: HostModel + Send> PartWorld for RankWorld<H> {
-    type Event = Wire;
-
-    fn handle(&mut self, now: Cycles, ev: Self::Event, io: &mut PartIo<'_, Self::Event>) {
-        if let Wire::Msg { src, seq, xid, kind } = ev {
-            self.inbox.entry(src).or_default().insert(seq, (xid, kind));
-        }
-        self.pump(now, io);
-    }
-}
-
 /// What [`replay`] hands back: the per-node value logs (or the walk's
 /// first failure) plus the seats.
 pub type ReplayOutcome<H> = (Result<Vec<Vec<Cycles>>, RankFailure>, Vec<NodeSeat<H>>);
 
-/// Replay recorded per-node op lists on the partitioned engine with
-/// `threads` workers. Returns the per-node value logs (index = op index;
-/// resolve final clock tokens against them) or the walk's first failure
-/// — in *node* space, like [`crate::p2p::send`]; callers holding a
-/// rank map remap — plus the seats, whose host/cache/port state on
-/// success matches the walk's exactly. On failure the seats reflect a
-/// partially-drained replay and should be discarded.
-pub fn replay<H: HostModel + Send>(
+/// Replay recorded per-node op lists. Returns the per-node value logs
+/// (index = op index; resolve final clock tokens against them) or the
+/// walk's first failure — in *node* space, like [`crate::p2p::send`];
+/// callers holding a rank map remap — plus the seats, whose
+/// host/cache/port state on success matches the walk's exactly. On
+/// failure the seats reflect a partially-drained replay and should be
+/// discarded.
+///
+/// The replay runs on the calling thread and `_threads` is not read:
+/// the worklist (see "Scheduling" in the module doc) has no windows to
+/// spread over workers, and figure grids parallelize across cells with
+/// `HLWK_THREADS` instead.
+pub fn replay<H: HostModel>(
     ops: Vec<Vec<ReplayOp>>,
     seats: Vec<NodeSeat<H>>,
     cfg: &ReplayConfig,
-    threads: usize,
+    _threads: usize,
 ) -> ReplayOutcome<H> {
     let n = ops.len();
     assert_eq!(seats.len(), n, "one seat per node");
-    assert!(cfg.lookahead > Cycles::ZERO, "partitioning needs positive lookahead");
     let armed = cfg.view.any_armed();
-    let worlds: Vec<RankWorld<H>> = ops
+    let mut worlds: Vec<RankWorld<'_, H>> = ops
         .into_iter()
         .zip(seats)
         .enumerate()
         .map(|(node, (ops, seat))| RankWorld {
             node,
-            cfg: cfg.clone(),
+            cfg,
             armed,
-            ops,
             cursor: 0,
-            log: Vec::new(),
+            log: Vec::with_capacity(ops.len()),
+            ops,
             seat,
             pend: Pend::None,
-            send_seq: HashMap::new(),
-            recv_next: HashMap::new(),
-            inbox: HashMap::new(),
             failure: None,
             halted: false,
         })
         .collect();
-    let mut engine = PartitionedEngine::new(worlds, cfg.lookahead);
-    for part in 0..n {
-        engine.queue_mut(part).schedule(Cycles::ZERO, Wire::Kick);
+    // Inboxes live outside the worlds so that a delivery touches only
+    // the destination's inbox, not its whole world.
+    let mut inboxes: Vec<Vec<Msg>> = (0..n).map(|_| Vec::new()).collect();
+    let mut out = Outbox::new();
+    let mut ready: VecDeque<usize> = (0..n).collect();
+    let mut queued = vec![true; n];
+    while let Some(node) = ready.pop_front() {
+        queued[node] = false;
+        worlds[node].pump(&mut Mail { inbox: &mut inboxes[node], out: &mut out });
+        for (dst, msg) in out.drain(..) {
+            let dst = dst as usize;
+            inboxes[dst].push(msg);
+            if !queued[dst] {
+                queued[dst] = true;
+                ready.push_back(dst);
+            }
+        }
     }
-    engine.run_to_completion(threads);
-    let worlds = engine.into_worlds();
     let first_failure = worlds
         .iter()
         .filter_map(|w| w.failure)
@@ -728,8 +692,8 @@ mod tests {
     }
 
     /// Walk an allreduce normally and via record+replay; the resolved
-    /// final clocks must be identical at every thread count, and the
-    /// merged-back fabric state must match the walk's.
+    /// final clocks must be identical, and the merged-back fabric state
+    /// must match the walk's.
     #[test]
     fn recorded_allreduce_replays_identically() {
         let p = 8;
@@ -755,44 +719,37 @@ mod tests {
         let clocks = crate::collectives::allreduce::allreduce(&mut ctx, p, bytes, &start)
             .expect("fault-free");
 
-        for threads in [1usize, 2, 4, 8] {
-            let mut fab = ReliableFabric::new(p, LinkParams::fdr_infiniband());
-            let mut host = IdealHost::new();
-            let mut rcs = caches(p);
-            let mut rec: Recorder = None;
-            let mut sink = RecordSink::new(p);
-            let mut rctx = Ctx {
-                hybrid_aware: false,
-                fabric: &mut fab,
-                host: &mut host,
-                params: &params,
-                regcaches: &mut rcs,
-                recorder: &mut rec,
-                reduce_per_kib: Cycles::from_ns(350),
-                churn: 0.0,
-                rank_map: None,
-                sink: Some(&mut sink),
-            };
-            let sym = crate::collectives::allreduce::allreduce(&mut rctx, p, bytes, &start)
-                .expect("recording never fails");
-            let cfg = config(&fab);
-            let (res, back) = replay(sink.into_ops(), seats(p, &mut fab), &cfg, threads);
-            let logs = res.expect("fault-free replay");
-            for (r, (&tok, &want)) in sym.iter().zip(&clocks).enumerate() {
-                let got = resolve(decode(tok, r), &logs[r]);
-                assert_eq!(got, want, "rank {r} final clock at {threads} threads");
-            }
-            for (r, (s, w)) in back.iter().zip(&walk_caches).enumerate() {
-                assert_eq!(s.regcache.stats(), w.stats(), "cache stats of rank {r}");
-            }
-            fab.absorb_ends(back.into_iter().map(|s| s.end).collect());
-            assert_eq!(fab.stats(), walk_fab.stats(), "traffic at {threads} threads");
-            assert_eq!(
-                fab.reliable_stats(),
-                walk_fab.reliable_stats(),
-                "protocol counters at {threads} threads"
-            );
+        let mut fab = ReliableFabric::new(p, LinkParams::fdr_infiniband());
+        let mut host = IdealHost::new();
+        let mut rcs = caches(p);
+        let mut rec: Recorder = None;
+        let mut sink = RecordSink::new(p);
+        let mut rctx = Ctx {
+            hybrid_aware: false,
+            fabric: &mut fab,
+            host: &mut host,
+            params: &params,
+            regcaches: &mut rcs,
+            recorder: &mut rec,
+            reduce_per_kib: Cycles::from_ns(350),
+            churn: 0.0,
+            rank_map: None,
+            sink: Some(&mut sink),
+        };
+        let sym = crate::collectives::allreduce::allreduce(&mut rctx, p, bytes, &start)
+            .expect("recording never fails");
+        let cfg = config(&fab);
+        let (res, back) = replay(sink.into_ops(), seats(p, &mut fab), &cfg, 1);
+        let logs = res.expect("fault-free replay");
+        for (r, (&tok, &want)) in sym.iter().zip(&clocks).enumerate() {
+            assert_eq!(resolve(decode(tok, r), &logs[r]), want, "rank {r} final clock");
         }
+        for (r, (s, w)) in back.iter().zip(&walk_caches).enumerate() {
+            assert_eq!(s.regcache.stats(), w.stats(), "cache stats of rank {r}");
+        }
+        fab.absorb_ends(back.into_iter().map(|s| s.end).collect());
+        assert_eq!(fab.stats(), walk_fab.stats(), "traffic");
+        assert_eq!(fab.reliable_stats(), walk_fab.reliable_stats(), "protocol counters");
     }
 
     /// A transfer into a node that dies must replay the walk's exact
@@ -828,30 +785,96 @@ mod tests {
         let want = crate::collectives::allreduce::allreduce(&mut ctx, p, bytes, &start)
             .expect_err("rank 2 dies");
 
-        for threads in [1usize, 4] {
-            let mut fab = mk();
-            let mut host = IdealHost::new();
-            let mut rcs = caches(p);
-            let mut rec: Recorder = None;
-            let mut sink = RecordSink::new(p);
-            let mut rctx = Ctx {
-                hybrid_aware: false,
-                fabric: &mut fab,
-                host: &mut host,
-                params: &params,
-                regcaches: &mut rcs,
-                recorder: &mut rec,
-                reduce_per_kib: Cycles::from_ns(350),
-                churn: 0.0,
-                rank_map: None,
-                sink: Some(&mut sink),
-            };
-            crate::collectives::allreduce::allreduce(&mut rctx, p, bytes, &start)
-                .expect("recording is oblivious to faults");
-            let cfg = config(&fab);
-            let (res, _seats) = replay(sink.into_ops(), seats(p, &mut fab), &cfg, threads);
-            let got = res.expect_err("the death must surface");
-            assert_eq!(got, want, "first failure at {threads} threads");
-        }
+        let mut fab = mk();
+        let mut host = IdealHost::new();
+        let mut rcs = caches(p);
+        let mut rec: Recorder = None;
+        let mut sink = RecordSink::new(p);
+        let mut rctx = Ctx {
+            hybrid_aware: false,
+            fabric: &mut fab,
+            host: &mut host,
+            params: &params,
+            regcaches: &mut rcs,
+            recorder: &mut rec,
+            reduce_per_kib: Cycles::from_ns(350),
+            churn: 0.0,
+            rank_map: None,
+            sink: Some(&mut sink),
+        };
+        crate::collectives::allreduce::allreduce(&mut rctx, p, bytes, &start)
+            .expect("recording is oblivious to faults");
+        let cfg = config(&fab);
+        let (res, _seats) = replay(sink.into_ops(), seats(p, &mut fab), &cfg, 1);
+        assert_eq!(res.expect_err("the death must surface"), want, "first failure");
+    }
+
+    /// Node 0 posts two eager sends to node 1 (one control-sized, one
+    /// bulk) before node 1 runs: the worklist starts at node 0, which
+    /// never blocks, so both messages sit in node 1's inbox together.
+    /// Node 1 must take them in post order — the receiver's `xid`
+    /// assert fires otherwise — and end with the walk's clocks.
+    #[test]
+    fn back_to_back_sends_are_taken_in_post_order() {
+        let sizes = [8u64, 5 << 10];
+        let params = P2pParams::default();
+        let mut walk_fab = ReliableFabric::new(2, LinkParams::fdr_infiniband());
+        let mut host = IdealHost::new();
+        let mut rcs = caches(2);
+        let walked: Vec<_> = sizes
+            .iter()
+            .map(|&b| {
+                crate::p2p::send(
+                    &mut walk_fab,
+                    &mut host,
+                    &params,
+                    &mut rcs,
+                    0,
+                    1,
+                    b,
+                    Cycles::ZERO,
+                    Cycles::ZERO,
+                    0.0,
+                )
+                .expect("fault-free")
+            })
+            .collect();
+        let zero = At::Lit(Cycles::ZERO);
+        let program = |recv: bool| -> Vec<ReplayOp> {
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(xid, &bytes)| {
+                    let (xid, at, merge) = (xid as u32, zero, zero);
+                    if recv {
+                        ReplayOp::Recv { xid, peer: 0, bytes, churn: 0.0, at, merge }
+                    } else {
+                        ReplayOp::Send { xid, peer: 1, bytes, churn: 0.0, at, merge }
+                    }
+                })
+                .collect()
+        };
+        let mut fab = ReliableFabric::new(2, LinkParams::fdr_infiniband());
+        let cfg = config(&fab);
+        let ops = vec![program(false), program(true)];
+        let (res, _seats) = replay(ops, seats(2, &mut fab), &cfg, 1);
+        let logs = res.expect("fault-free replay");
+        let sent: Vec<_> = walked.iter().map(|t| t.sender_done).collect();
+        let received: Vec<_> = walked.iter().map(|t| t.receiver_done).collect();
+        assert_eq!(logs[0], sent, "sender clocks");
+        assert_eq!(logs[1], received, "receiver clocks");
+    }
+
+    /// A Recv whose Send was never recorded blocks forever: the worklist
+    /// drains and the replay reports the stall instead of spinning.
+    #[test]
+    #[should_panic(expected = "node 1 stalled at op 0 of 1 with no failure")]
+    fn recv_without_send_reports_the_stall() {
+        let zero = At::Lit(Cycles::ZERO);
+        let orphan =
+            ReplayOp::Recv { xid: 0, peer: 0, bytes: 8, churn: 0.0, at: zero, merge: zero };
+        let mut fab = ReliableFabric::new(2, LinkParams::fdr_infiniband());
+        let cfg = config(&fab);
+        let _ = replay(vec![Vec::new(), vec![orphan]], seats(2, &mut fab), &cfg, 1);
     }
 }

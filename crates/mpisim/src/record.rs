@@ -2,7 +2,7 @@
 //!
 //! The collectives advance per-rank virtual clocks by calling
 //! [`crate::collectives::Ctx`] hooks in a fixed *walk order*. To run the
-//! same operation on the partitioned engine, the walk is first executed
+//! same operation one program per node, the walk is first executed
 //! once against a [`RecordSink`]: every hook returns a fresh **token**
 //! instead of a real instant, and the operation it stands for is
 //! appended to the per-*node* op list. Control flow in the algorithms
@@ -10,7 +10,7 @@
 //! the walk restricted to each node — and replaying them per node in
 //! cursor order (see [`crate::pcoll`]) reproduces every host, cache and
 //! fabric interaction in the same per-resource order as the walk,
-//! yielding bit-identical times at any thread count.
+//! yielding bit-identical times.
 //!
 //! A token encodes `(node, op index)`; each op produces exactly one
 //! value, so a node's op index doubles as the index into its replay

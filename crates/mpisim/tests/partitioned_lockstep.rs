@@ -1,12 +1,10 @@
 //! Lock-step equivalence: every collective entry point, walked on the
-//! shared global-wheel fabric vs recorded and replayed on the
-//! partitioned engine, over randomized small topologies.
+//! shared global-wheel fabric vs recorded and replayed one program per
+//! node, over randomized small topologies.
 //!
 //! For each scenario the final per-rank clocks, fabric traffic counters,
-//! reliable-protocol counters and registration-cache stats must be
-//! *identical* at every worker-thread count, and the replay value logs
-//! (the raw per-node event trace) must fold to the same digest across
-//! thread counts.
+//! reliable-protocol counters and registration-cache stats of the
+//! replay must be *identical* to the walk's.
 
 use mpisim::collectives::{allgather, allreduce, alltoall, barrier, tree, Ctx, Recorder};
 use mpisim::host::IdealHost;
@@ -115,9 +113,9 @@ fn walk(s: &Scenario) -> WalkResult {
     }
 }
 
-/// Record once, replay at `threads`; returns resolved clocks, merged
-/// fabric state and a digest of the raw per-node value logs.
-fn record_replay(s: &Scenario, threads: usize) -> (WalkResult, u64) {
+/// Record once and replay; returns resolved clocks and merged fabric
+/// state.
+fn record_replay(s: &Scenario) -> WalkResult {
     let mut fabric = ReliableFabric::new(s.p, LinkParams::fdr_infiniband());
     let mut host = IdealHost::new();
     let params = P2pParams::default();
@@ -152,58 +150,39 @@ fn record_replay(s: &Scenario, threads: usize) -> (WalkResult, u64) {
         .zip(caches(s.p))
         .map(|(end, regcache)| NodeSeat { host: IdealHost::new(), regcache, end })
         .collect();
-    let (res, seats) = replay(sink.into_ops(), seats, &cfg, threads);
+    let (res, seats) = replay(sink.into_ops(), seats, &cfg, 1);
     let logs = res.expect("fault-free replay");
     let clocks: Vec<Cycles> = sym
         .iter()
         .enumerate()
         .map(|(r, &tok)| resolve(decode(tok, r), &logs[r]))
         .collect();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for log in &logs {
-        for v in log {
-            digest = (digest ^ v.raw()).wrapping_mul(0x100_0000_01b3);
-        }
-    }
     let cache_stats = seats.iter().map(|st| st.regcache.stats()).collect();
     fabric.absorb_ends(seats.into_iter().map(|st| st.end).collect());
-    (
-        WalkResult {
-            clocks,
-            traffic: fabric.stats(),
-            reliable: fabric.reliable_stats(),
-            cache_stats,
-        },
-        digest,
-    )
+    WalkResult {
+        clocks,
+        traffic: fabric.stats(),
+        reliable: fabric.reliable_stats(),
+        cache_stats,
+    }
 }
 
 #[test]
-fn every_entry_point_replays_identically_at_all_thread_counts() {
+fn every_entry_point_replays_identically() {
     let mut rng = StreamRng::root(0xD1CE);
     for case in 0..45 {
         let op = case % OPS;
         let s = draw_scenario(&mut rng, op);
         let want = walk(&s);
-        let mut digests = Vec::new();
-        for threads in [1usize, 2, 4, 8] {
-            let (got, digest) = record_replay(&s, threads);
-            let tag = format!(
-                "op {} p {} root {} bytes {} hybrid {} threads {threads}",
-                s.op, s.p, s.root, s.bytes, s.hybrid_aware
-            );
-            assert_eq!(got.clocks, want.clocks, "final clocks: {tag}");
-            assert_eq!(got.traffic, want.traffic, "traffic counters: {tag}");
-            assert_eq!(got.reliable, want.reliable, "protocol counters: {tag}");
-            assert_eq!(got.cache_stats, want.cache_stats, "regcache stats: {tag}");
-            digests.push(digest);
-        }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "trace digests differ across thread counts: op {} p {}",
-            s.op,
-            s.p
+        let got = record_replay(&s);
+        let tag = format!(
+            "op {} p {} root {} bytes {} hybrid {}",
+            s.op, s.p, s.root, s.bytes, s.hybrid_aware
         );
+        assert_eq!(got.clocks, want.clocks, "final clocks: {tag}");
+        assert_eq!(got.traffic, want.traffic, "traffic counters: {tag}");
+        assert_eq!(got.reliable, want.reliable, "protocol counters: {tag}");
+        assert_eq!(got.cache_stats, want.cache_stats, "regcache stats: {tag}");
     }
 }
 
@@ -264,35 +243,33 @@ fn chained_operations_carry_warm_state() {
         lookahead: rfab.lookahead(),
         view: Arc::new(rfab.partition_view().expect("fault-free")),
     };
-    // The walk's take_stats window: what any thread count must report.
+    // The walk's take_stats window: what the replay must report.
     let cumulative = fabric.stats();
     let rel_cumulative = fabric.reliable_stats();
     let walk_window = fabric.take_stats();
     let walk_rel_window = fabric.take_reliable_stats();
     assert_eq!(walk_window, cumulative, "first window covers everything");
-    for threads in [1usize, 4] {
-        let mut fab2 = ReliableFabric::new(p, LinkParams::fdr_infiniband());
-        let seats: Vec<NodeSeat<IdealHost>> = fab2
-            .detach_ends()
-            .into_iter()
-            .zip(caches(p))
-            .map(|(end, regcache)| NodeSeat { host: IdealHost::new(), regcache, end })
-            .collect();
-        let (res, seats) = replay(sink.clone().into_ops(), seats, &cfg, threads);
-        let logs = res.expect("fault-free replay");
-        for (r, (&tok, &want)) in sym.iter().zip(&clocks).enumerate() {
-            assert_eq!(resolve(decode(tok, r), &logs[r]), want, "rank {r} at {threads} threads");
-        }
-        for (r, (st, w)) in seats.iter().zip(&rcs).enumerate() {
-            assert_eq!(st.regcache.stats(), w.stats(), "cache stats rank {r}");
-        }
-        fab2.absorb_ends(seats.into_iter().map(|st| st.end).collect());
-        assert_eq!(fab2.stats(), cumulative, "cumulative stats at {threads} threads");
-        assert_eq!(fab2.reliable_stats(), rel_cumulative);
-        // The index-ordered merge keeps take_stats windows thread-count
-        // invariant: the post-replay window equals the walk's.
-        assert_eq!(fab2.take_stats(), walk_window, "stats window at {threads} threads");
-        assert_eq!(fab2.take_reliable_stats(), walk_rel_window);
-        assert_eq!(fab2.take_stats(), (0, 0), "window resets");
+    let mut fab2 = ReliableFabric::new(p, LinkParams::fdr_infiniband());
+    let seats: Vec<NodeSeat<IdealHost>> = fab2
+        .detach_ends()
+        .into_iter()
+        .zip(caches(p))
+        .map(|(end, regcache)| NodeSeat { host: IdealHost::new(), regcache, end })
+        .collect();
+    let (res, seats) = replay(sink.into_ops(), seats, &cfg, 1);
+    let logs = res.expect("fault-free replay");
+    for (r, (&tok, &want)) in sym.iter().zip(&clocks).enumerate() {
+        assert_eq!(resolve(decode(tok, r), &logs[r]), want, "rank {r}");
     }
+    for (r, (st, w)) in seats.iter().zip(&rcs).enumerate() {
+        assert_eq!(st.regcache.stats(), w.stats(), "cache stats rank {r}");
+    }
+    fab2.absorb_ends(seats.into_iter().map(|st| st.end).collect());
+    assert_eq!(fab2.stats(), cumulative, "cumulative stats");
+    assert_eq!(fab2.reliable_stats(), rel_cumulative);
+    // Ends merge back in node-index order, so the post-replay
+    // take_stats window equals the walk's.
+    assert_eq!(fab2.take_stats(), walk_window, "stats window");
+    assert_eq!(fab2.take_reliable_stats(), walk_rel_window);
+    assert_eq!(fab2.take_stats(), (0, 0), "window resets");
 }

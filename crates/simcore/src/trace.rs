@@ -1,7 +1,8 @@
 //! Lightweight counters and an optional event trace.
 //!
-//! Counters are always on (they are just integer bumps behind a `Vec`
-//! lookup); the string trace costs allocations and is disabled by default.
+//! Counters are always on (each bump is a `BTreeMap` lookup by name,
+//! kept in name order for reporting); the string trace costs
+//! allocations and is disabled by default.
 //! Experiments use counters to report things like "ticks delivered on LWK
 //! cores: 0" — the kind of mechanism-level evidence the paper argues from.
 

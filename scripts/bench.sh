@@ -30,9 +30,9 @@
 # fig_scale covers the partitioned engine: 1024/4096-node windowed BSP
 # sweeps, merging intra-run speedup metrics (scale_*_speedup_x) into
 # BENCH_engine.json — it must run after fig_engine, which rewrites that
-# file wholesale. fig_scale_app replays the *real* mini-app (HPC-CG via
-# the full collectives layer) at 1024/4096 nodes on the partitioned
-# engine, merging app_scale_* metrics the same way (also after
+# file wholesale. fig_scale_app records and replays the *real* mini-app
+# (HPC-CG via the full collectives layer) at 1024/4096 nodes, merging
+# its app_scale_* record and replay times the same way (also after
 # fig_engine). fig_domains is the exception: its metrics are
 # *simulated* time
 # (failure-domain recovery sweep), deterministic across machines, so its
@@ -59,9 +59,9 @@ if [[ "${1:-}" == "--check" ]]; then
     # fig_scale gates determinism everywhere, the intra-run speedup floor
     # only on hosts with >1 pool worker (the ratio is noise on one core).
     ./target/release/fig_scale --check BENCH_engine.json
-    # fig_scale_app replays the real 1024-node mini-app: digest
-    # invariance across worker counts, walk-verified, pool-gated floor.
-    ./target/release/fig_scale_app --check
+    # fig_scale_app replays the real 1024-node mini-app: trials
+    # reproduce each other, walk-verified, replay time within 2x.
+    ./target/release/fig_scale_app --check BENCH_engine.json
     ./target/release/fig_mem --check BENCH_mem.json
     ./target/release/fig_domains --check BENCH_resilience.json
     # fig_serve: simulated-time elastic-tenancy metrics, exact match.

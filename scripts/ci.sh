@@ -14,7 +14,9 @@
 #                                 # gate (digest invariance + speedup
 #                                 # floor + blackout soak) and the
 #                                 # fig_scale_app real-mini-app replay
-#                                 # gate (1024 nodes, walk-verified),
+#                                 # gate (1024 nodes, walk-verified,
+#                                 # replay time within 2x of
+#                                 # BENCH_engine.json),
 #                                 # and the fig_serve elastic-tenancy
 #                                 # gate (exact match vs BENCH_serve.json
 #                                 # at full knobs, 100+ resize cycles)
@@ -38,16 +40,22 @@ cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 
+# same_output WHAT A B: fail unless files A and B are byte-identical;
+# WHAT names the two runs in the failure message.
+same_output() {
+    if ! diff -q "$2" "$3" >/dev/null; then
+        echo "DETERMINISM FAILURE: $1" >&2
+        diff "$2" "$3" >&2 || true
+        exit 1
+    fi
+}
+
 # Parallel-determinism smoke: thread count must never change figure
 # output. Run a reduced fig6 sweep serial and parallel, diff stdout.
 reduced="HLWK_RUNS=2 HLWK_NODES=4 HLWK_OSU_ITERS=2"
 env $reduced HLWK_THREADS=1 ./target/release/fig6_osu_latency > "$scratch/fig6_t1.txt"
 env $reduced HLWK_THREADS=4 ./target/release/fig6_osu_latency > "$scratch/fig6_tn.txt"
-if ! diff -q "$scratch/fig6_t1.txt" "$scratch/fig6_tn.txt" >/dev/null; then
-    echo "DETERMINISM FAILURE: fig6 output differs between 1 and 4 threads" >&2
-    diff "$scratch/fig6_t1.txt" "$scratch/fig6_tn.txt" >&2 || true
-    exit 1
-fi
+same_output "fig6 at 1 vs 4 threads" "$scratch/fig6_t1.txt" "$scratch/fig6_tn.txt"
 echo "parallel-determinism smoke passed (fig6 @ 1 thread == 4 threads)"
 
 # Bypass-determinism smoke: the offload-bypass machinery must be
@@ -67,11 +75,7 @@ env HLWK_FWQ_SECS=1 HLWK_BYPASS=on-but-cold \
 for pair in "fig6_t1 fig6_off" "fig6_t1 fig6_cold" "fig5_off fig5_cold"; do
     a="${pair% *}"
     b="${pair#* }"
-    if ! diff -q "$scratch/$a.txt" "$scratch/$b.txt" >/dev/null; then
-        echo "DETERMINISM FAILURE: $a differs from $b (bypass must not change figures)" >&2
-        diff "$scratch/$a.txt" "$scratch/$b.txt" >&2 || true
-        exit 1
-    fi
+    same_output "$a vs $b (bypass must not change figures)" "$scratch/$a.txt" "$scratch/$b.txt"
 done
 echo "bypass-determinism smoke passed (fig5/fig6 byte-identical: default == off == armed-but-cold)"
 
@@ -80,11 +84,7 @@ echo "bypass-determinism smoke passed (fig5/fig6 byte-identical: default == off 
 # thread-count independent too.
 env HLWK_THREADS=1 ./target/release/fig_ablation_pagesize > "$scratch/pgsz_t1.txt"
 env HLWK_THREADS=4 ./target/release/fig_ablation_pagesize > "$scratch/pgsz_tn.txt"
-if ! diff -q "$scratch/pgsz_t1.txt" "$scratch/pgsz_tn.txt" >/dev/null; then
-    echo "DETERMINISM FAILURE: pagesize ablation differs between 1 and 4 threads" >&2
-    diff "$scratch/pgsz_t1.txt" "$scratch/pgsz_tn.txt" >&2 || true
-    exit 1
-fi
+same_output "pagesize ablation at 1 vs 4 threads" "$scratch/pgsz_t1.txt" "$scratch/pgsz_tn.txt"
 echo "memory-determinism smoke passed (pagesize ablation @ 1 thread == 4 threads)"
 
 # Resilience smoke: link faults + node crash + every recovery policy,
@@ -97,11 +97,7 @@ echo "memory-determinism smoke passed (pagesize ablation @ 1 thread == 4 threads
 resil="HLWK_RESIL_ITERS=6 HLWK_NODES=4"
 env $resil HLWK_THREADS=1 ./target/release/fig_resilience > "$scratch/resil_t1.txt"
 env $resil HLWK_THREADS=4 ./target/release/fig_resilience > "$scratch/resil_tn.txt"
-if ! diff -q "$scratch/resil_t1.txt" "$scratch/resil_tn.txt" >/dev/null; then
-    echo "DETERMINISM FAILURE: fig_resilience differs between 1 and 4 threads" >&2
-    diff "$scratch/resil_t1.txt" "$scratch/resil_tn.txt" >&2 || true
-    exit 1
-fi
+same_output "fig_resilience at 1 vs 4 threads" "$scratch/resil_t1.txt" "$scratch/resil_tn.txt"
 echo "resilience smoke passed (fig_resilience @ 1 thread == 4 threads, fault-free cells == plain runs)"
 
 # Failure-domain smoke: correlated rack kills + the stochastic fault
@@ -115,47 +111,34 @@ env $dom HLWK_THREADS=1 HLWK_BENCH_OUT="$scratch/dom_t1.json" \
     ./target/release/fig_domains > "$scratch/dom_t1.txt"
 env $dom HLWK_THREADS=4 HLWK_BENCH_OUT="$scratch/dom_t4.json" \
     ./target/release/fig_domains > "$scratch/dom_t4.txt"
-if ! diff -q "$scratch/dom_t1.json" "$scratch/dom_t4.json" >/dev/null; then
-    echo "DETERMINISM FAILURE: fig_domains metrics differ between 1 and 4 threads" >&2
-    diff "$scratch/dom_t1.json" "$scratch/dom_t4.json" >&2 || true
-    exit 1
-fi
+same_output "fig_domains metrics at 1 vs 4 threads" "$scratch/dom_t1.json" "$scratch/dom_t4.json"
 echo "failure-domain smoke passed (fig_domains @ 1 thread == 4 threads, claims hold)"
 
-# Partitioned-engine app smoke: fig8's fault-free mini-app grid now
-# records on the global wheel and replays on the partitioned engine
-# (one partition per node). The replay worker count must never change
-# figure output — reduced grid, 1 vs 4 engine workers, diff stdout.
-fig8r="HLWK_RUNS=2 HLWK_NODES=8 HLWK_THREADS=1"
-env $fig8r HLWK_ENGINE_THREADS=1 ./target/release/fig8_miniapps > "$scratch/fig8_e1.txt"
-env $fig8r HLWK_ENGINE_THREADS=4 ./target/release/fig8_miniapps > "$scratch/fig8_e4.txt"
-if ! diff -q "$scratch/fig8_e1.txt" "$scratch/fig8_e4.txt" >/dev/null; then
-    echo "DETERMINISM FAILURE: fig8 output differs between 1 and 4 engine workers" >&2
-    diff "$scratch/fig8_e1.txt" "$scratch/fig8_e4.txt" >&2 || true
-    exit 1
-fi
-echo "partitioned-app smoke passed (fig8 @ 1 engine worker == 4 engine workers)"
+# Mini-app smoke: fig8's fault-free mini-app grid records each run on
+# the global wheel and replays it one program per node. The cell pool
+# size must never change figure output — reduced grid, 1 vs 4 threads,
+# diff stdout.
+fig8r="HLWK_RUNS=2 HLWK_NODES=8"
+env $fig8r HLWK_THREADS=1 ./target/release/fig8_miniapps > "$scratch/fig8_t1.txt"
+env $fig8r HLWK_THREADS=4 ./target/release/fig8_miniapps > "$scratch/fig8_t4.txt"
+same_output "fig8 at 1 vs 4 threads" "$scratch/fig8_t1.txt" "$scratch/fig8_t4.txt"
+echo "mini-app smoke passed (fig8 @ 1 thread == 4 threads)"
 
 # Elastic-tenancy smoke: SLO-driven online LWK resizing under the mixed
 # serving + gang workload, reduced knobs (40 windows, 2 nodes). The
 # binary self-asserts the acceptance claims (conservation, idle holds,
 # overload sheds then gets elastic relief, storm audits every released
-# core) in every mode; here we additionally require the figure output to
-# be byte-identical at 1 vs 4 engine workers (the batch plane replays on
-# the partitioned engine).
-serve="HLWK_SERVE_WINDOWS=40 HLWK_SERVE_NODES=2 HLWK_THREADS=1"
-env $serve HLWK_ENGINE_THREADS=1 HLWK_BENCH_OUT="$scratch/serve_e1.json" \
-    ./target/release/fig_serve > "$scratch/serve_e1.txt"
-env $serve HLWK_ENGINE_THREADS=4 HLWK_BENCH_OUT="$scratch/serve_e4.json" \
-    ./target/release/fig_serve > "$scratch/serve_e4.txt"
-if ! diff -q "$scratch/serve_e1.json" "$scratch/serve_e4.json" >/dev/null \
-    || ! diff <(grep -v '^wrote ' "$scratch/serve_e1.txt") \
-              <(grep -v '^wrote ' "$scratch/serve_e4.txt") >/dev/null; then
-    echo "DETERMINISM FAILURE: fig_serve differs between 1 and 4 engine workers" >&2
-    diff "$scratch/serve_e1.txt" "$scratch/serve_e4.txt" >&2 || true
-    exit 1
-fi
-echo "elastic-tenancy smoke passed (fig_serve @ 1 engine worker == 4 engine workers, claims hold)"
+# core) in every mode; here we additionally require the metrics and
+# the figure output (minus the line naming the metrics file) to be
+# byte-identical at 1 vs 4 threads.
+serve="HLWK_SERVE_WINDOWS=40 HLWK_SERVE_NODES=2"
+for t in 1 4; do
+    env $serve HLWK_THREADS=$t HLWK_BENCH_OUT="$scratch/serve_t$t.json" \
+        ./target/release/fig_serve | grep -v '^wrote ' > "$scratch/serve_t$t.txt"
+done
+same_output "fig_serve metrics at 1 vs 4 threads" "$scratch/serve_t1.json" "$scratch/serve_t4.json"
+same_output "fig_serve output at 1 vs 4 threads" "$scratch/serve_t1.txt" "$scratch/serve_t4.txt"
+echo "elastic-tenancy smoke passed (fig_serve @ 1 thread == 4 threads, claims hold)"
 
 if [[ "${1:-}" == "--soak" ]]; then
     # Resilience soak: fresh seeds through both fault sweeps, each run
@@ -207,12 +190,11 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
         ./target/release/fig_scale --check BENCH_engine.json
     HLWK_SCALE_ITERS="${HLWK_SCALE_ITERS:-3}" \
         timeout 300 ./target/release/fig_scale --soak 4
-    # Real mini-app on the partitioned engine: 1024-node HPC-CG digest
-    # invariance at 1/2/4/N workers, replay verified against a direct
-    # global-wheel walk, pool-gated speedup floor (logs an explicit
-    # "speedup floor skipped: pool_threads=1" on single-core hosts).
-    HLWK_SCALE_APP_ITERS="${HLWK_SCALE_APP_ITERS:-3}" \
-        timeout 300 ./target/release/fig_scale_app --check
+    # Real mini-app, recorded and replayed: 1024-node HPC-CG, every
+    # trial reproducing the first, the makespan verified against a
+    # direct global-wheel walk, and the replay time within 2x of
+    # BENCH_engine.json.
+    timeout 300 ./target/release/fig_scale_app --check BENCH_engine.json
     # fig_mem needs a few more iterations than the other two before the
     # fault-storm metrics amortize their setup; still well under a second.
     HLWK_BENCH_ITERS="${HLWK_MEM_BENCH_ITERS:-5000}" \
