@@ -1,12 +1,13 @@
 //! Real mini-apps recorded and replayed at 1024 and 4096 nodes.
 //!
-//! `fig_scale` sweeps the *windowed BSP proxy* at paper scale; this
-//! binary runs the actual Fig. 8 workload — `workloads::miniapps` over
-//! the exact collectives layer (`mpisim::collectives`), with the
+//! Runs the actual Fig. 8 workload — `workloads::miniapps` over the
+//! exact collectives layer (`mpisim::collectives`), with the
 //! registration cache, rendezvous protocol and per-port LogGP
 //! timelines — through record-and-replay (`mpisim::replay`, one program
-//! per node) at node counts the shared-fabric walk was never meant to
-//! reach.
+//! per node). `Cluster` mini-apps always take the global-wheel walk,
+//! which is faster at every node count (DESIGN.md D12); the replay's
+//! remaining users are this binary and perfbench's `replay_4096`
+//! workload, and the walk verification below is its reference check.
 //!
 //! Each point runs three trials. A trial records the walk (symbolic
 //! clocks, no fabric/host state touched), then replays the op stream on
@@ -17,8 +18,8 @@
 //!
 //! Metrics merge into `HLWK_BENCH_OUT` (default `BENCH_engine.json`) as
 //! `app_scale_{nodes}_{record_ms,replay_ms}` plus `app_scale_nproc`,
-//! the host's core count. Like `fig_scale`, this must run *after*
-//! `fig_engine`, which rewrites the file wholesale.
+//! the host's core count. This must run *after* `fig_engine`, which
+//! rewrites the file wholesale.
 //!
 //! Modes:
 //! * default          — 1024- and 4096-node points + metric merge;

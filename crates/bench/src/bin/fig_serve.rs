@@ -191,7 +191,6 @@ fn collect() -> Vec<(String, f64)> {
     metrics.push(("coloc_preemptions".into(), f64::from(coloc.preemptions)));
     metrics.push(("coloc_jobs_done".into(), f64::from(coloc.jobs_done)));
     metrics.push(("coloc_digests_ok".into(), f64::from(u8::from(coloc.digests_ok))));
-    metrics.push(("partitioned".into(), f64::from(u8::from(reports.iter().all(|r| r.partitioned)))));
     metrics
 }
 
@@ -294,7 +293,6 @@ fn assert_claims(metrics: &[(String, f64)]) -> bool {
     claim(find(metrics, "storm_resumes") >= 1.0, "storm never resumed the gang");
     claim(find(metrics, "storm_jobs_done") == 1.0, "storm lost the gang job");
     claim(find(metrics, "storm_digests_ok") == 1.0, "storm corrupted the gang job");
-    claim(find(metrics, "partitioned") == 1.0, "a profile fell off the record-and-replay path");
     failed
 }
 

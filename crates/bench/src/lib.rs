@@ -149,8 +149,8 @@ pub fn metrics_to_json(metrics: &[(String, f64)]) -> String {
 
 /// Merge `fresh` into the metrics already in `path` (keeps existing
 /// entries; replaces stale values for the same keys), preserving order.
-/// `fig_engine` rewrites the file wholesale, so the sweeps that ride
-/// along (`fig_scale`, `fig_scale_app`) must run after it and merge.
+/// `fig_engine` rewrites the file wholesale, so the sweep that rides
+/// along (`fig_scale_app`) must run after it and merge.
 pub fn merge_metrics_into(path: &str, fresh: &[(String, f64)]) {
     let mut metrics = std::fs::read_to_string(path)
         .map(|s| parse_metrics(&s))

@@ -29,29 +29,3 @@ impl HostModel for ClusterHost {
         self.nodes[rank].dma_stretch(at)
     }
 }
-
-/// One node runtime as a standalone [`HostModel`]: the partitioned
-/// replay's per-node seat (`mpisim::NodeSeat`). Every method ignores the
-/// rank argument — the seat *is* a single node, and replay only ever
-/// passes its own index — and delegates exactly like [`ClusterHost`]
-/// does for that node, so per-node state evolves identically on the
-/// walk and replay paths.
-pub struct NodeHost(pub NodeRuntime);
-
-impl HostModel for NodeHost {
-    fn cpu(&mut self, _rank: usize, at: Cycles, work: Cycles) -> Cycles {
-        self.0.exec_app_thread(0, at, work)
-    }
-
-    fn mr_register(&mut self, _rank: usize, at: Cycles, bytes: u64) -> Cycles {
-        self.0.mr_register(at, bytes)
-    }
-
-    fn omp_region(&mut self, _rank: usize, at: Cycles, per_thread: Cycles, threads: u32) -> Cycles {
-        self.0.omp_region(at, per_thread, threads)
-    }
-
-    fn dma_stretch(&mut self, _rank: usize, at: Cycles) -> f64 {
-        self.0.dma_stretch(at)
-    }
-}

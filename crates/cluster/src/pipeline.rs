@@ -12,7 +12,7 @@
 
 use hlwk_core::costs::CostModel;
 use simcore::fault::{FaultPlan, MsgFault};
-use simcore::{Cycles, EventQueue, PartitionedEngine, SoloWorld, World};
+use simcore::{Cycles, Engine, EventQueue, World};
 
 /// Why a burst failed to produce a complete set of latencies.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -136,35 +136,26 @@ pub fn run_burst_faulted(
     if reqs.is_empty() {
         return Err(PipelineError::EmptyBurst);
     }
-    // One node's proxy is one partition of the windowed engine. With a
-    // single partition there is no cross-partition constraint, so the
-    // lookahead is unbounded and the whole burst drains in one window —
-    // trace-identical to the retired global-wheel run (the engine's
-    // single-partition path is exactly the serial event loop).
-    let mut engine = PartitionedEngine::new(
-        vec![SoloWorld(PipelineWorld {
-            costs,
-            reqs: reqs.to_vec(),
-            proxy_free_at: Cycles::ZERO,
-            completions: vec![None; reqs.len()],
-        })],
-        Cycles::MAX,
-    );
+    let mut engine = Engine::new(PipelineWorld {
+        costs,
+        reqs: reqs.to_vec(),
+        proxy_free_at: Cycles::ZERO,
+        completions: vec![None; reqs.len()],
+    });
     for (i, r) in reqs.iter().enumerate() {
         let delivery = r.issued_at + costs.lwk_syscall + costs.ikc_send + costs.ikc_ipi;
         match faults.draw_msg_fault("burst-req", i as u64, delivery) {
             MsgFault::Drop | MsgFault::Corrupt => {}
             MsgFault::Delay(d) => {
-                engine.queue_mut(0).schedule(delivery + d, Ev::Delivered(i));
+                engine.queue_mut().schedule(delivery + d, Ev::Delivered(i));
             }
             MsgFault::None => {
-                engine.queue_mut(0).schedule(delivery, Ev::Delivered(i));
+                engine.queue_mut().schedule(delivery, Ev::Delivered(i));
             }
         }
     }
-    engine.run_to_completion(1);
-    let world = engine.into_worlds().pop().expect("one partition");
-    Ok(world.0.completions)
+    engine.run_to_completion();
+    Ok(engine.into_world().completions)
 }
 
 /// The closed-form single-request composition (what

@@ -1,19 +1,17 @@
 //! The assembled cluster and its workload entry points.
 
 use crate::config::ClusterConfig;
-use crate::host::{ClusterHost, NodeHost};
+use crate::host::ClusterHost;
 use crate::node::NodeRuntime;
 use hlwk_core::ihk::partition::PartitionError;
 use mpisim::collectives::{Ctx, Recorder};
 use mpisim::p2p::P2pParams;
-use mpisim::record::{decode, resolve};
 use mpisim::regcache::RegCache;
-use mpisim::{replay, NodeSeat, RankFailure, RecordSink, ReplayConfig};
+use mpisim::RankFailure;
 use netsim::reliable::CrashTrigger;
 use netsim::{LinkParams, ReliableFabric};
 use simcore::fault::{DomainFaultPlan, DomainTopology};
 use simcore::{Cycles, StreamRng};
-use std::sync::Arc;
 use workloads::miniapps::MiniApp;
 use workloads::osu::{self, Collective, OsuConfig, OsuResult};
 use workloads::{fwq, miniapps};
@@ -169,16 +167,6 @@ impl Cluster {
         self.fabric.kill_node(node, trigger);
     }
 
-    /// Conservative lookahead for windowed parallel simulation of this
-    /// cluster: one window of the partitioned engine per node. Delegates
-    /// to [`ReliableFabric::lookahead`], so it is the full LogGP
-    /// `send_overhead + latency` fault-free and shrinks to the bare wire
-    /// latency once link faults, domain events, or node crashes are
-    /// armed (see `DESIGN.md` D12).
-    pub fn lookahead(&self) -> Cycles {
-        self.fabric.lookahead()
-    }
-
     /// Run the FWQ probe on node 0's first application core. FWQ is pure
     /// ALU work (no memory stretch). Returns per-quantum latencies.
     pub fn fwq(&mut self, quantum: Cycles, duration: Cycles, start: Cycles) -> Vec<u64> {
@@ -207,34 +195,14 @@ impl Cluster {
     /// Run one mini-app; returns its execution time. A node failure the
     /// fabric cannot hide surfaces as a typed [`RankFailure`] (see
     /// [`crate::recovery`] for the job-level policies on top).
-    ///
-    /// Fault-free runs record the walk once with symbolic clocks, then
-    /// replay it one program per node ([`mpisim::replay`]). The replay
-    /// is value-identical to the global-wheel walk, so this changes
-    /// wall-clock time only. With random link faults or crash plans
-    /// armed (`partition_view()` is `None`) the walk runs directly.
     pub fn run_miniapp(&mut self, app: &MiniApp, at: Cycles) -> Result<Cycles, RankFailure> {
         self.set_mem_intensity(app.mem_intensity);
         let p = self.cfg.nodes as usize;
-        if self.fabric.partition_view().is_some() {
-            let mut sink = RecordSink::new(p);
-            let sym = {
-                let mut ctx = self.ctx();
-                ctx.sink = Some(&mut sink);
-                miniapps::run_clocks(&mut ctx, app, p, at)
-                    .expect("recording is oblivious to faults")
-            };
-            let finals = self.replay_recorded(sink, &sym)?;
-            return Ok(*finals.iter().max().expect("p >= 1") - at);
-        }
         miniapps::run(&mut self.ctx(), app, p, at)
     }
 
     /// One BSP step of `app` for the recovery layer: `ranks[r]` is the
-    /// fabric node behind communicator rank `r`. On the full, unshrunk
-    /// communicator with no faults armed the step records and replays
-    /// exactly like [`Cluster::run_miniapp`]; a shrunk communicator or
-    /// armed faults take the global-wheel walk.
+    /// fabric node behind communicator rank `r`.
     pub fn step_miniapp(
         &mut self,
         app: &MiniApp,
@@ -242,63 +210,7 @@ impl Cluster {
         ranks: &[usize],
         clocks: &mut Vec<Cycles>,
     ) -> Result<(), RankFailure> {
-        let identity = ranks.len() == self.cfg.nodes as usize
-            && ranks.iter().enumerate().all(|(r, &n)| r == n);
-        if identity && self.fabric.partition_view().is_some() {
-            let mut sink = RecordSink::new(ranks.len());
-            let mut sym = clocks.clone();
-            {
-                let mut ctx = self.ctx();
-                ctx.sink = Some(&mut sink);
-                miniapps::step(&mut ctx, app, quantum, &mut sym)
-                    .expect("recording is oblivious to faults");
-            }
-            *clocks = self.replay_recorded(sink, &sym)?;
-            return Ok(());
-        }
         miniapps::step(&mut self.ctx_with_ranks(ranks), app, quantum, clocks)
-    }
-
-    /// Replay a recorded walk and resolve the symbolic clocks `sym`
-    /// against the per-node value logs. Node state (host runtimes,
-    /// registration caches, fabric ends) moves into per-node seats for
-    /// the replay and is merged back in node-index order either way, so
-    /// on success the cluster is in exactly the state the global-wheel
-    /// walk would have left.
-    fn replay_recorded(
-        &mut self,
-        sink: RecordSink,
-        sym: &[Cycles],
-    ) -> Result<Vec<Cycles>, RankFailure> {
-        let cfg = ReplayConfig {
-            params: self.params,
-            link: *self.fabric.params(),
-            policy: *self.fabric.policy(),
-            lookahead: self.fabric.lookahead(),
-            view: Arc::new(self.fabric.partition_view().expect("checked by caller")),
-        };
-        let nodes = std::mem::take(&mut self.host.nodes);
-        let caches = std::mem::take(&mut self.regcaches);
-        let seats: Vec<NodeSeat<NodeHost>> = nodes
-            .into_iter()
-            .zip(caches)
-            .zip(self.fabric.detach_ends())
-            .map(|((node, regcache), end)| NodeSeat { host: NodeHost(node), regcache, end })
-            .collect();
-        let (res, seats) = replay(sink.into_ops(), seats, &cfg, 1);
-        let mut ends = Vec::with_capacity(seats.len());
-        for seat in seats {
-            self.host.nodes.push(seat.host.0);
-            self.regcaches.push(seat.regcache);
-            ends.push(seat.end);
-        }
-        self.fabric.absorb_ends(ends);
-        let logs = res?;
-        Ok(sym
-            .iter()
-            .enumerate()
-            .map(|(r, &tok)| resolve(decode(tok, r), &logs[r]))
-            .collect())
     }
 }
 
@@ -396,54 +308,6 @@ mod tests {
             mck_slowdown < cgroup_slowdown,
             "mck {mck_slowdown} vs cgroup {cgroup_slowdown}"
         );
-    }
-
-    #[test]
-    fn lookahead_tracks_fault_arming() {
-        use netsim::LinkParams;
-        let quiet = small(OsVariant::McKernel, 4, false);
-        assert_eq!(quiet.lookahead(), LinkParams::fdr_infiniband().lookahead());
-        let mut armed = small(OsVariant::McKernel, 4, false);
-        armed.kill_node(2, CrashTrigger::AfterSends(5));
-        assert_eq!(armed.lookahead(), LinkParams::fdr_infiniband().latency);
-        assert!(armed.lookahead() >= Cycles(1));
-    }
-
-    /// The replay must be value-identical to the global-wheel walk
-    /// with *real* stateful node runtimes — Linux scheduler noise,
-    /// busy-phase DMA stretch, offloaded MR registration — not just the
-    /// ideal host the mpisim suite uses.
-    #[test]
-    fn partitioned_miniapp_matches_global_wheel_walk() {
-        let app = MiniApp {
-            iterations: 4,
-            ..MiniApp::hpccg()
-        };
-        for os in [OsVariant::McKernel, OsVariant::LinuxCgroup] {
-            // Walk on the shared fabric, bypassing the partitioned route.
-            let mut walk = small(os, 4, true);
-            walk.set_mem_intensity(app.mem_intensity);
-            let t_walk = miniapps::run(&mut walk.ctx(), &app, 4, Cycles::from_ms(1))
-                .expect("fault-free");
-            // The public entry point records + replays partitioned.
-            let mut part = small(os, 4, true);
-            let t_part = part.run_miniapp(&app, Cycles::from_ms(1)).expect("fault-free");
-            assert_eq!(t_part, t_walk, "{os:?} makespan");
-            assert_eq!(part.fabric.stats(), walk.fabric.stats(), "{os:?} traffic");
-            assert_eq!(
-                part.fabric.reliable_stats(),
-                walk.fabric.reliable_stats(),
-                "{os:?} protocol counters"
-            );
-            // Node state converged too: a *second* (walked) step from
-            // both clusters stays identical.
-            let t2_walk = miniapps::run(&mut walk.ctx(), &app, 4, Cycles::from_ms(900))
-                .expect("fault-free");
-            let mut ctx = part.ctx();
-            let t2_part =
-                miniapps::run(&mut ctx, &app, 4, Cycles::from_ms(900)).expect("fault-free");
-            assert_eq!(t2_part, t2_walk, "{os:?} post-replay node state");
-        }
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!   [`simcore::hist::LogHistogram`], whose exact-tail reservoir makes
 //!   every reported percentile exact at serving window sizes.
 //! * **Batch plane** — a priority job queue of [`workloads::miniapps`]
-//!   gangs stepping through [`Cluster::step_miniapp`] (so they run as
-//!   a recorded walk replayed one program per node, byte-identical to
-//!   the walk). Preemption reuses the asynchronous hierarchical
+//!   gangs stepping through [`Cluster::step_miniapp`] on the
+//!   global-wheel walk. Preemption reuses the asynchronous hierarchical
 //!   checkpoint cost model: jobs snapshot every `local_interval`
 //!   iterations, eviction rolls back to the last snapshot, and
 //!   resumption charges restore + rebuild. A per-iteration digest fold
@@ -175,8 +174,6 @@ pub struct TenancyReport {
     pub max_width: usize,
     /// Width at the end of the run.
     pub final_width: usize,
-    /// Whether the batch plane took the record-and-replay path.
-    pub partitioned: bool,
     /// Arrivals in windows before the first shrink (the whole run if
     /// the partition never resized).
     pub pre_relief_arrivals: u64,
@@ -550,7 +547,6 @@ pub fn run_tenancy(cluster: &mut Cluster, cfg: &TenancyConfig) -> TenancyReport 
     }
 
     report.final_width = cluster.lwk_width();
-    report.partitioned = cluster.fabric.partition_view().is_some();
     report.p50_us = median_us(&mut window_p50s);
     report.worst_p99_us = window_p99s.iter().max().map_or(0.0, |&v| v as f64 / 1000.0);
     report.p99_us = median_us(&mut window_p99s);

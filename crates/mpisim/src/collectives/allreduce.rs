@@ -5,10 +5,15 @@
 //! Block id (recursive doubling) = contributing rank.
 
 use super::{allgather, tree, ceil_log2, Ctx};
-use crate::bsp;
 use crate::failure::RankFailure;
 use crate::host::HostModel;
 use simcore::Cycles;
+
+/// Recursive-doubling partner of `me` in `round` (0-based).
+#[inline]
+fn reduce_partner(me: usize, round: u8) -> usize {
+    me ^ (1usize << round)
+}
 
 /// Selector: MVAPICH switches from recursive doubling to Rabenseifner
 /// around 2 KiB.
@@ -46,7 +51,7 @@ pub fn allreduce_rd<H: HostModel>(
         let window = 1usize << k;
         let round = clocks.clone();
         for r in 0..p {
-            let partner = bsp::reduce_partner(r, k as u8);
+            let partner = reduce_partner(r, k as u8);
             if r > partner {
                 continue;
             }
@@ -94,7 +99,7 @@ pub fn allreduce_rabenseifner<H: HostModel>(
         let round_bit = (rounds - 1 - k) as u8;
         let round = clocks.clone();
         for r in 0..p {
-            let partner = bsp::reduce_partner(r, round_bit);
+            let partner = reduce_partner(r, round_bit);
             if r > partner {
                 continue;
             }
@@ -124,6 +129,21 @@ pub fn allreduce_rabenseifner<H: HostModel>(
 mod tests {
     use super::*;
     use crate::collectives::testutil::{replay_possession, Rig};
+
+    #[test]
+    fn partner_is_an_involution() {
+        for p in [2usize, 8, 1024] {
+            let rounds = p.trailing_zeros() as u8;
+            for me in 0..p {
+                for r in 0..rounds {
+                    let partner = reduce_partner(me, r);
+                    assert!(partner < p);
+                    assert_ne!(partner, me);
+                    assert_eq!(reduce_partner(partner, r), me);
+                }
+            }
+        }
+    }
 
     #[test]
     fn rd_produces_full_contribution_sets() {

@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bsp;
 pub mod collectives;
 pub mod failure;
 pub mod host;
@@ -28,7 +27,6 @@ pub mod p2p;
 pub mod pcoll;
 pub mod record;
 pub mod regcache;
-pub mod windowed;
 
 pub use failure::{FailureBatch, FailureCause, RankFailure};
 pub use host::{HostModel, IdealHost};

@@ -16,10 +16,10 @@ pub const CONTROL_CUTOFF: u64 = 4096;
 
 /// Per-port send/receive availability for one NIC.
 ///
-/// Public so a partitioned simulation can break the shared fabric into
-/// per-node link ends (see [`crate::plink`]): the [`PortTimeline::inject`]
-/// half runs on the sending node's partition, the
-/// [`PortTimeline::absorb`] half on the receiving node's. [`Fabric::send`]
+/// Public so the per-node replay (`mpisim::replay`) can break the shared
+/// fabric into per-node link ends (see [`crate::plink`]): the
+/// [`PortTimeline::inject`] half runs in the sending node's program, the
+/// [`PortTimeline::absorb`] half in the receiving node's. [`Fabric::send`]
 /// composes the two halves on the shared state, so both execution modes
 /// share one source of truth for the LogGP port arithmetic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -127,7 +127,7 @@ impl Fabric {
     }
 
     /// Move every node's port timeline out of the shared fabric so
-    /// per-partition owners (one per node) can evolve them independently;
+    /// per-node owners can evolve them independently;
     /// the fabric is left with no ports and must not route until
     /// [`Fabric::absorb_ports`] reinstalls them. Returned in node-index
     /// order.
@@ -139,7 +139,7 @@ impl Fabric {
     /// (node-index order) and fold the traffic the per-node owners
     /// carried meanwhile back into the shared counters. Merging is a sum
     /// plus an index-ordered reinstall, so the result is independent of
-    /// how many worker threads drove the partitions.
+    /// the order the owners ran in.
     pub fn absorb_ports(&mut self, ports: Vec<PortTimeline>, messages: u64, bytes: u64) {
         assert!(self.ports.is_empty(), "ports were never detached");
         self.ports = ports;

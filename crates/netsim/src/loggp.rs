@@ -73,8 +73,8 @@ impl LinkParams {
     /// `t + send_overhead + latency` — a message must pay the sender CPU
     /// overhead and one wire traversal before its first byte exists at
     /// the far NIC (serialization and receive overhead only add to this).
-    /// This is the window width the partitioned engine
-    /// (`simcore::partition`) drains per epoch; see `DESIGN.md` D12.
+    /// [`crate::ReliableFabric::lookahead`] derives the fabric-wide bound
+    /// from it.
     pub fn lookahead(&self) -> Cycles {
         self.send_overhead + self.latency
     }

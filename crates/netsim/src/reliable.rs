@@ -351,8 +351,9 @@ impl ReliableFabric {
                 .any(|l| l.config().enabled || !l.log().is_empty())
     }
 
-    /// Conservative lookahead for windowed parallel simulation over this
-    /// fabric (see `DESIGN.md` D12). Fault-free, it is the full
+    /// Conservative lookahead over this fabric: how soon one node's
+    /// action can be observed by another (it fills
+    /// `mpisim::ReplayConfig::lookahead`). Fault-free, it is the full
     /// [`LinkParams::lookahead`] — CPU send overhead plus one wire
     /// traversal. With any fault machinery armed it shrinks to the bare
     /// wire `latency`: protocol-generated traffic (NACKs, retransmits
@@ -443,8 +444,9 @@ impl ReliableFabric {
     /// Reinstall detached link ends (node-index order) and fold their
     /// traffic, posted-send and protocol counters back into the shared
     /// totals. Sums plus an index-ordered reinstall: the merged state is
-    /// independent of partition scheduling, which is what keeps
-    /// [`ReliableFabric::take_stats`] windows thread-count invariant.
+    /// independent of the order the replay ran the nodes in, which is
+    /// what keeps [`ReliableFabric::take_stats`] windows identical to the
+    /// walk's.
     pub fn absorb_ends(&mut self, ends: Vec<crate::plink::LinkEnd>) {
         assert_eq!(ends.len(), self.sends_posted.len(), "one end per node");
         let mut messages = 0u64;

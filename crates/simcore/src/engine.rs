@@ -98,38 +98,6 @@ impl<W: World> Engine<W> {
         self.run(Cycles::MAX, u64::MAX)
     }
 
-    /// Time of the next pending event, if any. This is the engine's local
-    /// virtual-time floor — the partitioned engine
-    /// ([`crate::partition::PartitionedEngine`]) takes the minimum across
-    /// partitions to compute the global window.
-    pub fn next_event_time(&mut self) -> Option<Cycles> {
-        self.queue.peek_time()
-    }
-
-    /// Drain every event *strictly before* `end` (a half-open window
-    /// `[now, end)`), up to `max_events`. Unlike [`Engine::run`], an event
-    /// at exactly `end` is left pending: conservative lookahead windows
-    /// are half-open so a cross-partition message landing exactly at a
-    /// window boundary executes in the *next* window on every partition.
-    pub fn run_before(&mut self, end: Cycles, max_events: u64) -> RunOutcome {
-        let mut budget = max_events;
-        loop {
-            if budget == 0 {
-                return RunOutcome::BudgetExhausted;
-            }
-            match self.queue.peek_time() {
-                None => return RunOutcome::Drained,
-                Some(t) if t >= end => return RunOutcome::HorizonReached,
-                Some(_) => {}
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event vanished");
-            self.now = t;
-            self.world.handle(t, ev, &mut self.queue);
-            self.events_processed += 1;
-            budget -= 1;
-        }
-    }
-
     /// Consume the engine and return the world (for result extraction).
     pub fn into_world(self) -> W {
         self.world

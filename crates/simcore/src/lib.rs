@@ -7,10 +7,9 @@
 //!   which is the default).
 //! * [`event`] — a cancellable, FIFO-stable event queue (hierarchical
 //!   timer wheel with O(1) cancellation).
-//! * [`engine`] — the event loop driving a [`engine::World`].
-//! * [`partition`] — the parallel engine: per-partition event wheels
-//!   synchronized by conservative lookahead windows, bit-identical at any
-//!   worker-thread count (see `DESIGN.md` D12).
+//! * [`engine`] — the event loop driving a [`engine::World`], and the
+//!   only event engine in the workspace: one timer wheel per run, with
+//!   host parallelism across independent runs via [`par`].
 //! * [`par`] — a bounded work-stealing task pool with deterministic
 //!   index-ordered result collection, for running experiment grids
 //!   across host cores without changing their output.
@@ -35,7 +34,6 @@ pub mod event;
 pub mod fault;
 pub mod hist;
 pub mod par;
-pub mod partition;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -48,7 +46,6 @@ pub use fault::{
     FaultConfig, FaultEvent, FaultKind, FaultPlan, LinkFaultConfig, LinkFaultPlan, MsgFault,
 };
 pub use hist::LogHistogram;
-pub use partition::{PartIo, PartWorld, PartitionedEngine, SoloWorld};
 pub use rng::StreamRng;
 pub use stats::{RunningStats, Summary};
 pub use time::Cycles;

@@ -43,21 +43,19 @@ pub fn pool_size() -> usize {
 }
 
 /// Pack a half-open index range `[lo, hi)` into one atomic word so claim
-/// and steal are single CAS operations. `pub(crate)` so the windowed
-/// partition engine ([`crate::partition`]) reuses the same claim/steal
-/// primitives for its per-epoch active-partition range.
+/// and steal are single CAS operations.
 #[inline]
-pub(crate) fn pack(lo: u32, hi: u32) -> u64 {
+fn pack(lo: u32, hi: u32) -> u64 {
     (u64::from(lo) << 32) | u64::from(hi)
 }
 
 #[inline]
-pub(crate) fn unpack(v: u64) -> (u32, u32) {
+fn unpack(v: u64) -> (u32, u32) {
     ((v >> 32) as u32, v as u32)
 }
 
 /// Claim the front index of a range; `None` if the range is empty.
-pub(crate) fn claim_front(range: &AtomicU64) -> Option<usize> {
+fn claim_front(range: &AtomicU64) -> Option<usize> {
     range
         .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
             let (lo, hi) = unpack(v);

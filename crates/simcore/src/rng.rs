@@ -92,16 +92,6 @@ impl StreamRng {
         StreamRng::root(child_seed)
     }
 
-    /// Derive the canonical per-partition child stream used by the
-    /// windowed engine ([`crate::partition::PartitionedEngine`]). One
-    /// stream per partition means a partition's draws depend only on its
-    /// own event sequence — never on how partitions interleave across
-    /// worker threads — which is half of the bit-identical-at-any-thread-
-    /// count guarantee (the other half is the index-ordered inbox merge).
-    pub fn partition(&self, index: u64) -> StreamRng {
-        self.stream("partition", index)
-    }
-
     /// The seed this stream was created from.
     pub fn seed(&self) -> u64 {
         self.seed

@@ -79,15 +79,6 @@ impl Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
     }
 
-    /// Saturating addition. Window arithmetic near an "infinite" horizon
-    /// (`Cycles::MAX`) must clamp instead of wrapping: the partitioned
-    /// engine computes `gvt + lookahead` every epoch and `Cycles::MAX`
-    /// is a legal `gvt` bound.
-    #[inline]
-    pub fn saturating_add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_add(rhs.0))
-    }
-
     /// Scale by a floating factor, rounding to nearest. Used by the
     /// interference models (e.g. LLC pollution stretches compute quanta).
     #[inline]

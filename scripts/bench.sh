@@ -27,16 +27,13 @@
 # simcore::par pool (reduced fig6, serial vs. full pool); fig_mem covers
 # the flat O(1) buddy allocator (vs. the retired BTreeSet baseline), a
 # fragmentation sweep, and a first-touch fault storm with PCP hit rate.
-# fig_scale covers the partitioned engine: 1024/4096-node windowed BSP
-# sweeps, merging intra-run speedup metrics (scale_*_speedup_x) into
-# BENCH_engine.json — it must run after fig_engine, which rewrites that
-# file wholesale. fig_scale_app records and replays the *real* mini-app
-# (HPC-CG via the full collectives layer) at 1024/4096 nodes, merging
-# its app_scale_* record and replay times the same way (also after
-# fig_engine). fig_domains is the exception: its metrics are
-# *simulated* time
-# (failure-domain recovery sweep), deterministic across machines, so its
-# --check demands an exact match against BENCH_resilience.json.
+# fig_scale_app records and replays the *real* mini-app (HPC-CG via the
+# full collectives layer) at 1024/4096 nodes, merging its app_scale_*
+# record and replay times into BENCH_engine.json — it must run after
+# fig_engine, which rewrites that file wholesale. fig_domains is the
+# exception: its metrics are *simulated* time (failure-domain recovery
+# sweep), deterministic across machines, so its --check demands an
+# exact match against BENCH_resilience.json.
 # fig_serve is simulated time too (elastic-tenancy serving sweep: SLO
 # shrink/grow, overload shedding, the 100+-cycle resize storm); its
 # --check demands an exact match against BENCH_serve.json.
@@ -46,8 +43,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release -p bench \
     --bin fig_offload_hotpath --bin fig_bypass --bin fig_engine \
-    --bin fig_mem --bin fig_domains --bin fig_scale --bin fig_scale_app \
-    --bin fig_serve
+    --bin fig_mem --bin fig_domains --bin fig_scale_app --bin fig_serve
 
 if [[ "${1:-}" == "--check" ]]; then
     ./target/release/fig_offload_hotpath --check BENCH_offload.json
@@ -56,9 +52,6 @@ if [[ "${1:-}" == "--check" ]]; then
     # offload round trip with protection domains armed.
     ./target/release/fig_bypass --check BENCH_offload.json
     ./target/release/fig_engine --check BENCH_engine.json
-    # fig_scale gates determinism everywhere, the intra-run speedup floor
-    # only on hosts with >1 pool worker (the ratio is noise on one core).
-    ./target/release/fig_scale --check BENCH_engine.json
     # fig_scale_app replays the real 1024-node mini-app: trials
     # reproduce each other, walk-verified, replay time within 2x.
     ./target/release/fig_scale_app --check BENCH_engine.json
@@ -70,10 +63,9 @@ fi
 ./target/release/fig_offload_hotpath
 # Order matters: fig_offload_hotpath rewrites BENCH_offload.json
 # wholesale, fig_bypass then merges its bypass_* / devmap / domain
-# metrics into the fresh file (same pattern as fig_engine/fig_scale).
+# metrics into the fresh file (same pattern as fig_engine/fig_scale_app).
 ./target/release/fig_bypass
 ./target/release/fig_engine
-./target/release/fig_scale
 ./target/release/fig_scale_app
 ./target/release/fig_mem
 ./target/release/fig_domains

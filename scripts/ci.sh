@@ -10,11 +10,8 @@
 #                                 # / BENCH_engine.json / BENCH_mem.json,
 #                                 # plus the exact-match failure-domain
 #                                 # check against BENCH_resilience.json,
-#                                 # plus the fig_scale partitioned-engine
-#                                 # gate (digest invariance + speedup
-#                                 # floor + blackout soak) and the
-#                                 # fig_scale_app real-mini-app replay
-#                                 # gate (1024 nodes, walk-verified,
+#                                 # plus the fig_scale_app real-mini-app
+#                                 # replay gate (1024 nodes, walk-verified,
 #                                 # replay time within 2x of
 #                                 # BENCH_engine.json),
 #                                 # and the fig_serve elastic-tenancy
@@ -114,10 +111,9 @@ env $dom HLWK_THREADS=4 HLWK_BENCH_OUT="$scratch/dom_t4.json" \
 same_output "fig_domains metrics at 1 vs 4 threads" "$scratch/dom_t1.json" "$scratch/dom_t4.json"
 echo "failure-domain smoke passed (fig_domains @ 1 thread == 4 threads, claims hold)"
 
-# Mini-app smoke: fig8's fault-free mini-app grid records each run on
-# the global wheel and replays it one program per node. The cell pool
-# size must never change figure output — reduced grid, 1 vs 4 threads,
-# diff stdout.
+# Mini-app smoke: fig8's mini-app grid walks each run on the global
+# wheel, one cluster per pool cell. The cell pool size must never
+# change figure output — reduced grid, 1 vs 4 threads, diff stdout.
 fig8r="HLWK_RUNS=2 HLWK_NODES=8"
 env $fig8r HLWK_THREADS=1 ./target/release/fig8_miniapps > "$scratch/fig8_t1.txt"
 env $fig8r HLWK_THREADS=4 ./target/release/fig8_miniapps > "$scratch/fig8_t4.txt"
@@ -182,14 +178,6 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
         ./target/release/fig_bypass --check BENCH_offload.json
     HLWK_BENCH_ITERS="${HLWK_BENCH_ITERS:-2000}" \
         ./target/release/fig_engine --check BENCH_engine.json
-    # Partitioned-engine scale gate: 1024-node digest identical at
-    # 1/2/4/N threads everywhere; intra-run speedup floor only when the
-    # pool has real workers. Then a short multi-seed hang hunt with NIC
-    # blackouts armed (shrunken fault-mode lookahead windows).
-    HLWK_SCALE_ITERS="${HLWK_SCALE_ITERS:-3}" \
-        ./target/release/fig_scale --check BENCH_engine.json
-    HLWK_SCALE_ITERS="${HLWK_SCALE_ITERS:-3}" \
-        timeout 300 ./target/release/fig_scale --soak 4
     # Real mini-app, recorded and replayed: 1024-node HPC-CG, every
     # trial reproducing the first, the makespan verified against a
     # direct global-wheel walk, and the replay time within 2x of
