@@ -39,7 +39,7 @@
 //! (master seed) — leave both at the defaults for `--check` —
 //! plus `HLWK_BENCH_OUT` (output path).
 
-use bench::{domain_iters, domain_seed, header};
+use bench::{domain_iters, domain_seed, header, Clock};
 use cluster::{
     run_resilient, BuddyPlacement, Cluster, ClusterConfig, HierarchicalCkpt, OsVariant,
     RecoveryCosts, RecoveryPolicy, RecoveryReport,
@@ -153,12 +153,6 @@ fn run_cell(os: OsVariant, policy: RecoveryPolicy, scenario: Scenario) -> Result
         .map_err(|f| f.detected_at)
 }
 
-/// Round to the precision `to_json` prints, so fresh runs compare
-/// exactly against a parsed baseline.
-fn round4(v: f64) -> f64 {
-    (v * 1e4).round() / 1e4
-}
-
 fn collect() -> Vec<(&'static str, f64)> {
     let oses = [OsVariant::LinuxCgroup, OsVariant::McKernel];
     let pols = policies();
@@ -223,10 +217,13 @@ fn collect() -> Vec<(&'static str, f64)> {
     let xrack_rack = ok(2, 2);
     let srack_rack = ok(3, 2);
     let storm_hier = cell(1, 2, 4);
+    // Metrics carry the printed precision, so the claims judge the
+    // same numbers the baseline file holds.
+    let round = |v: f64| Clock::Sim.round(v);
     vec![
-        ("plain_time_s", round4(plain)),
-        ("hier_overhead_pct", round4(overhead(ok(2, 0).time.as_secs_f64()))),
-        ("blocking_overhead_pct", round4(overhead(ok(1, 0).time.as_secs_f64()))),
+        ("plain_time_s", round(plain)),
+        ("hier_overhead_pct", round(overhead(ok(2, 0).time.as_secs_f64()))),
+        ("blocking_overhead_pct", round(overhead(ok(1, 0).time.as_secs_f64()))),
         ("node_redone_hier", f64::from(ok(2, 1).redone_iters)),
         ("rack_redone_buddy", f64::from(xrack_rack.redone_iters)),
         ("rack_redone_global", f64::from(srack_rack.redone_iters)),
@@ -239,21 +236,21 @@ fn collect() -> Vec<(&'static str, f64)> {
         ("rack_completed_degraded", 1.0),
         (
             "recovered_frac_rack",
-            round4(xrack_rack.survivors as f64 / f64::from(NODES)),
+            round(xrack_rack.survivors as f64 / f64::from(NODES)),
         ),
         ("rack_ranks_lost", f64::from(xrack_rack.ranks_lost)),
-        ("rack_detect_us", round4(xrack_rack.detection_latency.map_or(0.0, |d| d.as_us_f64()))),
-        ("rack_time_degraded_s", round4(xrack_rack.time.as_secs_f64())),
+        ("rack_detect_us", round(xrack_rack.detection_latency.map_or(0.0, |d| d.as_us_f64()))),
+        ("rack_time_degraded_s", round(xrack_rack.time.as_secs_f64())),
         // Domain-size axis: the narrow-rack kill loses 2 ranks, not 4.
         ("rack2_redone_buddy", f64::from(ok(2, 3).redone_iters)),
         (
             "recovered_frac_rack2",
-            round4(ok(2, 3).survivors as f64 / f64::from(NODES)),
+            round(ok(2, 3).survivors as f64 / f64::from(NODES)),
         ),
         // OS axis: same degraded rack-kill run on Linux+cgroup.
         (
             "linux_rack_time_degraded_s",
-            round4(cell(0, 2, 2).as_ref().expect("completes").time.as_secs_f64()),
+            round(cell(0, 2, 2).as_ref().expect("completes").time.as_secs_f64()),
         ),
         // Storm axis: stochastic correlated faults under the degraded
         // hierarchical policy — completion plus how much was lost.
@@ -304,34 +301,7 @@ fn assert_claims(metrics: &[(&str, f64)]) -> bool {
     failed
 }
 
-fn to_json(metrics: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"fig_domains\",\n  \"metrics\": {\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("    \"{k}\": {v:.4}{comma}\n"));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Minimal parser for the flat `"key": number` JSON this binary writes.
-fn parse_metrics(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, val)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if let Ok(v) = val.trim().parse::<f64>() {
-            out.push((key.to_string(), v));
-        }
-    }
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let iters = domain_iters();
     header(&format!(
         "Failure domains — HPC-CG x{iters} on {NODES} nodes; deterministic kills at {:.0}% of the job",
@@ -344,23 +314,8 @@ fn main() {
     }
     let mut failed = assert_claims(&metrics);
 
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).expect("--check needs a baseline path");
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let base = parse_metrics(&baseline);
-        for (k, v) in &metrics {
-            match base.iter().find(|(bk, _)| bk == k) {
-                // Simulated time is deterministic: any drift at printed
-                // precision is a real behavior change, not noise.
-                Some((_, bv)) if (v - bv).abs() > 1e-9 => {
-                    eprintln!("DETERMINISM REGRESSION: {k} = {v:.4} vs baseline {bv:.4}");
-                    failed = true;
-                }
-                Some(_) => {}
-                None => eprintln!("warning: baseline is missing metric {k}"),
-            }
-        }
+    if let Some(path) = bench::check_arg() {
+        failed |= bench::check(Clock::Sim, &bench::read(&path), &metrics);
         if failed {
             std::process::exit(1);
         }
@@ -371,7 +326,6 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    let out = std::env::var("HLWK_BENCH_OUT").unwrap_or_else(|_| "BENCH_resilience.json".into());
-    std::fs::write(&out, to_json(&metrics)).expect("write benchmark output");
-    println!("wrote {out}");
+    let out = bench::bench_out("BENCH_resilience.json");
+    bench::write(&out, "fig_domains", Clock::Sim, &metrics);
 }

@@ -23,6 +23,7 @@
 //! * `--check <path>`   — compare a fresh run against a committed
 //!   baseline instead of writing one; exits non-zero past 2x.
 
+use bench::Clock;
 use cluster::experiment::run_seed;
 use cluster::{Cluster, ClusterConfig, OsVariant};
 use simcore::event::EventQueue;
@@ -33,20 +34,9 @@ use std::hint::black_box;
 use std::time::Instant;
 use workloads::osu::{Collective, OsuConfig};
 
-/// Tolerance for the CI regression gate: a `*_ns` metric may regress up
-/// to this factor against the committed baseline before CI fails.
-const REGRESSION_TOLERANCE: f64 = 2.0;
-
 /// Prefill depth for the hold-pattern churn benchmarks. ~4k live events
 /// matches a busy 64-node cluster's timer population.
 const HOLD: usize = 4096;
-
-fn iters() -> u64 {
-    std::env::var("HLWK_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000)
-}
 
 /// Best-of-5 per side with the trials interleaved a, b, a, b, …: the
 /// speedup gates below compare two measured minima, and on a shared
@@ -224,7 +214,7 @@ fn fig6_wall_ms(threads: usize) -> (f64, Vec<f64>) {
 }
 
 fn run_all() -> Vec<(&'static str, f64)> {
-    let n = iters();
+    let n = bench::bench_iters();
     // Dense: every delay inside the level-0 window (the common case for
     // p2p hops and scheduler ticks).
     let (wheel_dense, heap_dense) = bench_churn_pair(n, 256, 11);
@@ -272,34 +262,7 @@ fn run_all() -> Vec<(&'static str, f64)> {
     metrics
 }
 
-fn to_json(metrics: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"fig_engine\",\n  \"metrics\": {\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("    \"{k}\": {v:.2}{comma}\n"));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Minimal parser for the flat `"key": number` JSON this binary writes.
-fn parse_metrics(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, val)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if let Ok(v) = val.trim().parse::<f64>() {
-            out.push((key.to_string(), v));
-        }
-    }
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let metrics = run_all();
     println!("=== event engine (host wall clock) ===");
     for (k, v) in &metrics {
@@ -317,84 +280,67 @@ fn main() {
         println!("speedup floor skipped: pool_threads=1");
     }
 
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).expect("--check needs a baseline path");
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let base = parse_metrics(&baseline);
-        let mut failed = false;
-        // Absolute-cost metrics gate against the committed baseline.
-        // Speedup ratios are machine-shaped (core count, load), so the
-        // gate on them is a floor, not a baseline comparison: the wheel
-        // must decisively beat the heap on its design target (dense
-        // horizons), must now at least match it on sparse ones (the
-        // level-mask scan plus the singleton fast path put the wheel
-        // ahead of the heap even when every delay spans the upper
-        // levels), and the pool must deliver real speedup over serial
-        // execution — checked only when this host actually has multiple
-        // workers, since on one core the ratio is pure scheduling noise.
-        for (k, v) in &metrics {
-            if k.ends_with("_x") {
-                let floor = match *k {
-                    "dense_speedup_x" => 1.5,
-                    "sparse_speedup_x" => 1.0,
-                    "fig6_speedup_x" if par::pool_size() > 1 => 1.2,
-                    _ => continue,
-                };
-                // The floor binds the *committed* baseline exactly — a
-                // regressed ratio cannot be baselined away. The fresh
-                // smoke run gets a 10% noise grace: sparse's margin is
-                // ~1.15x, thin enough that a one-shot CI run on a
-                // shared host occasionally dips a hair under the floor
-                // without any code change.
-                let fresh_floor = floor * 0.9;
-                let base_v = base.iter().find(|(bk, _)| bk == k).map(|(_, bv)| *bv);
-                // fig6's committed ratio is meaningless if the baseline
-                // was recorded on a single-worker host (it is ~1.0 by
-                // construction there, whatever this host looks like).
-                let base_pool = base
-                    .iter()
-                    .find(|(bk, _)| bk == "pool_threads")
-                    .map_or(1.0, |(_, bv)| *bv);
-                let skip_base = *k == "fig6_speedup_x" && base_pool <= 1.0;
-                if !skip_base && matches!(base_v, Some(bv) if bv < floor) {
-                    eprintln!(
-                        "PERF REGRESSION: committed {k} = {:.2}x (floor {floor:.1}x)",
-                        base_v.unwrap()
-                    );
-                    failed = true;
-                } else if *v < fresh_floor {
-                    eprintln!("PERF REGRESSION: {k} = {v:.2}x (floor {fresh_floor:.2}x)");
-                    failed = true;
-                } else {
-                    println!("{k:>20}: ok ({v:.2}x, floor {fresh_floor:.2}x)");
-                }
-                continue;
-            }
-            if *k == "pool_threads" || k.starts_with("heap_") || k.ends_with("_ms") {
-                continue; // informational
-            }
-            match base.iter().find(|(bk, _)| bk == k) {
-                Some((_, bv)) if *v > bv * REGRESSION_TOLERANCE => {
-                    eprintln!(
-                        "PERF REGRESSION: {k} = {v:.1} ns vs baseline {bv:.1} ns (>{REGRESSION_TOLERANCE}x)"
-                    );
-                    failed = true;
-                }
-                Some((_, bv)) => {
-                    println!("{k:>20}: ok ({:.2}x of baseline)", v / bv);
-                }
-                None => eprintln!("warning: baseline is missing metric {k}"),
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("perf check passed (tolerance {REGRESSION_TOLERANCE}x)");
+    let Some(path) = bench::check_arg() else {
+        let out = bench::bench_out("BENCH_engine.json");
+        bench::write(&out, "fig_engine", Clock::Host, &metrics);
         return;
+    };
+    let base = bench::read(&path);
+    // Absolute-cost metrics gate against the committed baseline; the
+    // retired heap's costs and the host-shaped fig6 wall times are
+    // informational.
+    let gated: Vec<_> = metrics
+        .iter()
+        .filter(|(k, _)| k.ends_with("_ns") && !k.starts_with("heap_"))
+        .copied()
+        .collect();
+    let mut failed = bench::check(Clock::Host, &base, &gated);
+    // Speedup ratios are machine-shaped (core count, load), so the gate
+    // on them is a floor, not a baseline comparison: the wheel must
+    // decisively beat the heap on its design target (dense horizons),
+    // must now at least match it on sparse ones (the level-mask scan plus
+    // the singleton fast path put the wheel ahead of the heap even when
+    // every delay spans the upper levels), and the pool must deliver real
+    // speedup over serial execution — checked only when this host
+    // actually has multiple workers, since on one core the ratio is pure
+    // scheduling noise.
+    for (k, v) in &metrics {
+        let floor = match *k {
+            "dense_speedup_x" => 1.5,
+            "sparse_speedup_x" => 1.0,
+            "fig6_speedup_x" if par::pool_size() > 1 => 1.2,
+            _ => continue,
+        };
+        // The floor binds the *committed* baseline exactly — a
+        // regressed ratio cannot be baselined away. The fresh smoke run
+        // gets a 10% noise grace: sparse's margin is ~1.15x, thin
+        // enough that a one-shot CI run on a shared host occasionally
+        // dips a hair under the floor without any code change.
+        let fresh_floor = floor * 0.9;
+        let base_v = base.iter().find(|(bk, _)| bk == k).map(|(_, bv)| *bv);
+        // fig6's committed ratio is meaningless if the baseline was
+        // recorded on a single-worker host (it is ~1.0 by construction
+        // there, whatever this host looks like).
+        let base_pool = base
+            .iter()
+            .find(|(bk, _)| bk == "pool_threads")
+            .map_or(1.0, |(_, bv)| *bv);
+        let skip_base = *k == "fig6_speedup_x" && base_pool <= 1.0;
+        if !skip_base && matches!(base_v, Some(bv) if bv < floor) {
+            eprintln!(
+                "PERF REGRESSION: committed {k} = {:.2}x (floor {floor:.1}x)",
+                base_v.unwrap()
+            );
+            failed = true;
+        } else if *v < fresh_floor {
+            eprintln!("PERF REGRESSION: {k} = {v:.2}x (floor {fresh_floor:.2}x)");
+            failed = true;
+        } else {
+            println!("{k:>24}: ok ({v:.2}x, floor {fresh_floor:.2}x)");
+        }
     }
-
-    let out = std::env::var("HLWK_BENCH_OUT").unwrap_or_else(|_| "BENCH_engine.json".into());
-    std::fs::write(&out, to_json(&metrics)).expect("write benchmark output");
-    println!("wrote {out}");
+    if failed {
+        std::process::exit(1);
+    }
+    println!("perf check passed (tolerance {}x)", bench::TOLERANCE);
 }

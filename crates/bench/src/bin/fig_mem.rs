@@ -21,6 +21,7 @@
 //! * `--check <path>`   — compare a fresh run against a committed
 //!   baseline instead of writing one; exits non-zero past tolerance.
 
+use bench::Clock;
 use hlwk_core::costs::CostModel;
 use hlwk_core::mck::mem::phys::{BuddyAllocator, FrameAllocator, MAX_ORDER, ORDER_2M};
 use hlwk_core::mck::mem::vm::VmaKind;
@@ -29,8 +30,6 @@ use hwmodel::addr::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Tolerance for the CI regression gate on `*_ns` metrics.
-const REGRESSION_TOLERANCE: f64 = 2.0;
 /// Hard floor: the flat buddy must stay at least this much faster than
 /// the retired `BTreeSet` implementation on the churn workload.
 const MIN_CHURN_SPEEDUP: f64 = 2.0;
@@ -41,13 +40,6 @@ const MIN_PCP_HIT_PCT: f64 = 90.0;
 /// implementation's tree/hash traffic shows, small enough to stay hot.
 const POOL_BASE: u64 = 1 << 30;
 const POOL_LEN: u64 = 64 << 20;
-
-fn iters() -> u64 {
-    std::env::var("HLWK_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000)
-}
 
 /// Best-of-3 wall-clock nanoseconds per unit over `n` calls of `f`,
 /// where each call reports how many units it performed.
@@ -301,7 +293,7 @@ fn bench_fault_storm(n: u64, ncpus: usize) -> (f64, f64) {
 }
 
 fn run_all() -> Vec<(&'static str, f64)> {
-    let n = iters();
+    let n = bench::bench_iters();
     // Episode sizes chosen so each metric does ~`n` total units of work.
     let churn_eps = (n / 4096).max(1);
     let flat = bench_churn_flat(churn_eps, 4096);
@@ -321,34 +313,7 @@ fn run_all() -> Vec<(&'static str, f64)> {
     ]
 }
 
-fn to_json(metrics: &[(&str, f64)]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"fig_mem\",\n  \"metrics\": {\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("    \"{k}\": {v:.2}{comma}\n"));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Minimal parser for the flat `"key": number` JSON this binary writes.
-fn parse_metrics(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, val)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if let Ok(v) = val.trim().parse::<f64>() {
-            out.push((key.to_string(), v));
-        }
-    }
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let metrics = run_all();
     println!("=== memory subsystem (host wall clock) ===");
     for (k, v) in &metrics {
@@ -361,11 +326,10 @@ fn main() {
 
     // Hard floors hold in every mode: the acceptance claims themselves.
     let mut failed = false;
-    for (k, v, floor) in [
-        ("churn_speedup_x", None, MIN_CHURN_SPEEDUP),
-        ("pcp_hit_pct", None::<f64>, MIN_PCP_HIT_PCT),
+    for (k, floor) in [
+        ("churn_speedup_x", MIN_CHURN_SPEEDUP),
+        ("pcp_hit_pct", MIN_PCP_HIT_PCT),
     ] {
-        let _ = v;
         let got = metrics.iter().find(|(mk, _)| *mk == k).expect("present").1;
         if got < floor {
             eprintln!("FLOOR VIOLATION: {k} = {got:.2} < required {floor:.2}");
@@ -373,33 +337,20 @@ fn main() {
         }
     }
 
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).expect("--check needs a baseline path");
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let base = parse_metrics(&baseline);
-        for (k, v) in &metrics {
-            if !k.ends_with("_ns") {
-                continue; // ratios/rates are gated by the hard floors
-            }
-            match base.iter().find(|(bk, _)| bk == k) {
-                Some((_, bv)) if *v > bv * REGRESSION_TOLERANCE => {
-                    eprintln!(
-                        "PERF REGRESSION: {k} = {v:.1} ns vs baseline {bv:.1} ns (>{REGRESSION_TOLERANCE}x)"
-                    );
-                    failed = true;
-                }
-                Some((_, bv)) => {
-                    println!("{k:>24}: ok ({:.2}x of baseline)", v / bv);
-                }
-                None => eprintln!("warning: baseline is missing metric {k}"),
-            }
-        }
+    if let Some(path) = bench::check_arg() {
+        // Ratios and rates are gated by the hard floors above.
+        let gated: Vec<_> = metrics
+            .iter()
+            .filter(|(k, _)| k.ends_with("_ns"))
+            .copied()
+            .collect();
+        failed |= bench::check(Clock::Host, &bench::read(&path), &gated);
         if failed {
             std::process::exit(1);
         }
         println!(
-            "perf check passed (tolerance {REGRESSION_TOLERANCE}x, speedup >= {MIN_CHURN_SPEEDUP}x, PCP hit > {MIN_PCP_HIT_PCT}%)"
+            "perf check passed (tolerance {}x, speedup >= {MIN_CHURN_SPEEDUP}x, PCP hit > {MIN_PCP_HIT_PCT}%)",
+            bench::TOLERANCE
         );
         return;
     }
@@ -407,7 +358,6 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    let out = std::env::var("HLWK_BENCH_OUT").unwrap_or_else(|_| "BENCH_mem.json".into());
-    std::fs::write(&out, to_json(&metrics)).expect("write benchmark output");
-    println!("wrote {out}");
+    let out = bench::bench_out("BENCH_mem.json");
+    bench::write(&out, "fig_mem", Clock::Host, &metrics);
 }

@@ -26,6 +26,7 @@
 //! * `--check <path>` — the 1024-node point, walk-verified, with
 //!   `app_scale_1024_replay_ms` gated at 2x of the baseline in `<path>`.
 
+use bench::Clock;
 use mpisim::collectives::{Ctx, Recorder};
 use mpisim::host::IdealHost;
 use mpisim::record::{decode, resolve};
@@ -40,10 +41,6 @@ use workloads::miniapps::{self, MiniApp};
 
 /// BSP iterations per run; the committed baseline is recorded at this.
 const ITERATIONS: u32 = 6;
-
-/// Tolerance for the `--check` gate, the one `fig_engine` uses: the
-/// replay may take up to this factor of the committed baseline.
-const REGRESSION_TOLERANCE: f64 = 2.0;
 
 /// Timed trials per point; each phase keeps its best.
 const TRIALS: u32 = 3;
@@ -191,21 +188,8 @@ fn verify_against_walk(p: usize, replayed: Cycles) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).expect("--check needs a baseline path");
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let key = "app_scale_1024_replay_ms";
-        let Some(base) = bench::parse_metrics(&baseline)
-            .into_iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-        else {
-            eprintln!("baseline {path} is missing {key}");
-            std::process::exit(1);
-        };
+    if let Some(path) = bench::check_arg() {
+        let base = bench::read(&path);
         let p = run_point(1024);
         verify_against_walk(p.nodes, p.outcome.makespan);
         println!(
@@ -214,15 +198,13 @@ fn main() {
             app().name,
             p.outcome.digest
         );
-        if p.replay_ms > base * REGRESSION_TOLERANCE {
-            eprintln!(
-                "PERF REGRESSION: {key} = {:.1} ms vs baseline {base:.1} ms (>{REGRESSION_TOLERANCE}x)",
-                p.replay_ms
-            );
+        // The replay may take up to bench::TOLERANCE of the committed
+        // baseline, the tolerance `fig_engine` gates with.
+        let fresh = [("app_scale_1024_replay_ms", p.replay_ms)];
+        if bench::check(Clock::Host, &base, &fresh) {
             std::process::exit(1);
         }
-        println!("{key}: ok ({:.1} ms, {:.2}x of baseline)", p.replay_ms, p.replay_ms / base);
-        println!("app scale check passed (tolerance {REGRESSION_TOLERANCE}x)");
+        println!("app scale check passed (tolerance {}x)", bench::TOLERANCE);
         return;
     }
 
@@ -257,6 +239,6 @@ fn main() {
         })
         .collect();
     fresh.push(("app_scale_nproc".into(), nproc as f64));
-    let out = std::env::var("HLWK_BENCH_OUT").unwrap_or_else(|_| "BENCH_engine.json".into());
-    bench::merge_metrics_into(&out, &fresh);
+    let out = bench::bench_out("BENCH_engine.json");
+    bench::merge(&out, "fig_engine", Clock::Host, &fresh);
 }

@@ -41,7 +41,7 @@
 //! (defaults match the committed baseline), `HLWK_BENCH_OUT`.
 //! `--soak N` reruns the storm profile under N extra seeds.
 
-use bench::{header, serve_nodes, serve_seed, serve_windows};
+use bench::{header, serve_nodes, serve_seed, serve_windows, Clock};
 use cluster::{run_tenancy, Cluster, ClusterConfig, JobSpec, OsVariant, TenancyConfig, TenancyReport};
 use simcore::{par, Cycles};
 use workloads::miniapps::{IterComm, MiniApp};
@@ -125,12 +125,6 @@ fn run_profile(profile: Profile, seed: u64) -> TenancyReport {
     run_tenancy(&mut cluster, &scenario(profile, seed))
 }
 
-/// Round to the precision `to_json` prints, so fresh runs compare
-/// exactly against a parsed baseline.
-fn round4(v: f64) -> f64 {
-    (v * 1e4).round() / 1e4
-}
-
 fn collect() -> Vec<(String, f64)> {
     let reports: Vec<TenancyReport> =
         par::parallel_map(PROFILES.len(), |i| run_profile(PROFILES[i], serve_seed()));
@@ -159,17 +153,20 @@ fn collect() -> Vec<(String, f64)> {
         );
     }
 
+    // Metrics carry the printed precision, so the claims judge the
+    // same numbers the baseline file holds.
+    let round = |v: f64| Clock::Sim.round(v);
     let mut metrics = Vec::new();
     for (p, r) in PROFILES.iter().zip(&reports) {
         let l = p.label();
         metrics.push((format!("{l}_arrivals"), r.arrivals as f64));
         metrics.push((format!("{l}_completed"), r.completed as f64));
         metrics.push((format!("{l}_shed"), r.shed as f64));
-        metrics.push((format!("{l}_p50_us"), round4(r.p50_us)));
-        metrics.push((format!("{l}_p99_us"), round4(r.p99_us)));
-        metrics.push((format!("{l}_worst_p99_us"), round4(r.worst_p99_us)));
-        metrics.push((format!("{l}_p999_us"), round4(r.p999_us)));
-        metrics.push((format!("{l}_max_us"), round4(r.max_us)));
+        metrics.push((format!("{l}_p50_us"), round(r.p50_us)));
+        metrics.push((format!("{l}_p99_us"), round(r.p99_us)));
+        metrics.push((format!("{l}_worst_p99_us"), round(r.worst_p99_us)));
+        metrics.push((format!("{l}_p999_us"), round(r.p999_us)));
+        metrics.push((format!("{l}_max_us"), round(r.max_us)));
         metrics.push((format!("{l}_shrinks"), f64::from(r.shrinks)));
         metrics.push((format!("{l}_grows"), f64::from(r.grows)));
         metrics.push((format!("{l}_min_width"), r.min_width as f64));
@@ -179,8 +176,8 @@ fn collect() -> Vec<(String, f64)> {
     let over = &reports[2];
     metrics.push(("overload_pre_arrivals".into(), over.pre_relief_arrivals as f64));
     metrics.push(("overload_pre_shed".into(), over.pre_relief_shed as f64));
-    metrics.push(("overload_pre_p999_us".into(), round4(over.pre_relief_p999_us)));
-    metrics.push(("overload_post_p999_us".into(), round4(over.post_relief_p999_us)));
+    metrics.push(("overload_pre_p999_us".into(), round(over.pre_relief_p999_us)));
+    metrics.push(("overload_post_p999_us".into(), round(over.post_relief_p999_us)));
     metrics.push(("storm_resize_cycles".into(), f64::from(storm.resize_cycles)));
     metrics.push(("storm_cores_audited".into(), f64::from(storm.cores_audited)));
     metrics.push(("storm_preemptions".into(), f64::from(storm.preemptions)));
@@ -296,16 +293,6 @@ fn assert_claims(metrics: &[(String, f64)]) -> bool {
     failed
 }
 
-fn to_json(metrics: &[(String, f64)]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"fig_serve\",\n  \"metrics\": {\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("    \"{k}\": {v:.4}{comma}\n"));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
 
@@ -348,23 +335,8 @@ fn main() {
     }
     let mut failed = assert_claims(&metrics);
 
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).expect("--check needs a baseline path");
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let base = bench::parse_metrics(&baseline);
-        for (k, v) in &metrics {
-            match base.iter().find(|(bk, _)| bk == k) {
-                // Simulated time is deterministic: any drift at printed
-                // precision is a real behavior change, not noise.
-                Some((_, bv)) if (v - bv).abs() > 1e-9 => {
-                    eprintln!("DETERMINISM REGRESSION: {k} = {v:.4} vs baseline {bv:.4}");
-                    failed = true;
-                }
-                Some(_) => {}
-                None => eprintln!("warning: baseline is missing metric {k}"),
-            }
-        }
+    if let Some(path) = bench::check_arg() {
+        failed |= bench::check(Clock::Sim, &bench::read(&path), &metrics);
         if failed {
             std::process::exit(1);
         }
@@ -375,7 +347,6 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    let out = std::env::var("HLWK_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
-    std::fs::write(&out, to_json(&metrics)).expect("write benchmark output");
-    println!("wrote {out}");
+    let out = bench::bench_out("BENCH_serve.json");
+    bench::write(&out, "fig_serve", Clock::Sim, &metrics);
 }

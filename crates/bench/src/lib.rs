@@ -8,6 +8,11 @@
 //! * `HLWK_NODES` — top node count (paper: 64);
 //! * `HLWK_FWQ_SECS` — FWQ measurement interval (paper: 30);
 //! * `HLWK_OSU_ITERS` — timed iterations per OSU cell.
+//!
+//! The benches that keep a committed `BENCH_*.json` baseline share its
+//! format and `--check` rules here: a [`Clock`] fixes both, and
+//! [`write`], [`merge`], [`read`] and [`check`] are the only code that
+//! touches those files.
 
 use simcore::Summary;
 
@@ -120,8 +125,75 @@ pub fn fmt_summary(s: &Summary, unit: &str) -> String {
     )
 }
 
-/// Minimal parser for the flat `"key": number` JSON `fig_engine` writes.
-pub fn parse_metrics(json: &str) -> Vec<(String, f64)> {
+/// Iterations per host-clock metric (`HLWK_BENCH_ITERS`, default 20000).
+pub fn bench_iters() -> u64 {
+    env_or("HLWK_BENCH_ITERS", 20_000)
+}
+
+/// Where a bench writes its baseline: `HLWK_BENCH_OUT`, else `default`.
+pub fn bench_out(default: &str) -> String {
+    std::env::var("HLWK_BENCH_OUT").unwrap_or_else(|_| default.into())
+}
+
+/// The baseline path after `--check`, if the binary was asked to
+/// compare a fresh run instead of writing one.
+pub fn check_arg() -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    let i = args.iter().position(|a| a == "--check")?;
+    let path = args.get(i + 1).expect("--check needs a baseline path");
+    Some(path.clone())
+}
+
+// ---------------------------------------------------------------------
+// Baseline files: the `BENCH_*.json` format and its `--check` rules.
+// ---------------------------------------------------------------------
+
+/// What a `BENCH_*.json` file's numbers measure. The clock fixes how
+/// the file prints and how `--check` compares a fresh run against it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Clock {
+    /// Host wall clock: printed to 2 decimals. Host load moves it, so a
+    /// fresh value may reach [`TOLERANCE`] times its baseline.
+    Host,
+    /// Simulated time: printed to 4 decimals. It is deterministic on
+    /// any host, so a fresh value must match its baseline exactly.
+    Sim,
+}
+
+/// How far a [`Clock::Host`] metric may regress against its baseline
+/// before `--check` fails.
+pub const TOLERANCE: f64 = 2.0;
+
+impl Clock {
+    fn decimals(self) -> usize {
+        match self {
+            Clock::Host => 2,
+            Clock::Sim => 4,
+        }
+    }
+
+    /// Round `v` to the precision this clock prints, so a fresh value
+    /// compares exactly against a parsed baseline.
+    pub fn round(self, v: f64) -> f64 {
+        let scale = 10f64.powi(self.decimals() as i32);
+        (v * scale).round() / scale
+    }
+}
+
+/// Render `metrics` as the baseline file of the binary `bench`.
+fn render<K: AsRef<str>>(bench: &str, clock: Clock, metrics: &[(K, f64)]) -> String {
+    let mut out = format!("{{\n  \"bench\": \"{bench}\",\n  \"metrics\": {{\n");
+    for (i, (k, v)) in metrics.iter().enumerate() {
+        let comma = if i + 1 == metrics.len() { "" } else { "," };
+        let (k, prec) = (k.as_ref(), clock.decimals());
+        out.push_str(&format!("    \"{k}\": {v:.prec$}{comma}\n"));
+    }
+    out.push_str("  }\n}\n");
+    out
+}
+
+/// The flat `"key": number` lines of a baseline file, in file order.
+fn parse(json: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for line in json.lines() {
         let line = line.trim().trim_end_matches(',');
@@ -136,24 +208,26 @@ pub fn parse_metrics(json: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Render metrics back into the flat `fig_engine`-style JSON.
-pub fn metrics_to_json(metrics: &[(String, f64)]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"fig_engine\",\n  \"metrics\": {\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("    \"{k}\": {v:.2}{comma}\n"));
-    }
-    out.push_str("  }\n}\n");
-    out
+/// Read the baseline at `path`; an unreadable file is fatal.
+pub fn read(path: &str) -> Vec<(String, f64)> {
+    let json = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+    parse(&json)
 }
 
-/// Merge `fresh` into the metrics already in `path` (keeps existing
-/// entries; replaces stale values for the same keys), preserving order.
-/// `fig_engine` rewrites the file wholesale, so the sweep that rides
-/// along (`fig_scale_app`) must run after it and merge.
-pub fn merge_metrics_into(path: &str, fresh: &[(String, f64)]) {
+/// Write `metrics` to `path` as the baseline of the binary `bench`.
+pub fn write<K: AsRef<str>>(path: &str, bench: &str, clock: Clock, metrics: &[(K, f64)]) {
+    std::fs::write(path, render(bench, clock, metrics)).expect("write benchmark output");
+    println!("wrote {path}");
+}
+
+/// Merge `fresh` into the baseline at `path`: existing entries keep
+/// their place, stale values for the same keys are replaced, and new
+/// keys are appended. `fig_engine` rewrites `BENCH_engine.json`
+/// wholesale, so `fig_scale_app`, which rides along, runs after it.
+pub fn merge(path: &str, bench: &str, clock: Clock, fresh: &[(String, f64)]) {
     let mut metrics = std::fs::read_to_string(path)
-        .map(|s| parse_metrics(&s))
+        .map(|s| parse(&s))
         .unwrap_or_default();
     for (k, v) in fresh {
         match metrics.iter_mut().find(|(mk, _)| mk == k) {
@@ -161,8 +235,42 @@ pub fn merge_metrics_into(path: &str, fresh: &[(String, f64)]) {
             None => metrics.push((k.clone(), *v)),
         }
     }
-    std::fs::write(path, metrics_to_json(&metrics)).expect("write benchmark output");
-    println!("merged {} metrics into {path}", fresh.len());
+    write(path, bench, clock, &metrics);
+}
+
+/// Compare fresh `metrics` against `baseline` under `clock`'s rule and
+/// report each failure on stderr (and each passing host metric on
+/// stdout). A metric the baseline lacks fails. Returns true if any
+/// metric failed.
+pub fn check<K: AsRef<str>>(
+    clock: Clock,
+    baseline: &[(String, f64)],
+    metrics: &[(K, f64)],
+) -> bool {
+    let mut failed = false;
+    for (k, v) in metrics {
+        let k = k.as_ref();
+        let Some(&(_, base)) = baseline.iter().find(|(bk, _)| bk == k) else {
+            eprintln!("MISSING BASELINE: {k} is not in the baseline");
+            failed = true;
+            continue;
+        };
+        match clock {
+            Clock::Host if *v > base * TOLERANCE => {
+                eprintln!("PERF REGRESSION: {k} = {v:.2} vs baseline {base:.2} (>{TOLERANCE}x)");
+                failed = true;
+            }
+            Clock::Host => println!("{k:>24}: ok ({:.2}x of baseline)", v / base),
+            // Simulated time is deterministic: any drift at printed
+            // precision is a real behavior change, not noise.
+            Clock::Sim if clock.round(*v) != clock.round(base) => {
+                eprintln!("DETERMINISM REGRESSION: {k} = {v:.4} vs baseline {base:.4}");
+                failed = true;
+            }
+            Clock::Sim => {}
+        }
+    }
+    failed
 }
 
 #[cfg(test)]
@@ -175,6 +283,40 @@ mod tests {
         assert_eq!(size_label(1024), "1kB");
         assert_eq!(size_label(512 << 10), "512kB");
         assert_eq!(size_label(1 << 20), "1MB");
+    }
+
+    #[test]
+    fn committed_baselines_render_back_byte_for_byte() {
+        let offload = include_str!("../../../BENCH_offload.json");
+        let engine = include_str!("../../../BENCH_engine.json");
+        let mem = include_str!("../../../BENCH_mem.json");
+        let resilience = include_str!("../../../BENCH_resilience.json");
+        let serve = include_str!("../../../BENCH_serve.json");
+        for (json, bench, clock) in [
+            (offload, "fig_offload_hotpath", Clock::Host),
+            (engine, "fig_engine", Clock::Host),
+            (mem, "fig_mem", Clock::Host),
+            (resilience, "fig_domains", Clock::Sim),
+            (serve, "fig_serve", Clock::Sim),
+        ] {
+            let metrics = parse(json);
+            assert!(!metrics.is_empty(), "{bench}: no metrics parsed");
+            let rendered = render(bench, clock, &metrics);
+            assert_eq!(rendered, json, "{bench} under {clock:?}");
+        }
+    }
+
+    #[test]
+    fn check_applies_each_clock_rule() {
+        let base = vec![("t_ns".to_string(), 100.0), ("time_s".to_string(), 4.0828)];
+        // Host: up to TOLERANCE x the baseline passes, anything past fails.
+        assert!(!check(Clock::Host, &base, &[("t_ns", 200.0)]));
+        assert!(check(Clock::Host, &base, &[("t_ns", 200.1)]));
+        assert!(check(Clock::Host, &base, &[("absent_ns", 1.0)]));
+        // Sim: the printed value must match exactly.
+        assert!(!check(Clock::Sim, &base, &[("time_s", 4.0828)]));
+        assert!(check(Clock::Sim, &base, &[("time_s", 4.0829)]));
+        assert!(check(Clock::Sim, &base, &[("absent_s", 4.0828)]));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Fixed mechanism costs live here; anything that depends on dynamic state
 //! (how long until the proxy gets a Linux timeslice, wire latency) is
 //! computed where that state lives. Values are era-appropriate estimates
-//! for a 2.8 GHz Sandy/Ivy-Bridge-class part running RHEL 6.5 and are the
-//! knobs the A1/A6 ablation benches sweep.
+//! for a 2.8 GHz Sandy/Ivy-Bridge-class part running RHEL 6.5. The A1
+//! test in `cluster::node` holds the offload path built from them to at
+//! least 50x an in-LWK call.
 
 use simcore::Cycles;
 

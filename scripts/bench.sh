@@ -8,8 +8,10 @@
 #   scripts/bench.sh --check      # compare fresh runs against the
 #                                 # committed baselines (2x tolerance for
 #                                 # the wall-clock benches; exact for the
-#                                 # simulated-time fig_domains metrics),
-#                                 # exit non-zero on regression
+#                                 # simulated-time fig_domains and
+#                                 # fig_serve metrics), exit non-zero on
+#                                 # regression or on a metric the
+#                                 # baseline lacks
 #
 # Knobs (environment):
 #   HLWK_BENCH_ITERS  iterations per metric (default 20000)
@@ -18,11 +20,10 @@
 #
 # The metrics are host wall-clock nanoseconds (NOT modeled cycles):
 # fig_offload_hotpath covers the offload round trip, software-TLB
-# translate hit/miss, and an IKC send+recv pair; fig_bypass sweeps the
-# in-LWK promoted syscalls across {offload, bypass, bypass+domains},
-# the zero-copy device mmap, and the MPK-style domain switch, merging
-# bypass_* metrics into BENCH_offload.json (run after
-# fig_offload_hotpath, which rewrites that file); fig_engine covers the
+# translate hit/miss, an IKC send+recv pair, unified-address-space cold
+# faults and warm hits, and sweeps the in-LWK promoted syscalls across
+# {offload, bypass, bypass+domains} plus the zero-copy device mmap and
+# the MPK-style domain switch; fig_engine covers the
 # timer-wheel event queue (vs. the retired heap baseline) and the
 # simcore::par pool (reduced fig6, serial vs. full pool); fig_mem covers
 # the flat O(1) buddy allocator (vs. the retired BTreeSet baseline), a
@@ -42,15 +43,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release -p bench \
-    --bin fig_offload_hotpath --bin fig_bypass --bin fig_engine \
+    --bin fig_offload_hotpath --bin fig_engine \
     --bin fig_mem --bin fig_domains --bin fig_scale_app --bin fig_serve
 
 if [[ "${1:-}" == "--check" ]]; then
+    # fig_offload_hotpath also gates the syscall fast path: the
+    # promoted read >= 3x cheaper than the offload round trip and the
+    # offloaded read with protection domains armed.
     ./target/release/fig_offload_hotpath --check BENCH_offload.json
-    # fig_bypass gates the syscall fast path: bypass_* metrics within
-    # 2x of the baseline AND the promoted read >= 3x cheaper than the
-    # offload round trip with protection domains armed.
-    ./target/release/fig_bypass --check BENCH_offload.json
     ./target/release/fig_engine --check BENCH_engine.json
     # fig_scale_app replays the real 1024-node mini-app: trials
     # reproduce each other, walk-verified, replay time within 2x.
@@ -61,10 +61,6 @@ if [[ "${1:-}" == "--check" ]]; then
     exec ./target/release/fig_serve --check BENCH_serve.json
 fi
 ./target/release/fig_offload_hotpath
-# Order matters: fig_offload_hotpath rewrites BENCH_offload.json
-# wholesale, fig_bypass then merges its bypass_* / devmap / domain
-# metrics into the fresh file (same pattern as fig_engine/fig_scale_app).
-./target/release/fig_bypass
 ./target/release/fig_engine
 ./target/release/fig_scale_app
 ./target/release/fig_mem

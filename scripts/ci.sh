@@ -169,13 +169,12 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     # stable-order-of-magnitude numbers, small enough for CI. The checks
     # compare against the committed baselines with the binaries' built-in
     # 2x tolerance, so smoke-run noise does not produce false failures.
+    # Offload and syscall fast-path gate: every metric within tolerance
+    # AND the promoted read >= 3x cheaper than both the offload round
+    # trip and the offloaded read with protection domains armed (the
+    # fresh-run floors, not baseline-relative).
     HLWK_BENCH_ITERS="${HLWK_BENCH_ITERS:-2000}" \
         ./target/release/fig_offload_hotpath --check BENCH_offload.json
-    # Syscall fast-path gate: bypass_* metrics within tolerance AND the
-    # promoted read >= 3x cheaper than the offload round trip with
-    # protection domains armed (the fresh-run floor, not baseline-relative).
-    HLWK_BENCH_ITERS="${HLWK_BENCH_ITERS:-2000}" \
-        ./target/release/fig_bypass --check BENCH_offload.json
     HLWK_BENCH_ITERS="${HLWK_BENCH_ITERS:-2000}" \
         ./target/release/fig_engine --check BENCH_engine.json
     # Real mini-app, recorded and replayed: 1024-node HPC-CG, every
