@@ -12,7 +12,7 @@
 //! values are computed in its task and printed in panel order.
 
 use bench::{fwq_secs, header};
-use cluster::{Cluster, ClusterConfig, OsVariant};
+use cluster::{Cluster, OsVariant};
 use simcore::{par, Cycles, LogHistogram, Summary};
 use workloads::fwq;
 
@@ -74,7 +74,7 @@ fn main() {
     );
     let results: Vec<PanelResult> = par::parallel_map(panels.len(), |pi| {
         let p = &panels[pi];
-        let mut cfg = ClusterConfig::paper(p.os).with_nodes(1).with_seed(0xF165);
+        let mut cfg = bench::paper_config(p.os).with_nodes(1).with_seed(0xF165);
         cfg.insitu = p.insitu;
         cfg.horizon_secs = secs + 2;
         let mut cluster = Cluster::build(cfg);

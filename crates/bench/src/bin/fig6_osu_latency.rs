@@ -11,7 +11,7 @@
 
 use bench::{fmt_summary, header, max_nodes, osu_iters, runs, size_label};
 use cluster::experiment::run_seed;
-use cluster::{Cluster, ClusterConfig, OsVariant};
+use cluster::{Cluster, OsVariant};
 use simcore::{par, Cycles, Summary};
 use workloads::osu::{Collective, OsuConfig};
 
@@ -40,7 +40,7 @@ fn main() {
     let per_cell: Vec<Vec<f64>> = par::parallel_map(cells.len(), |ci| {
         let (coll, os, run) = cells[ci];
         let sizes = coll.message_sizes();
-        let cfg = ClusterConfig::paper(os)
+        let cfg = bench::paper_config(os)
             .with_nodes(nodes)
             .with_seed(run_seed(0xF166, run));
         let mut cluster = Cluster::build(cfg);

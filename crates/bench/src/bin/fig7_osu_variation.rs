@@ -10,7 +10,7 @@
 
 use bench::{header, max_nodes, osu_iters, runs, size_label};
 use cluster::experiment::run_seed;
-use cluster::{Cluster, ClusterConfig, OsVariant};
+use cluster::{Cluster, OsVariant};
 use simcore::{par, Cycles, Summary};
 use workloads::osu::{Collective, OsuConfig};
 
@@ -39,7 +39,7 @@ fn main() {
     let per_cell: Vec<Vec<f64>> = par::parallel_map(cells.len(), |ci| {
         let (coll, os, run) = cells[ci];
         let sizes = coll.message_sizes();
-        let cfg = ClusterConfig::paper(os)
+        let cfg = bench::paper_config(os)
             .with_nodes(nodes)
             .with_insitu()
             .with_seed(run_seed(0xF167, run));

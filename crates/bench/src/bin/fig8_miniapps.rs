@@ -6,7 +6,7 @@
 
 use bench::{header, node_sweep, runs};
 use cluster::experiment::{run_seed, RunStats};
-use cluster::{Cluster, ClusterConfig, OsVariant};
+use cluster::{Cluster, OsVariant};
 use simcore::{par, Cycles};
 use workloads::miniapps::MiniApp;
 
@@ -40,7 +40,7 @@ fn main() {
     }
     let values: Vec<f64> = par::parallel_map(cells.len(), |ci| {
         let (app, nodes, os, run) = cells[ci];
-        let cfg = ClusterConfig::paper(os)
+        let cfg = bench::paper_config(os)
             .with_nodes(nodes)
             .with_seed(run_seed(0xF168, run));
         let mut cluster = Cluster::build(cfg);

@@ -6,7 +6,7 @@
 
 use bench::{header, node_sweep, runs};
 use cluster::experiment::{run_seed, RunStats};
-use cluster::{Cluster, ClusterConfig, OsVariant};
+use cluster::{Cluster, OsVariant};
 use simcore::{par, Cycles};
 use workloads::miniapps::MiniApp;
 
@@ -37,7 +37,7 @@ fn main() {
     }
     let values: Vec<f64> = par::parallel_map(cells.len(), |ci| {
         let (app, nodes, os, run) = cells[ci];
-        let cfg = ClusterConfig::paper(os)
+        let cfg = bench::paper_config(os)
             .with_nodes(nodes)
             .with_insitu()
             .with_seed(run_seed(0xF169, run));

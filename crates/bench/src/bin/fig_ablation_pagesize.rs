@@ -6,13 +6,13 @@
 //! separated from the noise part.
 
 use bench::header;
-use cluster::{Cluster, ClusterConfig, OsVariant};
+use cluster::{Cluster, OsVariant};
 use hwmodel::interference::PageBacking;
 use simcore::{par, Cycles};
 use workloads::miniapps::MiniApp;
 
 fn run(app: &MiniApp, backing: PageBacking, nodes: u32) -> f64 {
-    let cfg = ClusterConfig::paper(OsVariant::McKernel)
+    let cfg = bench::paper_config(OsVariant::McKernel)
         .with_nodes(nodes)
         .with_seed(0xAB1A);
     let mut cluster = Cluster::build(cfg);

@@ -9,7 +9,7 @@
 
 use bench::{header, size_label};
 use cluster::experiment::run_seed;
-use cluster::{Cluster, ClusterConfig, OsVariant};
+use cluster::{Cluster, OsVariant};
 use simcore::{par, Cycles, Summary};
 use workloads::osu::{Collective, OsuConfig};
 
@@ -42,7 +42,7 @@ fn main() {
             iters: 6,
             iter_gap: Cycles::from_us(300),
         };
-        let mut cfg = ClusterConfig::paper(OsVariant::McKernel)
+        let mut cfg = bench::paper_config(OsVariant::McKernel)
             .with_nodes(nodes)
             .with_insitu()
             .with_seed(run_seed(0x8E6F, run));

@@ -41,8 +41,8 @@
 
 use bench::{domain_iters, domain_seed, header, Clock};
 use cluster::{
-    run_resilient, BuddyPlacement, Cluster, ClusterConfig, HierarchicalCkpt, OsVariant,
-    RecoveryCosts, RecoveryPolicy, RecoveryReport,
+    run_resilient, BuddyPlacement, Cluster, HierarchicalCkpt, OsVariant, RecoveryCosts,
+    RecoveryPolicy, RecoveryReport,
 };
 use simcore::fault::{DomainEvent, DomainEventKind, DomainFaultConfig, DomainScope};
 use simcore::{par, Cycles};
@@ -117,7 +117,7 @@ fn app() -> MiniApp {
 fn run_cell(os: OsVariant, policy: RecoveryPolicy, scenario: Scenario) -> Result<RecoveryReport, Cycles> {
     let start = Cycles::from_ms(1);
     let app = app();
-    let mut cfg = ClusterConfig::paper(os)
+    let mut cfg = bench::paper_config(os)
         .with_nodes(NODES)
         .with_seed(domain_seed())
         .with_domains(scenario.nodes_per_rack(), 2);

@@ -11,7 +11,7 @@
 
 use bench::header;
 use cluster::node::NodeRuntime;
-use cluster::{ClusterConfig, OsVariant};
+use cluster::OsVariant;
 use hlwk_core::abi::Sysno;
 use simcore::fault::FaultConfig;
 use simcore::{Cycles, StreamRng};
@@ -37,7 +37,7 @@ fn run_cell(rate: f64, seed: u64) -> Cell {
     } else {
         FaultConfig::off()
     };
-    let mut cfg = ClusterConfig::paper(OsVariant::McKernel)
+    let mut cfg = bench::paper_config(OsVariant::McKernel)
         .with_nodes(1)
         .with_seed(seed)
         .with_faults(faults);

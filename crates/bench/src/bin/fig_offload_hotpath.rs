@@ -24,7 +24,7 @@
 //!   fresh run misses either bypass floor.
 
 use bench::Clock;
-use cluster::{node::NodeRuntime, ClusterConfig, OsVariant};
+use cluster::{node::NodeRuntime, OsVariant};
 use hlwk_core::abi::Sysno;
 use hlwk_core::costs::CostModel;
 use hlwk_core::ihk::ikc::{IkcChannel, MsgKind};
@@ -120,7 +120,7 @@ where
 }
 
 fn build_node() -> NodeRuntime {
-    let mut cfg = ClusterConfig::paper(OsVariant::McKernel).with_nodes(1);
+    let mut cfg = bench::paper_config(OsVariant::McKernel).with_nodes(1);
     cfg.horizon_secs = 5;
     NodeRuntime::build(&cfg, 0, &StreamRng::root(1))
 }

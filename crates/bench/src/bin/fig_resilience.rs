@@ -16,10 +16,7 @@
 
 use bench::{header, max_nodes, resil_iters, seed_base};
 use cluster::experiment::run_seed;
-use cluster::{
-    run_resilient, Cluster, ClusterConfig, OsVariant, RecoveryCosts, RecoveryPolicy,
-    RecoveryReport,
-};
+use cluster::{run_resilient, Cluster, OsVariant, RecoveryCosts, RecoveryPolicy, RecoveryReport};
 use netsim::reliable::CrashTrigger;
 use simcore::fault::LinkFaultConfig;
 use simcore::{par, Cycles};
@@ -49,7 +46,7 @@ fn run_cell(os: OsVariant, policy: RecoveryPolicy, rate: f64, seed: u64) -> Row 
     let nodes = max_nodes().min(16);
     let start = Cycles::from_ms(1);
     let app = app();
-    let mut cfg = ClusterConfig::paper(os).with_nodes(nodes).with_seed(seed);
+    let mut cfg = bench::paper_config(os).with_nodes(nodes).with_seed(seed);
     if rate > 0.0 {
         // Lossy fabric plus a fail-stop crash of node 1 halfway through
         // the job (per-iteration estimate: the OpenMP quantum dominates).
@@ -70,11 +67,10 @@ fn run_cell(os: OsVariant, policy: RecoveryPolicy, rate: f64, seed: u64) -> Row 
                 // machinery must be invisible until a fault fires.
                 // (Checkpointing cells are exempt — periodic snapshots
                 // cost time by design, faults or not.)
-                let plain = Cluster::build(
-                    ClusterConfig::paper(os).with_nodes(nodes).with_seed(seed),
-                )
-                .run_miniapp(&app, start)
-                .expect("fault-free");
+                let plain =
+                    Cluster::build(bench::paper_config(os).with_nodes(nodes).with_seed(seed))
+                        .run_miniapp(&app, start)
+                        .expect("fault-free");
                 assert_eq!(
                     rep.time, plain,
                     "fault-free resilient run must match run_miniapp exactly"

@@ -4,7 +4,7 @@
 //! exact collectives layer (`mpisim::collectives`), with the
 //! registration cache, rendezvous protocol and per-port LogGP
 //! timelines — through record-and-replay (`mpisim::replay`, one program
-//! per node). `Cluster` mini-apps always take the global-wheel walk,
+//! per node). `Cluster` mini-apps always take the collectives walk,
 //! which is faster at every node count (DESIGN.md D12); the replay's
 //! remaining users are this binary and perfbench's `replay_4096`
 //! workload, and the walk verification below is its reference check.
@@ -14,15 +14,14 @@
 //! fresh seats; both phases are timed and each keeps its best trial.
 //! Every trial must reproduce the first one's makespan and the FNV
 //! digest of the raw per-node value logs, and the 1024-node makespan is
-//! verified against a direct global-wheel walk.
+//! verified against a direct collectives walk.
 //!
-//! Metrics merge into `HLWK_BENCH_OUT` (default `BENCH_engine.json`) as
+//! Metrics go to `HLWK_BENCH_OUT` (default `BENCH_engine.json`) as
 //! `app_scale_{nodes}_{record_ms,replay_ms}` plus `app_scale_nproc`,
-//! the host's core count. This must run *after* `fig_engine`, which
-//! rewrites the file wholesale.
+//! the host's core count. This binary is the file's only writer.
 //!
 //! Modes:
-//! * default          — 1024- and 4096-node points + metric merge;
+//! * default          — 1024- and 4096-node points, written out;
 //! * `--check <path>` — the 1024-node point, walk-verified, with
 //!   `app_scale_1024_replay_ms` gated at 2x of the baseline in `<path>`.
 
@@ -164,7 +163,7 @@ fn run_point(nodes: usize) -> Point {
     Point { nodes, outcome, ops, record_ms, replay_ms }
 }
 
-/// Verify the replay against a direct global-wheel walk at `p` nodes.
+/// Verify the replay against a direct collectives walk at `p` nodes.
 fn verify_against_walk(p: usize, replayed: Cycles) {
     let mut fabric = ReliableFabric::new(p, LinkParams::fdr_infiniband());
     let mut host = IdealHost::new();
@@ -184,7 +183,7 @@ fn verify_against_walk(p: usize, replayed: Cycles) {
         sink: None,
     };
     let walked = miniapps::run(&mut ctx, &app(), p, START).expect("fault-free");
-    assert_eq!(replayed, walked, "replay diverged from the global wheel at {p} nodes");
+    assert_eq!(replayed, walked, "replay diverged from the collectives walk at {p} nodes");
 }
 
 fn main() {
@@ -199,7 +198,7 @@ fn main() {
             p.outcome.digest
         );
         // The replay may take up to bench::TOLERANCE of the committed
-        // baseline, the tolerance `fig_engine` gates with.
+        // baseline, the shared host-clock tolerance.
         let fresh = [("app_scale_1024_replay_ms", p.replay_ms)];
         if bench::check(Clock::Host, &base, &fresh) {
             std::process::exit(1);
@@ -229,7 +228,7 @@ fn main() {
     }
     println!("best of {TRIALS} trials, one thread, nproc {nproc}");
 
-    let mut fresh: Vec<(String, f64)> = points
+    let mut metrics: Vec<(String, f64)> = points
         .iter()
         .flat_map(|p| {
             [
@@ -238,7 +237,7 @@ fn main() {
             ]
         })
         .collect();
-    fresh.push(("app_scale_nproc".into(), nproc as f64));
+    metrics.push(("app_scale_nproc".into(), nproc as f64));
     let out = bench::bench_out("BENCH_engine.json");
-    bench::merge(&out, "fig_engine", Clock::Host, &fresh);
+    bench::write(&out, "fig_scale_app", Clock::Host, &metrics);
 }

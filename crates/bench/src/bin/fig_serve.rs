@@ -42,7 +42,7 @@
 //! `--soak N` reruns the storm profile under N extra seeds.
 
 use bench::{header, serve_nodes, serve_seed, serve_windows, Clock};
-use cluster::{run_tenancy, Cluster, ClusterConfig, JobSpec, OsVariant, TenancyConfig, TenancyReport};
+use cluster::{run_tenancy, Cluster, JobSpec, OsVariant, TenancyConfig, TenancyReport};
 use simcore::{par, Cycles};
 use workloads::miniapps::{IterComm, MiniApp};
 
@@ -117,7 +117,7 @@ fn scenario(profile: Profile, seed: u64) -> TenancyConfig {
 }
 
 fn run_profile(profile: Profile, seed: u64) -> TenancyReport {
-    let mut ccfg = ClusterConfig::paper(OsVariant::McKernel)
+    let mut ccfg = bench::paper_config(OsVariant::McKernel)
         .with_nodes(serve_nodes())
         .with_seed(seed);
     ccfg.horizon_secs = 30;

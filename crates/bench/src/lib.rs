@@ -7,13 +7,17 @@
 //! * `HLWK_RUNS` — repetitions (paper: 15);
 //! * `HLWK_NODES` — top node count (paper: 64);
 //! * `HLWK_FWQ_SECS` — FWQ measurement interval (paper: 30);
-//! * `HLWK_OSU_ITERS` — timed iterations per OSU cell.
+//! * `HLWK_OSU_ITERS` — timed iterations per OSU cell;
+//! * `HLWK_BYPASS` — the offload-bypass policy of every McKernel node
+//!   ([`paper_config`]): unset or `off`, `on`, or `on-but-cold`.
 //!
 //! The benches that keep a committed `BENCH_*.json` baseline share its
 //! format and `--check` rules here: a [`Clock`] fixes both, and
-//! [`write`], [`merge`], [`read`] and [`check`] are the only code that
-//! touches those files.
+//! [`write`], [`read`] and [`check`] are the only code that touches
+//! those files.
 
+use cluster::{ClusterConfig, OsVariant};
+use hlwk_core::mck::syscall::BypassConfig;
 use simcore::Summary;
 
 /// Repetitions (paper: 15).
@@ -80,6 +84,35 @@ pub fn serve_windows() -> u32 {
 /// default for `--check` runs; the soak varies it.
 pub fn serve_seed() -> u64 {
     env_or("HLWK_SERVE_SEED", 0x5E12_7E4A)
+}
+
+/// The paper-shaped cluster config for `os`, with the offload-bypass
+/// policy `HLWK_BYPASS` names. Every binary here that builds a cluster
+/// config starts from this, so the bypass knob reaches all of them; the
+/// simulator crates never read the environment.
+pub fn paper_config(os: OsVariant) -> ClusterConfig {
+    ClusterConfig {
+        bypass: bypass_policy(std::env::var("HLWK_BYPASS").ok().as_deref()),
+        ..ClusterConfig::paper(os)
+    }
+}
+
+/// The bypass policy an `HLWK_BYPASS` value names: `on` arms promotion,
+/// `on-but-cold` arms every check but never promotes, and anything else
+/// (unset, `off`) leaves the bypass off.
+fn bypass_policy(value: Option<&str>) -> BypassConfig {
+    match value {
+        Some("on") => BypassConfig {
+            enabled: true,
+            ..BypassConfig::default()
+        },
+        Some("on-but-cold") => BypassConfig {
+            enabled: true,
+            promote_after: u64::MAX,
+            ..BypassConfig::default()
+        },
+        _ => BypassConfig::default(),
+    }
 }
 
 fn env_or<T: std::str::FromStr + Copy>(name: &str, default: T) -> T {
@@ -221,23 +254,6 @@ pub fn write<K: AsRef<str>>(path: &str, bench: &str, clock: Clock, metrics: &[(K
     println!("wrote {path}");
 }
 
-/// Merge `fresh` into the baseline at `path`: existing entries keep
-/// their place, stale values for the same keys are replaced, and new
-/// keys are appended. `fig_engine` rewrites `BENCH_engine.json`
-/// wholesale, so `fig_scale_app`, which rides along, runs after it.
-pub fn merge(path: &str, bench: &str, clock: Clock, fresh: &[(String, f64)]) {
-    let mut metrics = std::fs::read_to_string(path)
-        .map(|s| parse(&s))
-        .unwrap_or_default();
-    for (k, v) in fresh {
-        match metrics.iter_mut().find(|(mk, _)| mk == k) {
-            Some((_, mv)) => *mv = *v,
-            None => metrics.push((k.clone(), *v)),
-        }
-    }
-    write(path, bench, clock, &metrics);
-}
-
 /// Compare fresh `metrics` against `baseline` under `clock`'s rule and
 /// report each failure on stderr (and each passing host metric on
 /// stdout). A metric the baseline lacks fails. Returns true if any
@@ -289,12 +305,14 @@ mod tests {
     fn committed_baselines_render_back_byte_for_byte() {
         let offload = include_str!("../../../BENCH_offload.json");
         let engine = include_str!("../../../BENCH_engine.json");
+        let e2e = include_str!("../../../BENCH_e2e.json");
         let mem = include_str!("../../../BENCH_mem.json");
         let resilience = include_str!("../../../BENCH_resilience.json");
         let serve = include_str!("../../../BENCH_serve.json");
         for (json, bench, clock) in [
             (offload, "fig_offload_hotpath", Clock::Host),
-            (engine, "fig_engine", Clock::Host),
+            (engine, "fig_scale_app", Clock::Host),
+            (e2e, "fig_table", Clock::Host),
             (mem, "fig_mem", Clock::Host),
             (resilience, "fig_domains", Clock::Sim),
             (serve, "fig_serve", Clock::Sim),
@@ -317,6 +335,29 @@ mod tests {
         assert!(!check(Clock::Sim, &base, &[("time_s", 4.0828)]));
         assert!(check(Clock::Sim, &base, &[("time_s", 4.0829)]));
         assert!(check(Clock::Sim, &base, &[("absent_s", 4.0828)]));
+    }
+
+    #[test]
+    fn bypass_policy_maps_each_value() {
+        let off = BypassConfig::default();
+        assert!(!off.enabled);
+        assert_eq!(bypass_policy(None), off);
+        assert_eq!(bypass_policy(Some("off")), off);
+        assert_eq!(
+            bypass_policy(Some("on")),
+            BypassConfig {
+                enabled: true,
+                ..off
+            }
+        );
+        assert_eq!(
+            bypass_policy(Some("on-but-cold")),
+            BypassConfig {
+                enabled: true,
+                promote_after: u64::MAX,
+                ..off
+            }
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Experiment configurations — the paper's comparison matrix.
 
+use hlwk_core::mck::syscall::BypassConfig;
 use hwmodel::cpu::CoreId;
 use netsim::reliable::CrashTrigger;
 use simcore::fault::{
@@ -79,6 +80,9 @@ pub struct ClusterConfig {
     /// Deterministic domain events injected on top of (or without) the
     /// stochastic plan — "kill rack 1 at t=X". RNG-free.
     pub domain_events: Vec<DomainEvent>,
+    /// Offload-bypass policy of every McKernel node (off by default, so
+    /// every call takes the IKC trip and figures run unchanged).
+    pub bypass: BypassConfig,
 }
 
 /// A configured fail-stop node crash.
@@ -108,6 +112,7 @@ impl ClusterConfig {
             racks_per_pod: 2,
             domain_faults: DomainFaultConfig::off(),
             domain_events: Vec::new(),
+            bypass: BypassConfig::default(),
         }
     }
 

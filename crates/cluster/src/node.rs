@@ -17,9 +17,7 @@ use hlwk_core::ihk::manager::HeartbeatMonitor;
 use hlwk_core::ihk::partition::PartitionError;
 use hlwk_core::mck::domains::{DomainId, DomainModel};
 use hlwk_core::mck::mem::FaultOutcome;
-use hlwk_core::mck::syscall::{
-    BypassConfig, Disposition, RetryPolicy, SyscallReply, SyscallRequest,
-};
+use hlwk_core::mck::syscall::{Disposition, RetryPolicy, SyscallReply, SyscallRequest};
 use hlwk_core::mck::{McKernel, SyscallOutcome};
 use hlwk_core::proxy::devmap;
 use hlwk_core::IhkManager;
@@ -335,7 +333,7 @@ impl NodeRuntime {
         match cfg.os {
             OsVariant::McKernel => {
                 let mut k = mck.take().expect("booted above");
-                k.bypass = BypassConfig::from_env();
+                k.bypass = cfg.bypass;
                 let app_pid = k.create_process(None);
                 let tid = k.spawn_thread(app_pid, node.app_cores[0]);
                 for &core in &node.app_cores[1..] {
@@ -1342,6 +1340,7 @@ impl NodeRuntime {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use hlwk_core::mck::syscall::BypassConfig;
 
     fn build(os: OsVariant, insitu: bool) -> NodeRuntime {
         let mut cfg = ClusterConfig::paper(os).with_nodes(1).with_seed(77);

@@ -1,25 +1,26 @@
-//! Event-driven offload pipeline.
+//! The offload pipeline as a single-server FIFO.
 //!
 //! [`crate::node::NodeRuntime::offload_syscall`] composes one offload's
 //! latency arithmetically, which is exact for a single in-flight request.
 //! But the proxy process is *single-threaded* ("it provides execution
 //! context on behalf of the application", one context): when several LWK
 //! threads offload concurrently, their requests queue at the proxy and
-//! service is serialized. This module models that with the discrete-event
-//! engine: each request is a chain of events (marshal → IPI → delegator
-//! dispatch → proxy wake → service → reply IPI), and the proxy is a
-//! shared resource.
+//! service is serialized in delivery order. That is a FIFO with one
+//! server, so a burst is solved in closed form: sort the deliveries
+//! (marshal + IPI) by instant, then serve them in one pass over the time
+//! the proxy becomes free (delegator dispatch → proxy wake → service →
+//! reply IPI).
 
 use hlwk_core::costs::CostModel;
 use simcore::fault::{FaultPlan, MsgFault};
-use simcore::{Cycles, Engine, EventQueue, World};
+use simcore::Cycles;
 
 /// Why a burst failed to produce a complete set of latencies.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PipelineError {
     /// An empty burst has no latencies to report.
     EmptyBurst,
-    /// Request `index` never completed (its events were lost — e.g. an
+    /// Request `index` never completed (its delivery was lost — e.g. an
     /// injected drop with no retry at this layer).
     Incomplete {
         /// Index of the request that never saw its reply.
@@ -51,65 +52,9 @@ pub struct OffloadRequest {
     pub wake_delay: Cycles,
 }
 
-/// Pipeline events.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Ev {
-    /// Request `i` delivered to the delegator (after marshal + IPI).
-    Delivered(usize),
-    /// Proxy finished servicing request `i`.
-    Serviced(usize),
-    /// Reply for request `i` arrived back at the LWK.
-    Completed(usize),
-}
-
-struct PipelineWorld {
-    costs: CostModel,
-    reqs: Vec<OffloadRequest>,
-    /// When the proxy becomes free.
-    proxy_free_at: Cycles,
-    /// Completion instant of each request, indexed by request; `None`
-    /// until its reply arrives (and forever, if the request was lost).
-    completions: Vec<Option<Cycles>>,
-}
-
-impl World for PipelineWorld {
-    type Event = Ev;
-
-    fn handle(&mut self, now: Cycles, ev: Ev, q: &mut EventQueue<Ev>) {
-        match ev {
-            Ev::Delivered(i) => {
-                let req = self.reqs[i];
-                // The proxy serves requests in delivery order; if it is
-                // busy, this one waits. A parked proxy pays the wake-up
-                // scheduling delay.
-                let dispatch = now + self.costs.delegator_dispatch;
-                let start = if self.proxy_free_at <= dispatch {
-                    dispatch + req.wake_delay + self.costs.proxy_dispatch
-                } else {
-                    // Already running: it fetches the next request from
-                    // the delegator inbox without sleeping.
-                    self.proxy_free_at + self.costs.proxy_dispatch
-                };
-                let done = start + req.service;
-                self.proxy_free_at = done;
-                q.schedule(done, Ev::Serviced(i));
-            }
-            Ev::Serviced(i) => {
-                q.schedule(
-                    now + self.costs.ikc_send + self.costs.ikc_ipi,
-                    Ev::Completed(i),
-                );
-            }
-            Ev::Completed(i) => {
-                self.completions[i] = Some(now);
-            }
-        }
-    }
-}
-
-/// Run a burst of concurrent offloads through the event-driven pipeline;
-/// returns each request's completion instant. Errors instead of panicking
-/// when a request never completes or the burst is empty.
+/// Run a burst of concurrent offloads through the proxy FIFO; returns
+/// each request's completion instant. Errors instead of panicking when a
+/// request never completes or the burst is empty.
 pub fn run_burst(
     costs: CostModel,
     reqs: &[OffloadRequest],
@@ -136,31 +81,42 @@ pub fn run_burst_faulted(
     if reqs.is_empty() {
         return Err(PipelineError::EmptyBurst);
     }
-    let mut engine = Engine::new(PipelineWorld {
-        costs,
-        reqs: reqs.to_vec(),
-        proxy_free_at: Cycles::ZERO,
-        completions: vec![None; reqs.len()],
-    });
+    // Each delivery leg draws its fault in request order, so the plan's
+    // stream does not depend on when the requests arrive.
+    let mut deliveries = Vec::with_capacity(reqs.len());
     for (i, r) in reqs.iter().enumerate() {
         let delivery = r.issued_at + costs.lwk_syscall + costs.ikc_send + costs.ikc_ipi;
         match faults.draw_msg_fault("burst-req", i as u64, delivery) {
             MsgFault::Drop | MsgFault::Corrupt => {}
-            MsgFault::Delay(d) => {
-                engine.queue_mut().schedule(delivery + d, Ev::Delivered(i));
-            }
-            MsgFault::None => {
-                engine.queue_mut().schedule(delivery, Ev::Delivered(i));
-            }
+            MsgFault::Delay(d) => deliveries.push((delivery + d, i)),
+            MsgFault::None => deliveries.push((delivery, i)),
         }
     }
-    engine.run_to_completion();
-    Ok(engine.into_world().completions)
+    // The proxy serves requests in delivery order; requests delivered at
+    // the same instant are served in request order.
+    deliveries.sort_unstable();
+    let mut completions = vec![None; reqs.len()];
+    let mut proxy_free_at = Cycles::ZERO;
+    for (at, i) in deliveries {
+        let req = reqs[i];
+        let dispatch = at + costs.delegator_dispatch;
+        let start = if proxy_free_at <= dispatch {
+            // A parked proxy pays the wake-up scheduling delay.
+            dispatch + req.wake_delay + costs.proxy_dispatch
+        } else {
+            // Already running: it fetches the next request from the
+            // delegator inbox without sleeping.
+            proxy_free_at + costs.proxy_dispatch
+        };
+        proxy_free_at = start + req.service;
+        completions[i] = Some(proxy_free_at + costs.ikc_send + costs.ikc_ipi);
+    }
+    Ok(completions)
 }
 
 /// The closed-form single-request composition (what
-/// `NodeRuntime::offload_syscall` charges) — kept next to the event model
-/// so tests can assert they agree.
+/// `NodeRuntime::offload_syscall` charges) — kept next to the FIFO so
+/// tests can assert they agree.
 pub fn single_request_latency(costs: &CostModel, req: &OffloadRequest) -> Cycles {
     costs.lwk_syscall
         + costs.ikc_send
@@ -259,6 +215,37 @@ mod tests {
             delta < Cycles::from_us(5),
             "busy-proxy fetch should skip the wake delay: {delta}"
         );
+        Ok(())
+    }
+
+    #[test]
+    fn equal_delivery_times_serve_in_index_order() -> Result<(), PipelineError> {
+        let costs = CostModel::default();
+        // Three requests delivered at the same cycle. Neither service
+        // time nor wake delay is ordered like the indices, so serving
+        // them in any other order moves every completion.
+        let at = Cycles::from_us(10);
+        let burst = [(7, 3), (2, 11), (4, 1)].map(|(service_us, wake_us)| OffloadRequest {
+            issued_at: at,
+            service: Cycles::from_us(service_us),
+            wake_delay: Cycles::from_us(wake_us),
+        });
+        let done = run_burst(costs, &burst)?;
+        let reply = costs.ikc_send + costs.ikc_ipi;
+        // Request 0 finds the proxy parked and pays its own wake delay.
+        let free0 = at
+            + costs.lwk_syscall
+            + costs.ikc_send
+            + costs.ikc_ipi
+            + costs.delegator_dispatch
+            + Cycles::from_us(3)
+            + costs.proxy_dispatch
+            + Cycles::from_us(7);
+        // Requests 1 and 2 are fetched from the inbox while it runs.
+        let free1 = free0 + costs.proxy_dispatch + Cycles::from_us(2);
+        let free2 = free1 + costs.proxy_dispatch + Cycles::from_us(4);
+        assert_eq!(done, vec![free0 + reply, free1 + reply, free2 + reply]);
+        assert_eq!(done[0], at + single_request_latency(&costs, &burst[0]));
         Ok(())
     }
 

@@ -23,7 +23,7 @@
 //!   every reported percentile exact at serving window sizes.
 //! * **Batch plane** — a priority job queue of [`workloads::miniapps`]
 //!   gangs stepping through [`Cluster::step_miniapp`] on the
-//!   global-wheel walk. Preemption reuses the asynchronous hierarchical
+//!   collectives walk. Preemption reuses the asynchronous hierarchical
 //!   checkpoint cost model: jobs snapshot every `local_interval`
 //!   iterations, eviction rolls back to the last snapshot, and
 //!   resumption charges restore + rebuild. A per-iteration digest fold

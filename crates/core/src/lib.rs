@@ -25,10 +25,10 @@
 //!   ([`proxy::unified`]) and transparent device-file mapping
 //!   ([`proxy::devmap`]).
 //!
-//! The crate is *functionally* complete and synchronous; the discrete-event
-//! timing (when an IKC interrupt is delivered, when the proxy gets
-//! scheduled) is supplied by the `cluster` crate which drives these state
-//! machines from the simulation loop.
+//! The crate is *functionally* complete and synchronous; the timing (when
+//! an IKC interrupt is delivered, when the proxy gets scheduled) is
+//! composed in closed form by the `cluster` crate, which drives these
+//! state machines and charges their costs to simulated clocks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -233,8 +233,8 @@ impl RetryPolicy {
 /// Offload-bypass policy knobs.
 ///
 /// Promotion is **off by default**: the paper-reproduction binaries must
-/// stay byte-identical, so nothing promotes unless a bench (or
-/// `HLWK_BYPASS`) arms it explicitly.
+/// stay byte-identical, so nothing promotes unless a bench (or the
+/// cluster config's `bypass` field) arms it explicitly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BypassConfig {
     /// Master switch. Disabled ⇒ every delegated call takes the IKC trip
@@ -257,25 +257,6 @@ impl Default for BypassConfig {
             enabled: false,
             promote_after: 8,
             domains: false,
-        }
-    }
-}
-
-impl BypassConfig {
-    /// Read the policy from `HLWK_BYPASS`: `off` (default) /
-    /// `on-but-cold` (armed, never promotes) / `on`.
-    pub fn from_env() -> BypassConfig {
-        match std::env::var("HLWK_BYPASS").as_deref() {
-            Ok("on") => BypassConfig {
-                enabled: true,
-                ..BypassConfig::default()
-            },
-            Ok("on-but-cold") => BypassConfig {
-                enabled: true,
-                promote_after: u64::MAX,
-                ..BypassConfig::default()
-            },
-            _ => BypassConfig::default(),
         }
     }
 }

@@ -38,7 +38,8 @@ pub struct DevMmapResult {
 }
 
 /// Execute the device-mmap setup flow (Fig. 4 steps 1–5) synchronously.
-/// The `cluster` crate performs the same transitions with DES timing.
+/// The `cluster` crate performs the same transitions and charges their
+/// costs to the node's simulated clock.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's actors
 pub fn device_mmap(
     mck: &mut McKernel,

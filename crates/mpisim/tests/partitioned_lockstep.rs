@@ -1,6 +1,6 @@
-//! Lock-step equivalence: every collective entry point, walked on the
-//! shared global-wheel fabric vs recorded and replayed one program per
-//! node, over randomized small topologies.
+//! Lock-step equivalence: every collective entry point, run by the
+//! collectives walk on one shared fabric vs recorded and replayed one
+//! program per node, over randomized small topologies.
 //!
 //! For each scenario the final per-rank clocks, fabric traffic counters,
 //! reliable-protocol counters and registration-cache stats of the

@@ -415,7 +415,7 @@ impl ReliableFabric {
     /// need shared *mutable* state or an RNG stream during the run: an
     /// enabled per-port random plan (draw order is global) or a pending
     /// [`CrashTrigger::AfterSends`] (the death instant depends on the
-    /// global posting order) — those runs stay on the global wheel.
+    /// global posting order) — those runs stay on the collectives walk.
     pub fn partition_view(&self) -> Option<crate::plink::FaultView> {
         if self.crash_after_sends.iter().any(Option::is_some) {
             return None;
@@ -467,7 +467,7 @@ impl ReliableFabric {
 }
 
 /// The environment one reliable send runs against: the shared fabric
-/// for the global-wheel walk ([`FabEnv`], private), or a pair of
+/// for the collectives walk ([`FabEnv`], private), or a pair of
 /// detached per-node link ends plus an immutable fault snapshot for the
 /// partitioned replay (see [`crate::plink`]). Keeping the retransmit
 /// cascade generic over this trait is what guarantees the two execution

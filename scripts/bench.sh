@@ -2,9 +2,9 @@
 # Perf-baseline benchmark driver. Run from the repo root.
 #
 #   scripts/bench.sh              # full run, rewrites BENCH_offload.json,
-#                                 # BENCH_engine.json, BENCH_mem.json,
-#                                 # BENCH_resilience.json and
-#                                 # BENCH_serve.json
+#                                 # BENCH_e2e.json, BENCH_engine.json,
+#                                 # BENCH_mem.json, BENCH_resilience.json
+#                                 # and BENCH_serve.json
 #   scripts/bench.sh --check      # compare fresh runs against the
 #                                 # committed baselines (2x tolerance for
 #                                 # the wall-clock benches; exact for the
@@ -16,22 +16,21 @@
 # Knobs (environment):
 #   HLWK_BENCH_ITERS  iterations per metric (default 20000)
 #   HLWK_BENCH_OUT    output path override (single-binary runs only)
-#   HLWK_THREADS      worker count for the pool half of fig_engine
+#   HLWK_THREADS      worker count for fig_table's pool benchmark
 #
 # The metrics are host wall-clock nanoseconds (NOT modeled cycles):
 # fig_offload_hotpath covers the offload round trip, software-TLB
 # translate hit/miss, an IKC send+recv pair, unified-address-space cold
 # faults and warm hits, and sweeps the in-LWK promoted syscalls across
 # {offload, bypass, bypass+domains} plus the zero-copy device mmap and
-# the MPK-style domain switch; fig_engine covers the
-# timer-wheel event queue (vs. the retired heap baseline) and the
-# simcore::par pool (reduced fig6, serial vs. full pool); fig_mem covers
-# the flat O(1) buddy allocator (vs. the retired BTreeSet baseline), a
-# fragmentation sweep, and a first-touch fault storm with PCP hit rate.
-# fig_scale_app records and replays the *real* mini-app (HPC-CG via the
-# full collectives layer) at 1024/4096 nodes, merging its app_scale_*
-# record and replay times into BENCH_engine.json — it must run after
-# fig_engine, which rewrites that file wholesale. fig_domains is the
+# the MPK-style domain switch; fig_table runs every figure binary
+# against its golden results/reduced/<bin>.txt three ways, records each
+# one's wall time, and times the simcore::par pool (reduced fig6,
+# serial vs. full pool); fig_mem covers the flat O(1) buddy allocator,
+# a fragmentation sweep, and a first-touch fault storm with PCP hit
+# rate. fig_scale_app records and replays the *real* mini-app (HPC-CG
+# via the full collectives layer) at 1024/4096 nodes and writes its
+# app_scale_* record and replay times to BENCH_engine.json. fig_domains is the
 # exception: its metrics are *simulated* time (failure-domain recovery
 # sweep), deterministic across machines, so its --check demands an
 # exact match against BENCH_resilience.json.
@@ -42,16 +41,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -p bench \
-    --bin fig_offload_hotpath --bin fig_engine \
-    --bin fig_mem --bin fig_domains --bin fig_scale_app --bin fig_serve
+# fig_table runs its sibling figure binaries, so build them all.
+cargo build --release -p bench
 
 if [[ "${1:-}" == "--check" ]]; then
     # fig_offload_hotpath also gates the syscall fast path: the
     # promoted read >= 3x cheaper than the offload round trip and the
     # offloaded read with protection domains armed.
     ./target/release/fig_offload_hotpath --check BENCH_offload.json
-    ./target/release/fig_engine --check BENCH_engine.json
+    # fig_table: goldens three ways, 1-thread table time within 2x, and
+    # the pool speedup floor.
+    ./target/release/fig_table --check BENCH_e2e.json
     # fig_scale_app replays the real 1024-node mini-app: trials
     # reproduce each other, walk-verified, replay time within 2x.
     ./target/release/fig_scale_app --check BENCH_engine.json
@@ -61,7 +61,7 @@ if [[ "${1:-}" == "--check" ]]; then
     exec ./target/release/fig_serve --check BENCH_serve.json
 fi
 ./target/release/fig_offload_hotpath
-./target/release/fig_engine
+./target/release/fig_table
 ./target/release/fig_scale_app
 ./target/release/fig_mem
 ./target/release/fig_domains

@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint, parallel-determinism smoke. Run from
-# the repo root.
+# Tier-1 gate: build, test, lint, figure conformance. Run from the repo
+# root.
 #
-#   scripts/ci.sh                 # build + test + clippy + determinism
-#   scripts/ci.sh --bench-smoke   # also run the offload hot-path,
-#                                 # event-engine and memory benches (few
-#                                 # iterations) and fail on a >2x
-#                                 # regression against BENCH_offload.json
-#                                 # / BENCH_engine.json / BENCH_mem.json,
+#   scripts/ci.sh                 # build + test + clippy + the figure
+#                                 # table (every figure binary against
+#                                 # its golden results/reduced/<bin>.txt
+#                                 # at 1 thread, and at 4 threads with
+#                                 # the bypass off and armed-but-cold)
+#   scripts/ci.sh --bench-smoke   # the figure table as
+#                                 # `--check BENCH_e2e.json` (1-thread
+#                                 # table time within 2x, pool speedup
+#                                 # floor), plus the offload hot-path and
+#                                 # memory benches (few iterations) and a
+#                                 # fail on a >2x regression against
+#                                 # BENCH_offload.json / BENCH_mem.json,
 #                                 # plus the exact-match failure-domain
 #                                 # check against BENCH_resilience.json,
 #                                 # plus the fig_scale_app real-mini-app
@@ -47,59 +53,18 @@ same_output() {
     fi
 }
 
-# Parallel-determinism smoke: thread count must never change figure
-# output. Run a reduced fig6 sweep serial and parallel, diff stdout.
-reduced="HLWK_RUNS=2 HLWK_NODES=4 HLWK_OSU_ITERS=2"
-env $reduced HLWK_THREADS=1 ./target/release/fig6_osu_latency > "$scratch/fig6_t1.txt"
-env $reduced HLWK_THREADS=4 ./target/release/fig6_osu_latency > "$scratch/fig6_tn.txt"
-same_output "fig6 at 1 vs 4 threads" "$scratch/fig6_t1.txt" "$scratch/fig6_tn.txt"
-echo "parallel-determinism smoke passed (fig6 @ 1 thread == 4 threads)"
-
-# Bypass-determinism smoke: the offload-bypass machinery must be
-# invisible to modeled time unless a call is actually promoted. Figure
-# output must be byte-identical with the bypass unset (the default,
-# already captured above), explicitly off, and armed-but-cold
-# (enabled with an infinite promotion threshold: every check runs,
-# nothing promotes).
-env $reduced HLWK_THREADS=1 HLWK_BYPASS=off \
-    ./target/release/fig6_osu_latency > "$scratch/fig6_off.txt"
-env $reduced HLWK_THREADS=1 HLWK_BYPASS=on-but-cold \
-    ./target/release/fig6_osu_latency > "$scratch/fig6_cold.txt"
-env HLWK_FWQ_SECS=1 HLWK_BYPASS=off \
-    ./target/release/fig5_fwq > "$scratch/fig5_off.txt"
-env HLWK_FWQ_SECS=1 HLWK_BYPASS=on-but-cold \
-    ./target/release/fig5_fwq > "$scratch/fig5_cold.txt"
-for pair in "fig6_t1 fig6_off" "fig6_t1 fig6_cold" "fig5_off fig5_cold"; do
-    a="${pair% *}"
-    b="${pair#* }"
-    same_output "$a vs $b (bypass must not change figures)" "$scratch/$a.txt" "$scratch/$b.txt"
-done
-echo "bypass-determinism smoke passed (fig5/fig6 byte-identical: default == off == armed-but-cold)"
-
-# Memory-subsystem determinism smoke: the page-size ablation exercises
-# the buddy/PCP/fault-around paths end to end; its figure output must be
-# thread-count independent too.
-env HLWK_THREADS=1 ./target/release/fig_ablation_pagesize > "$scratch/pgsz_t1.txt"
-env HLWK_THREADS=4 ./target/release/fig_ablation_pagesize > "$scratch/pgsz_tn.txt"
-same_output "pagesize ablation at 1 vs 4 threads" "$scratch/pgsz_t1.txt" "$scratch/pgsz_tn.txt"
-echo "memory-determinism smoke passed (pagesize ablation @ 1 thread == 4 threads)"
-
-# Resilience smoke: link faults + node crash + every recovery policy,
-# reduced grid. Two properties:
-#   1. thread-count independence (faulty runs draw from per-link RNG
-#      streams, which must not observe scheduling);
-#   2. fault-free equivalence — the binary itself asserts per loss-free
-#      cell that the resilient runner reproduces run_miniapp exactly, so
-#      merely *wiring in* the recovery machinery costs nothing.
-resil="HLWK_RESIL_ITERS=6 HLWK_NODES=4"
-env $resil HLWK_THREADS=1 ./target/release/fig_resilience > "$scratch/resil_t1.txt"
-env $resil HLWK_THREADS=4 ./target/release/fig_resilience > "$scratch/resil_tn.txt"
-same_output "fig_resilience at 1 vs 4 threads" "$scratch/resil_t1.txt" "$scratch/resil_tn.txt"
-echo "resilience smoke passed (fig_resilience @ 1 thread == 4 threads, fault-free cells == plain runs)"
+# Figure conformance: every figure binary's stdout must equal its
+# committed golden at 1 thread, and at 4 threads with the bypass off and
+# armed-but-cold. A mismatch names the row's first differing line and
+# the command that regenerates its golden. Under --bench-smoke the table
+# runs once, as the BENCH_e2e.json check below.
+if [[ "${1:-}" != "--bench-smoke" ]]; then
+    HLWK_BENCH_OUT="$scratch/e2e.json" ./target/release/fig_table
+fi
 
 # Failure-domain smoke: correlated rack kills + the stochastic fault
 # storm draw from per-domain RNG streams, which must not observe worker
-# scheduling either. The binary also self-asserts the acceptance claims
+# scheduling. The binary also self-asserts the acceptance claims
 # (buddy rollback < global rollback, degraded completes where abort
 # loses, async overhead < blocking) in every mode, reduced knobs
 # included.
@@ -110,15 +75,6 @@ env $dom HLWK_THREADS=4 HLWK_BENCH_OUT="$scratch/dom_t4.json" \
     ./target/release/fig_domains > "$scratch/dom_t4.txt"
 same_output "fig_domains metrics at 1 vs 4 threads" "$scratch/dom_t1.json" "$scratch/dom_t4.json"
 echo "failure-domain smoke passed (fig_domains @ 1 thread == 4 threads, claims hold)"
-
-# Mini-app smoke: fig8's mini-app grid walks each run on the global
-# wheel, one cluster per pool cell. The cell pool size must never
-# change figure output — reduced grid, 1 vs 4 threads, diff stdout.
-fig8r="HLWK_RUNS=2 HLWK_NODES=8"
-env $fig8r HLWK_THREADS=1 ./target/release/fig8_miniapps > "$scratch/fig8_t1.txt"
-env $fig8r HLWK_THREADS=4 ./target/release/fig8_miniapps > "$scratch/fig8_t4.txt"
-same_output "fig8 at 1 vs 4 threads" "$scratch/fig8_t1.txt" "$scratch/fig8_t4.txt"
-echo "mini-app smoke passed (fig8 @ 1 thread == 4 threads)"
 
 # Elastic-tenancy smoke: SLO-driven online LWK resizing under the mixed
 # serving + gang workload, reduced knobs (40 windows, 2 nodes). The
@@ -175,14 +131,15 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     # fresh-run floors, not baseline-relative).
     HLWK_BENCH_ITERS="${HLWK_BENCH_ITERS:-2000}" \
         ./target/release/fig_offload_hotpath --check BENCH_offload.json
-    HLWK_BENCH_ITERS="${HLWK_BENCH_ITERS:-2000}" \
-        ./target/release/fig_engine --check BENCH_engine.json
+    # Figure table: goldens three ways, the 1-thread table time within
+    # 2x of BENCH_e2e.json, and the simcore::par pool's speedup floor.
+    ./target/release/fig_table --check BENCH_e2e.json
     # Real mini-app, recorded and replayed: 1024-node HPC-CG, every
     # trial reproducing the first, the makespan verified against a
-    # direct global-wheel walk, and the replay time within 2x of
+    # direct collectives walk, and the replay time within 2x of
     # BENCH_engine.json.
     timeout 300 ./target/release/fig_scale_app --check BENCH_engine.json
-    # fig_mem needs a few more iterations than the other two before the
+    # fig_mem needs a few more iterations than the hot-path bench before the
     # fault-storm metrics amortize their setup; still well under a second.
     HLWK_BENCH_ITERS="${HLWK_MEM_BENCH_ITERS:-5000}" \
         ./target/release/fig_mem --check BENCH_mem.json
