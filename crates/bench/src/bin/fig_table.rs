@@ -25,6 +25,13 @@
 //! gated at [`bench::TOLERANCE`] of the baseline (per-row times are
 //! recorded, not gated), and the pool must beat serial by 1.2x when it
 //! has more than one worker.
+//!
+//! `--full` instead runs the [`FULL`] rows once each, at the knobs
+//! EXPERIMENTS.md documents for their committed `results/<file>.txt`,
+//! on the default pool with every inherited `HLWK_*` variable cleared.
+//! A mismatch prints the first differing line and the command that
+//! regenerates the file. It writes no BENCH file and takes minutes
+//! (fig9 alone takes the longest), so CI does not run it.
 
 use bench::Clock;
 use cluster::experiment::run_seed;
@@ -60,14 +67,33 @@ const KNOBS: [(&str, &str); 4] = [
     ("HLWK_OSU_ITERS", "2"),
 ];
 
+/// `HLWK_*` variables and their values for one run.
+type Knobs = &'static [(&'static str, &'static str)];
+
 /// The three ways the table runs: extra knobs on top of [`KNOBS`].
-const WAYS: [&[(&str, &str)]; 3] = [
+const WAYS: [Knobs; 3] = [
     &[("HLWK_THREADS", "1")],
     &[("HLWK_THREADS", "4"), ("HLWK_BYPASS", "off")],
     &[("HLWK_THREADS", "4"), ("HLWK_BYPASS", "on-but-cold")],
 ];
 
 const GOLDEN_DIR: &str = "results/reduced";
+
+/// The full-knob rows: each binary, its committed `results/<file>.txt`,
+/// and the knobs EXPERIMENTS.md documents for it. `fig_resilience` and
+/// `fig_fault_recovery` have no full-knob file.
+const FULL: [(&str, &str, Knobs); 10] = [
+    ("fig5_fwq", "fig5", &[("HLWK_FWQ_SECS", "30")]),
+    ("fig6_osu_latency", "fig6", &[]),
+    ("fig7_osu_variation", "fig7", &[]),
+    ("fig8_miniapps", "fig8", &[("HLWK_RUNS", "15")]),
+    ("fig9_miniapps_insitu", "fig9", &[("HLWK_RUNS", "15")]),
+    ("fig_ablation_pagesize", "ablation_pagesize", &[]),
+    ("fig_ablation_regfix", "ablation_regfix", &[]),
+    ("fig_ablation_sched", "ablation_sched", &[]),
+    ("fig_noise_injection", "noise_injection", &[]),
+    ("fig_pt2pt", "pt2pt", &[]),
+];
 
 /// Where a row's first line differs from its golden, if anywhere.
 fn first_difference(want: &str, got: &str) -> Option<String> {
@@ -96,8 +122,8 @@ fn inherited_knobs() -> impl Iterator<Item = String> {
         .filter(|k| k.starts_with("HLWK_"))
 }
 
-/// Run one row the way `extra` says; returns its stdout and wall seconds.
-fn run_row(dir: &Path, bin: &str, extra: &[(&str, &str)]) -> (String, f64) {
+/// Run one row at `knobs` alone; returns its stdout and wall seconds.
+fn run_row(dir: &Path, bin: &str, knobs: &[(&str, &str)]) -> (String, f64) {
     let path = dir.join(bin);
     if !path.is_file() {
         eprintln!(
@@ -110,7 +136,7 @@ fn run_row(dir: &Path, bin: &str, extra: &[(&str, &str)]) -> (String, f64) {
     for k in inherited_knobs() {
         cmd.env_remove(k);
     }
-    cmd.envs(KNOBS.iter().chain(extra).copied());
+    cmd.envs(knobs.iter().copied());
     let start = Instant::now();
     let out = cmd
         .output()
@@ -125,40 +151,46 @@ fn run_row(dir: &Path, bin: &str, extra: &[(&str, &str)]) -> (String, f64) {
     (stdout, secs)
 }
 
-/// The shell command that regenerates `bin`'s golden from the 1-thread
-/// way, clearing the same inherited variables the runner clears.
-fn regenerate_command(dir: &Path, bin: &str) -> String {
+/// The shell command that regenerates `golden` from `bin` at `knobs`,
+/// clearing the same inherited variables the runner clears.
+fn regenerate_command(dir: &Path, bin: &str, knobs: &[(&str, &str)], golden: &str) -> String {
     let mut cmd = String::from("env");
     for k in inherited_knobs() {
         cmd.push_str(&format!(" -u {k}"));
     }
-    for (k, v) in KNOBS.iter().chain(WAYS[0]) {
+    for (k, v) in knobs {
         cmd.push_str(&format!(" {k}={v}"));
     }
-    format!("{cmd} {} > {GOLDEN_DIR}/{bin}.txt", dir.join(bin).display())
+    format!("{cmd} {} > {golden}", dir.join(bin).display())
+}
+
+/// `golden`'s contents, or exit naming it.
+fn read_golden(golden: &str) -> String {
+    std::fs::read_to_string(golden).unwrap_or_else(|e| {
+        eprintln!("fig_table: cannot read golden {golden}: {e} (run from the repo root)");
+        std::process::exit(2);
+    })
 }
 
 /// Run the table all three ways; returns each row's 1-thread seconds and
 /// each way's total, or exits non-zero after reporting every mismatch.
 fn run_table(dir: &Path) -> (Vec<f64>, [f64; 3]) {
+    let golden_path = |bin: &str| format!("{GOLDEN_DIR}/{bin}.txt");
     let goldens: Vec<String> = TABLE
         .iter()
-        .map(|bin| {
-            let path = format!("{GOLDEN_DIR}/{bin}.txt");
-            std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("fig_table: cannot read golden {path}: {e} (run from the repo root)");
-                std::process::exit(2);
-            })
-        })
+        .map(|bin| read_golden(&golden_path(bin)))
         .collect();
+    // Goldens come from the 1-thread way.
+    let regen_knobs: Vec<(&str, &str)> = KNOBS.iter().chain(WAYS[0]).copied().collect();
     let mut row_secs = vec![0.0; TABLE.len()];
     let mut totals = [0.0; 3];
     let mut mismatches = 0;
     for (w, extra) in WAYS.iter().enumerate() {
         let way: Vec<String> = extra.iter().map(|(k, v)| format!("{k}={v}")).collect();
         let way = way.join(" ");
+        let knobs: Vec<(&str, &str)> = KNOBS.iter().chain(*extra).copied().collect();
         for (r, bin) in TABLE.iter().enumerate() {
-            let (stdout, secs) = run_row(dir, bin, extra);
+            let (stdout, secs) = run_row(dir, bin, &knobs);
             totals[w] += secs;
             if w == 0 {
                 row_secs[r] = secs;
@@ -168,7 +200,10 @@ fn run_table(dir: &Path) -> (Vec<f64>, [f64; 3]) {
                 Some(diff) => {
                     mismatches += 1;
                     eprintln!("GOLDEN MISMATCH: {bin} ({way}) at {diff}");
-                    eprintln!("  regenerate with: {}", regenerate_command(dir, bin));
+                    eprintln!(
+                        "  regenerate with: {}",
+                        regenerate_command(dir, bin, &regen_knobs, &golden_path(bin))
+                    );
                 }
             }
         }
@@ -179,6 +214,36 @@ fn run_table(dir: &Path) -> (Vec<f64>, [f64; 3]) {
         std::process::exit(1);
     }
     (row_secs, totals)
+}
+
+/// Run the [`FULL`] rows once each against their `results/<file>.txt`,
+/// or exit non-zero after reporting every mismatch.
+fn run_full(dir: &Path) {
+    let mut mismatches = 0;
+    let mut total = 0.0;
+    for (bin, file, knobs) in FULL {
+        let golden = format!("results/{file}.txt");
+        let want = read_golden(&golden);
+        let (stdout, secs) = run_row(dir, bin, knobs);
+        total += secs;
+        match first_difference(&want, &stdout) {
+            None => println!("{bin:>24}  {secs:7.2} s  ok  ({golden})"),
+            Some(diff) => {
+                mismatches += 1;
+                eprintln!("FULL-KNOB MISMATCH: {bin} ({golden}) at {diff}");
+                eprintln!(
+                    "  regenerate with: {}",
+                    regenerate_command(dir, bin, knobs, &golden)
+                );
+            }
+        }
+    }
+    println!("{:>24}  {total:7.2} s", "full");
+    if mismatches > 0 {
+        eprintln!("fig_table --full: {mismatches} row(s) differ from results/");
+        std::process::exit(1);
+    }
+    println!("all {} full-knob rows match results/", FULL.len());
 }
 
 // ---------------------------------------------------------------------
@@ -306,6 +371,10 @@ fn check_pool_floor(base: &[(String, f64)], metrics: &[(String, f64)]) -> bool {
 fn main() {
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("binary has a directory");
+    if std::env::args().any(|a| a == "--full") {
+        run_full(dir);
+        return;
+    }
     let (row_secs, totals) = run_table(dir);
     println!("all {} rows match their goldens, three ways", TABLE.len());
 

@@ -8,13 +8,33 @@
 //! paper's Linux+cgroup+isolcpus configuration (Fig. 5d, Fig. 7, Fig. 9).
 //!
 //! Arrivals are generated per fixed *epoch* from a stream indexed by the
-//! epoch number, so window queries are deterministic and order-independent.
+//! epoch number, so window queries are deterministic. They are not
+//! order-independent: an arrival outside the queried window skips its
+//! cost draw, so the costs of the epoch's later arrivals depend on where
+//! the window cut the epoch. A window split on epoch boundaries is the
+//! union of its parts; a window split inside an epoch need not be.
 
 use crate::tick::Interruption;
-use simcore::{Cycles, StreamRng};
+use simcore::{Cycles, StreamFamily, StreamRng};
+use std::ops::Range;
 
 /// Epoch length for arrival generation.
 const EPOCH: Cycles = Cycles(28_000_000); // 10 ms at 2.8 GHz
+
+/// The epochs that overlap `[from, to)`; empty when the window is.
+pub(crate) fn epochs_in(from: Cycles, to: Cycles) -> Range<u64> {
+    if to <= from {
+        return 0..0;
+    }
+    from.raw() / EPOCH.raw()..(to.raw() - 1) / EPOCH.raw() + 1
+}
+
+/// `exp(-lambda)` for the mean arrival count `lambda` of one epoch: the
+/// bound Knuth's Poisson draw stops at.
+fn poisson_limit(rate_per_sec: f64, activity: f64) -> f64 {
+    let lambda = rate_per_sec * activity * EPOCH.as_secs_f64();
+    (-lambda).exp()
+}
 
 /// A daemon/IRQ noise source on one core.
 #[derive(Debug, Clone)]
@@ -29,91 +49,103 @@ pub struct DaemonSource {
     dur_cap: Cycles,
     /// Pareto tail index (lower = heavier tail).
     alpha: f64,
-    /// Workload-dependent multiplier (I/O heavy co-located work raises it).
-    activity: f64,
+    /// [`poisson_limit`] of the rate and the workload-dependent activity
+    /// multiplier (I/O heavy co-located work raises it).
+    limit: f64,
     /// When set, arrivals only fire inside these windows (used to tie
     /// IRQ/flush pressure to the phases of a co-located job).
     windows: Option<Vec<(u64, u64)>>,
-    rng: StreamRng,
+    /// Epoch `e`'s arrivals are drawn from `epochs.at(e)`.
+    epochs: StreamFamily,
 }
 
 impl DaemonSource {
-    /// Per-cpu kworker: frequent, short.
-    pub fn kworker(rng: StreamRng) -> Self {
+    fn new(
+        name: &'static str,
+        rate_per_sec: f64,
+        dur_floor: Cycles,
+        dur_cap: Cycles,
+        alpha: f64,
+        rng: StreamRng,
+    ) -> Self {
         DaemonSource {
-            name: "kworker",
-            rate_per_sec: 25.0,
-            dur_floor: Cycles::from_us(3),
-            dur_cap: Cycles::from_us(15),
-            alpha: 1.8,
-            activity: 1.0,
+            name,
+            rate_per_sec,
+            dur_floor,
+            dur_cap,
+            alpha,
+            limit: poisson_limit(rate_per_sec, 1.0),
             windows: None,
-            rng,
+            epochs: rng.family(name),
         }
     }
 
-    /// kswapd / page reclaim: rare, long.
-    pub fn kswapd(rng: StreamRng) -> Self {
-        DaemonSource {
-            name: "kswapd",
-            // Page reclaim barely runs on an idle node; co-located I/O
-            // raises it through the activity multiplier.
-            rate_per_sec: 0.004,
-            dur_floor: Cycles::from_us(30),
-            dur_cap: Cycles::from_us(100),
-            alpha: 1.4,
-            activity: 1.0,
-            windows: None,
+    /// Per-cpu kworker: frequent, short.
+    pub fn kworker(rng: StreamRng) -> Self {
+        Self::new(
+            "kworker",
+            25.0,
+            Cycles::from_us(3),
+            Cycles::from_us(15),
+            1.8,
             rng,
-        }
+        )
+    }
+
+    /// kswapd / page reclaim: rare, long. Page reclaim barely runs on an
+    /// idle node; co-located I/O raises it through the activity
+    /// multiplier.
+    pub fn kswapd(rng: StreamRng) -> Self {
+        Self::new(
+            "kswapd",
+            0.004,
+            Cycles::from_us(30),
+            Cycles::from_us(100),
+            1.4,
+            rng,
+        )
     }
 
     /// RCU softirq batches.
     pub fn rcu(rng: StreamRng) -> Self {
-        DaemonSource {
-            name: "rcu",
-            rate_per_sec: 8.0,
-            dur_floor: Cycles::from_us(2),
-            dur_cap: Cycles::from_us(12),
-            alpha: 2.0,
-            activity: 1.0,
-            windows: None,
+        Self::new(
+            "rcu",
+            8.0,
+            Cycles::from_us(2),
+            Cycles::from_us(12),
+            2.0,
             rng,
-        }
+        )
     }
 
     /// Soft-lockup watchdog: once a second, short.
     pub fn watchdog(rng: StreamRng) -> Self {
-        DaemonSource {
-            name: "watchdog",
-            rate_per_sec: 1.0,
-            dur_floor: Cycles::from_us(6),
-            dur_cap: Cycles::from_us(15),
-            alpha: 3.0,
-            activity: 1.0,
-            windows: None,
+        Self::new(
+            "watchdog",
+            1.0,
+            Cycles::from_us(6),
+            Cycles::from_us(15),
+            3.0,
             rng,
-        }
+        )
     }
 
     /// Ethernet IRQ + softirq work; rate follows network activity.
     pub fn eth_irq(rng: StreamRng) -> Self {
-        DaemonSource {
-            name: "eth-irq",
-            rate_per_sec: 30.0,
-            dur_floor: Cycles::from_us(2),
-            dur_cap: Cycles::from_us(20),
-            alpha: 1.9,
-            activity: 1.0,
-            windows: None,
+        Self::new(
+            "eth-irq",
+            30.0,
+            Cycles::from_us(2),
+            Cycles::from_us(20),
+            1.9,
             rng,
-        }
+        )
     }
 
     /// Scale the arrival rate (e.g. x4 when Hadoop hammers disk/network).
     pub fn with_activity(mut self, multiplier: f64) -> Self {
         assert!(multiplier >= 0.0);
-        self.activity = multiplier;
+        self.limit = poisson_limit(self.rate_per_sec, multiplier);
         self
     }
 
@@ -130,41 +162,49 @@ impl DaemonSource {
         }
     }
 
+    /// Hand `f` each arrival of `epoch` that lands in `[from, to)` and
+    /// inside the gating windows, in draw order. The source's one draw
+    /// routine. An arrival that is filtered out skips its cost draw, so
+    /// what `f` sees of an epoch depends on both ends of the window
+    /// whenever they fall inside it.
+    pub(crate) fn epoch_arrivals(
+        &self,
+        epoch: u64,
+        from: Cycles,
+        to: Cycles,
+        mut f: impl FnMut(Interruption),
+    ) {
+        let mut r = self.epochs.at(epoch);
+        // Poisson arrival count (Knuth; lambda is small per epoch).
+        let mut count = 0u64;
+        let mut p = 1.0;
+        loop {
+            p *= r.uniform();
+            if p <= self.limit {
+                break;
+            }
+            count += 1;
+        }
+        let base = epoch * EPOCH.raw();
+        for _ in 0..count {
+            let at = Cycles(base + r.range_u64(0, EPOCH.raw()));
+            if at < from || at >= to || !self.in_windows(at) {
+                continue;
+            }
+            let cost = Cycles(r.pareto(
+                self.dur_floor.raw() as f64,
+                self.alpha,
+                self.dur_cap.raw() as f64,
+            ) as u64);
+            f(Interruption { at, cost });
+        }
+    }
+
     /// Arrivals (start, busy-time) in `[from, to)`, deterministic per epoch.
     pub fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
-        if to <= from {
-            return Vec::new();
-        }
         let mut out = Vec::new();
-        let e0 = from.raw() / EPOCH.raw();
-        let e1 = (to.raw() - 1) / EPOCH.raw();
-        let lambda = self.rate_per_sec * self.activity * EPOCH.as_secs_f64();
-        for epoch in e0..=e1 {
-            let mut r = self.rng.stream(self.name, epoch);
-            // Poisson arrival count (Knuth; lambda is small per epoch).
-            let limit = (-lambda).exp();
-            let mut count = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= r.uniform();
-                if p <= limit {
-                    break;
-                }
-                count += 1;
-            }
-            let base = epoch * EPOCH.raw();
-            for _ in 0..count {
-                let at = Cycles(base + r.range_u64(0, EPOCH.raw()));
-                if at < from || at >= to || !self.in_windows(at) {
-                    continue;
-                }
-                let cost = Cycles(r.pareto(
-                    self.dur_floor.raw() as f64,
-                    self.alpha,
-                    self.dur_cap.raw() as f64,
-                ) as u64);
-                out.push(Interruption { at, cost });
-            }
+        for epoch in epochs_in(from, to) {
+            self.epoch_arrivals(epoch, from, to, |i| out.push(i));
         }
         out.sort_by_key(|i| i.at);
         out
@@ -227,6 +267,8 @@ mod tests {
     #[test]
     fn window_split_equals_whole() {
         // Query [0,1s) in one call vs. ten 100ms calls: identical events.
+        // Every cut lands on a 10 ms epoch boundary; a cut inside an
+        // epoch need not compose (see the next test).
         let d = DaemonSource::rcu(rng());
         let whole = d.interruptions_in(Cycles::ZERO, Cycles::from_secs(1));
         let mut parts = Vec::new();
@@ -234,6 +276,30 @@ mod tests {
             parts.extend(d.interruptions_in(Cycles::from_ms(k * 100), Cycles::from_ms((k + 1) * 100)));
         }
         assert_eq!(whole, parts);
+    }
+
+    #[test]
+    fn some_mid_epoch_splits_differ_from_the_whole() {
+        // An arrival outside the window skips its cost draw, so each half
+        // of a cut epoch reads the cost stream from a different place
+        // than the whole query does.
+        let d = DaemonSource::kworker(rng()).with_activity(4.0);
+        let (from, to) = (Cycles::ZERO, Cycles::from_secs(1));
+        let whole = d.interruptions_in(from, to);
+        let mut r = StreamRng::root(4);
+        let splits = 400;
+        let differ = (0..splits)
+            .filter(|_| {
+                let cut = Cycles(r.range_u64(1, to.raw()));
+                let mut parts = d.interruptions_in(from, cut);
+                parts.extend(d.interruptions_in(cut, to));
+                parts != whole
+            })
+            .count();
+        assert!(
+            differ > 0 && differ < splits,
+            "{differ} of {splits} splits differ"
+        );
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! of the paper.
 
 use crate::cfs::CfsParams;
-use crate::daemons::DaemonSource;
+use crate::daemons::{self, DaemonSource};
 use crate::occupancy::CoreOccupancy;
 use crate::tick::{Interruption, TickSource};
 use hwmodel::cpu::CoreId;
-use simcore::{Cycles, StreamRng};
+use simcore::{Cycles, StreamFamily, StreamRng};
 
 /// Work shorter than this runs inside the task's own timeslice: a spinning
 /// MPI process or FWQ probe is not continuously descheduled — it only pays
@@ -45,7 +45,9 @@ pub struct LinuxCoreRuntime {
     tick: Option<TickSource>,
     daemons: Vec<DaemonSource>,
     params: CfsParams,
-    rng: StreamRng,
+    /// The short-quantum slice-expiry draw at `start` reads
+    /// `slices.at(start)`.
+    slices: StreamFamily,
 }
 
 impl LinuxCoreRuntime {
@@ -58,7 +60,9 @@ impl LinuxCoreRuntime {
             tick,
             daemons,
             params: CfsParams::default(),
-            rng: StreamRng::root(0x10e).stream("core", u64::from(core.0)),
+            slices: StreamRng::root(0x10e)
+                .stream("core", u64::from(core.0))
+                .family("slice"),
         }
     }
 
@@ -74,7 +78,7 @@ impl LinuxCoreRuntime {
             tick,
             daemons,
             params: CfsParams::default(),
-            rng,
+            slices: rng.family("slice"),
         }
     }
 
@@ -89,17 +93,6 @@ impl LinuxCoreRuntime {
         self.daemons.push(d);
     }
 
-    fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
-        let mut all: Vec<Interruption> = Vec::new();
-        if let Some(t) = &self.tick {
-            all.extend(t.interruptions_in(from, to));
-        }
-        for d in &self.daemons {
-            all.extend(d.interruptions_in(from, to));
-        }
-        all
-    }
-
     /// Run `work` cycles starting at `start`, against the competing load in
     /// `occ`. See module docs.
     pub fn execute(&self, start: Cycles, work: Cycles, occ: &CoreOccupancy) -> ExecOutcome {
@@ -111,7 +104,7 @@ impl LinuxCoreRuntime {
             let mut contention = Cycles::ZERO;
             if n > 0 {
                 let slice = self.params.timeslice(n + 1);
-                let mut r = self.rng.stream("slice", start.raw());
+                let mut r = self.slices.at(start.raw());
                 let p_hit = work.raw() as f64 / slice.raw() as f64;
                 if r.chance(p_hit.min(1.0)) {
                     let mean = Cycles::from_us(6).raw() as f64 * f64::from(n.min(4));
@@ -184,23 +177,103 @@ impl LinuxCoreRuntime {
     /// Tick + daemon interruptions over the occupied window, extended to
     /// fixpoint (interruptions during makeup time can themselves be
     /// interrupted). Returns (stolen, count, max single).
+    ///
+    /// Each pass tallies the window `[start, busy_end + stolen)`, and the
+    /// fixpoint stops after eight passes or when a pass steals what the
+    /// previous one did. Every tick and every whole daemon epoch is drawn
+    /// once per call and folded into prefix tallies, so a pass reads
+    /// them at its window's end and redraws only the daemon epoch that
+    /// holds that end. That epoch's draws depend on where the window cuts
+    /// it (see [`crate::daemons`]), and stolen time can shrink between
+    /// passes, so the window moves either way.
     fn noise_over(&self, start: Cycles, busy_end: Cycles) -> (Cycles, u32, Cycles) {
-        let mut stolen = Cycles::ZERO;
+        let mut folds = Folds::default();
+        let mut tally = Tally::default();
         let mut window_end = busy_end;
-        let (mut count, mut max_one) = (0u32, Cycles::ZERO);
         for _ in 0..8 {
-            let ints = self.interruptions_in(start, window_end);
-            let new_stolen: Cycles = ints.iter().map(|i| i.cost).sum();
-            count = ints.len() as u32;
-            max_one = ints.iter().map(|i| i.cost).max().unwrap_or(Cycles::ZERO);
-            if new_stolen == stolen {
+            let prev = tally.stolen;
+            tally = self.window_tally(start, window_end, &mut folds);
+            if tally.stolen == prev {
                 break;
             }
-            stolen = new_stolen;
-            window_end = busy_end + stolen;
+            window_end = busy_end + tally.stolen;
         }
-        (stolen, count, max_one)
+        (tally.stolen, tally.count, tally.max)
     }
+
+    /// The interruptions in `[start, to)`, from the prefix tallies in
+    /// `folds` (extended as needed) and a fresh draw of the end epoch.
+    fn window_tally(&self, start: Cycles, to: Cycles, folds: &mut Folds) -> Tally {
+        let mut total = Tally::default();
+        if let Some(tick) = &self.tick {
+            let ks = tick.ticks_in(start, to);
+            total = prefix(&mut folds.ticks, ks.end - ks.start, |j, t| {
+                t.add(tick.tick(ks.start + j));
+            });
+        }
+        let es = daemons::epochs_in(start, to);
+        if self.daemons.is_empty() || es.is_empty() {
+            return total;
+        }
+        let last = es.end - 1;
+        // Every epoch before the last ends inside the window, so only
+        // `start` clips it.
+        total = total.plus(prefix(&mut folds.epochs, last - es.start, |j, t| {
+            for d in &self.daemons {
+                d.epoch_arrivals(es.start + j, start, Cycles::MAX, |i| t.add(i));
+            }
+        }));
+        for d in &self.daemons {
+            d.epoch_arrivals(last, start, to, |i| total.add(i));
+        }
+        total
+    }
+}
+
+/// Count, total and largest cost of a set of interruptions.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    stolen: Cycles,
+    count: u32,
+    max: Cycles,
+}
+
+impl Tally {
+    fn add(&mut self, i: Interruption) {
+        self.stolen += i.cost;
+        self.count += 1;
+        self.max = self.max.max(i.cost);
+    }
+
+    fn plus(self, other: Tally) -> Tally {
+        Tally {
+            stolen: self.stolen + other.stolen,
+            count: self.count + other.count,
+            max: self.max.max(other.max),
+        }
+    }
+}
+
+/// One [`LinuxCoreRuntime::noise_over`] call's prefix tallies, indexed
+/// from its window start: `ticks[j]` covers the window's first `j + 1`
+/// ticks, and `epochs[j]` every daemon's first `j + 1` whole epochs.
+#[derive(Default)]
+struct Folds {
+    ticks: Vec<Tally>,
+    epochs: Vec<Tally>,
+}
+
+/// The tally of `folded`'s first `n` groups. Groups not yet folded are
+/// folded first: `fold(j, t)` adds group `j` to `t`, the tally of groups
+/// `0..j`.
+fn prefix(folded: &mut Vec<Tally>, n: u64, mut fold: impl FnMut(u64, &mut Tally)) -> Tally {
+    let n = n as usize;
+    while folded.len() < n {
+        let mut t = folded.last().copied().unwrap_or_default();
+        fold(folded.len() as u64, &mut t);
+        folded.push(t);
+    }
+    n.checked_sub(1).map_or(Tally::default(), |i| folded[i])
 }
 
 /// A noiseless runtime for comparison — what an LWK core does: no tick,
@@ -219,6 +292,104 @@ pub fn noiseless_execute(start: Cycles, work: Cycles) -> ExecOutcome {
 mod tests {
     use super::*;
     use simcore::StreamRng;
+
+    impl LinuxCoreRuntime {
+        /// Every tick and daemon interruption in `[from, to)`, queried
+        /// afresh.
+        fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
+            let mut all: Vec<Interruption> = Vec::new();
+            if let Some(t) = &self.tick {
+                all.extend(t.interruptions_in(from, to));
+            }
+            for d in &self.daemons {
+                all.extend(d.interruptions_in(from, to));
+            }
+            all
+        }
+
+        /// The reference for [`LinuxCoreRuntime::noise_over`]: the same
+        /// fixpoint, with every pass re-querying its whole window. Also
+        /// says whether stolen time shrank from one pass to the next.
+        fn noise_over_requery(
+            &self,
+            start: Cycles,
+            busy_end: Cycles,
+        ) -> ((Cycles, u32, Cycles), bool) {
+            let mut stolen = Cycles::ZERO;
+            let mut window_end = busy_end;
+            let (mut count, mut max_one) = (0u32, Cycles::ZERO);
+            let mut shrank = false;
+            for _ in 0..8 {
+                let ints = self.interruptions_in(start, window_end);
+                let new_stolen: Cycles = ints.iter().map(|i| i.cost).sum();
+                count = ints.len() as u32;
+                max_one = ints.iter().map(|i| i.cost).max().unwrap_or(Cycles::ZERO);
+                if new_stolen == stolen {
+                    break;
+                }
+                shrank |= new_stolen < stolen;
+                stolen = new_stolen;
+                window_end = busy_end + stolen;
+            }
+            ((stolen, count, max_one), shrank)
+        }
+    }
+
+    #[test]
+    fn fold_matches_the_requery_reference_in_lock_step() {
+        let mut r = StreamRng::root(0x10c5);
+        let (mut windows, mut multi, mut shrank) = (0, 0, 0);
+        for activity in [1.0, 4.0, 40.0, 400.0] {
+            // Shape 0: tick and the standard daemons; 1: tickless; 2: the
+            // standard core plus phase-gated IRQs.
+            for shape in 0..3 {
+                let core_rng = r.stream("core", windows);
+                let daemons = DaemonSource::standard_set(&core_rng)
+                    .into_iter()
+                    .map(|d| d.with_activity(activity));
+                let tick = (shape != 1).then(|| TickSource::hz1000(core_rng.stream("tick", 0)));
+                let mut rt = LinuxCoreRuntime::new(CoreId(0), tick, daemons.collect());
+                if shape == 2 {
+                    // Phase-gated IRQ pressure, as a co-located job adds.
+                    let phases: Vec<(Cycles, Cycles)> = (0..40)
+                        .map(|k| (Cycles::from_ms(25 * k), Cycles::from_ms(25 * k + 9)))
+                        .collect();
+                    rt.push_daemon(
+                        DaemonSource::eth_irq(core_rng.stream("eth", 0))
+                            .with_activity(5.0 * activity)
+                            .with_windows(phases),
+                    );
+                }
+                let n = if activity >= 400.0 { 200 } else { 400 };
+                for w in 0..n {
+                    let start = match w % 4 {
+                        0 => Cycles::ZERO,
+                        _ => Cycles(r.range_u64(0, Cycles::from_secs(1).raw())),
+                    };
+                    let work = match w % 5 {
+                        0 => Cycles::ZERO,
+                        1 => Cycles(r.range_u64(1, 4_000)),
+                        2 => Cycles(r.range_u64(1, Cycles::from_ms(3).raw())),
+                        _ => Cycles(r.range_u64(1, Cycles::from_ms(40).raw())),
+                    };
+                    let (want, shrinks) = rt.noise_over_requery(start, start + work);
+                    assert_eq!(
+                        rt.noise_over(start, start + work),
+                        want,
+                        "activity {activity} shape {shape} start {start:?} work {work:?}"
+                    );
+                    windows += 1;
+                    multi += u64::from(want.1 > 1);
+                    shrank += u64::from(shrinks);
+                }
+            }
+        }
+        assert!(
+            multi > windows / 4,
+            "{multi} of {windows} windows saw several interruptions"
+        );
+        assert!(shrank > 0, "no window's stolen time shrank between passes");
+    }
 
     fn busy_runtime() -> LinuxCoreRuntime {
         let rng = StreamRng::root(11).stream("core", 0);

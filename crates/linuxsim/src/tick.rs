@@ -7,13 +7,15 @@
 //! are skipped (NO_HZ), and McKernel cores never tick at all — McKernel is
 //! tick-less by construction, so it simply has no [`TickSource`].
 
-use simcore::{Cycles, StreamRng};
+use simcore::{Cycles, StreamFamily, StreamRng};
+use std::ops::Range;
 
 /// Deterministic per-core tick event source.
 ///
 /// Tick instants are the fixed grid `k * period`; the *cost* of tick `k`
 /// is drawn from a stream indexed by `k`, so queries are reproducible and
-/// order-independent across windows.
+/// order-independent across windows: a window's ticks are the union of
+/// its parts' at any split.
 #[derive(Debug, Clone)]
 pub struct TickSource {
     period: Cycles,
@@ -22,7 +24,8 @@ pub struct TickSource {
     /// 1-in-N ticks run extended work (RCU callbacks, timer cascades).
     heavy_one_in: u64,
     heavy_extra: Cycles,
-    rng: StreamRng,
+    /// Tick `k`'s cost is drawn from `costs.at(k)`.
+    costs: StreamFamily,
 }
 
 /// One interruption: starts at `at`, steals `cost` from the running task.
@@ -44,7 +47,7 @@ impl TickSource {
             jitter_cost: Cycles::from_us(3),
             heavy_one_in: 64,
             heavy_extra: Cycles::from_us(14),
-            rng,
+            costs: rng.family("tick-cost"),
         }
     }
 
@@ -53,33 +56,34 @@ impl TickSource {
         self.period
     }
 
-    /// Cost of tick number `k` (deterministic in `k`).
-    fn cost_of(&self, k: u64) -> Cycles {
-        let mut r = self.rng.stream("tick-cost", k);
+    /// The indices of the ticks in `[from, to)`; empty when the window is.
+    pub(crate) fn ticks_in(&self, from: Cycles, to: Cycles) -> Range<u64> {
+        if to <= from {
+            return 0..0;
+        }
+        let p = self.period.raw();
+        from.raw().div_ceil(p)..(to.raw() - 1) / p + 1
+    }
+
+    /// Tick number `k`, its cost deterministic in `k`. The source's one
+    /// draw routine.
+    pub(crate) fn tick(&self, k: u64) -> Interruption {
+        let mut r = self.costs.at(k);
         let mut cost = self.base_cost + self.jitter_cost.scale(r.uniform());
         if self.heavy_one_in > 0 && r.range_u64(0, self.heavy_one_in) == 0 {
             cost += self.heavy_extra.scale(0.3 + 0.7 * r.uniform());
         }
-        cost
+        Interruption {
+            at: self.period * k,
+            cost,
+        }
     }
 
     /// All tick interruptions in `[from, to)`. The core is busy throughout
     /// (the caller only asks about windows where the app occupies the core;
     /// NO_HZ means idle windows generate nothing).
     pub fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
-        if to <= from {
-            return Vec::new();
-        }
-        let p = self.period.raw();
-        let first = from.raw().div_ceil(p);
-        let last = (to.raw() - 1) / p;
-        (first..=last)
-            .filter(|&k| k > 0 || from == Cycles::ZERO)
-            .map(|k| Interruption {
-                at: Cycles(k * p),
-                cost: self.cost_of(k),
-            })
-            .collect()
+        self.ticks_in(from, to).map(|k| self.tick(k)).collect()
     }
 }
 
@@ -95,7 +99,7 @@ mod tests {
     fn ticks_land_on_the_millisecond_grid() {
         let s = src();
         let ints = s.interruptions_in(Cycles::ZERO, Cycles::from_ms(5));
-        assert_eq!(ints.len(), 5); // k = 0..4? k=0 only when from==0
+        assert_eq!(ints.len(), 5); // k = 0..=4
         for (i, int) in ints.iter().enumerate() {
             assert_eq!(int.at.raw() % Cycles::from_ms(1).raw(), 0, "tick {i}");
         }

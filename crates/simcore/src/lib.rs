@@ -38,7 +38,7 @@ pub use fault::{
     FaultConfig, FaultEvent, FaultKind, FaultPlan, LinkFaultConfig, LinkFaultPlan, MsgFault,
 };
 pub use hist::LogHistogram;
-pub use rng::StreamRng;
+pub use rng::{StreamFamily, StreamRng};
 pub use stats::{RunningStats, Summary};
 pub use time::Cycles;
 pub use trace::Trace;
