@@ -5,9 +5,9 @@
 //! pool submission (whole-figure parallelism).
 
 use bench::{header, node_sweep, runs};
-use cluster::experiment::{run_seed, RunStats};
+use cluster::experiment::run_seed;
 use cluster::{Cluster, OsVariant};
-use simcore::{par, Cycles};
+use simcore::{par, Cycles, Summary};
 use workloads::miniapps::MiniApp;
 
 fn min_nodes(app: &MiniApp) -> u32 {
@@ -61,16 +61,16 @@ fn main() {
             "nodes", "Linux+cgroup", "McKernel", "mck gain"
         );
         for nodes in node_sweep(min_nodes(app)) {
-            let lin = RunStats::new(values[cursor..cursor + n_runs].to_vec());
-            let mck = RunStats::new(values[cursor + n_runs..cursor + 2 * n_runs].to_vec());
+            let lin = Summary::from_samples(&values[cursor..cursor + n_runs]);
+            let mck = Summary::from_samples(&values[cursor + n_runs..cursor + 2 * n_runs]);
             cursor += 2 * n_runs;
-            let gain = (lin.mean() / mck.mean() - 1.0) * 100.0;
+            let gain = (lin.mean / mck.mean - 1.0) * 100.0;
             println!(
                 "{:>6} {:>14.2}s ({:>4.1}%) {:>14.2}s ({:>4.1}%) {:>9.1}%",
                 nodes,
-                lin.mean(),
+                lin.mean,
                 lin.max_variation_pct(),
-                mck.mean(),
+                mck.mean,
                 mck.max_variation_pct(),
                 gain
             );

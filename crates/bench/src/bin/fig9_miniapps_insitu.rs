@@ -5,9 +5,9 @@
 //! pool submission (whole-figure parallelism).
 
 use bench::{header, node_sweep, runs};
-use cluster::experiment::{run_seed, RunStats};
+use cluster::experiment::run_seed;
 use cluster::{Cluster, OsVariant};
-use simcore::{par, Cycles};
+use simcore::{par, Cycles, Summary};
 use workloads::miniapps::MiniApp;
 
 fn min_nodes(app: &MiniApp) -> u32 {
@@ -60,20 +60,20 @@ fn main() {
         for nodes in node_sweep(min_nodes(app)) {
             let mut cells_stats = Vec::new();
             for (vi, _os) in OsVariant::all().into_iter().enumerate() {
-                let stats = RunStats::new(values[cursor..cursor + n_runs].to_vec());
+                let stats = Summary::from_samples(&values[cursor..cursor + n_runs]);
                 cursor += n_runs;
                 worst[vi] = worst[vi].max(stats.max_variation_pct());
-                worst_ratio[vi] = worst_ratio[vi].max(stats.summary.worst_slowdown());
+                worst_ratio[vi] = worst_ratio[vi].max(stats.worst_slowdown());
                 cells_stats.push(stats);
             }
             println!(
                 "{:>6} {:>14.2}s ({:>4.1}%) {:>16.2}s ({:>4.1}%) {:>12.2}s ({:>4.1}%)",
                 nodes,
-                cells_stats[0].mean(),
+                cells_stats[0].mean,
                 cells_stats[0].max_variation_pct(),
-                cells_stats[1].mean(),
+                cells_stats[1].mean,
                 cells_stats[1].max_variation_pct(),
-                cells_stats[2].mean(),
+                cells_stats[2].mean,
                 cells_stats[2].max_variation_pct(),
             );
         }

@@ -19,7 +19,6 @@
 //! * `--check <path>`   — compare a fresh run against a committed
 //!   baseline instead of writing one; exits non-zero past tolerance.
 
-use bench::Clock;
 use hlwk_core::costs::CostModel;
 use hlwk_core::mck::mem::phys::{BuddyAllocator, FrameAllocator, MAX_ORDER, ORDER_2M};
 use hlwk_core::mck::mem::vm::VmaKind;
@@ -216,7 +215,7 @@ fn main() {
             .filter(|(k, _)| k.ends_with("_ns"))
             .copied()
             .collect();
-        failed |= bench::check(Clock::Host, &bench::read(&path), &gated);
+        failed |= bench::check(&bench::read(&path), &gated);
         if failed {
             std::process::exit(1);
         }
@@ -231,5 +230,5 @@ fn main() {
         std::process::exit(1);
     }
     let out = bench::bench_out("BENCH_mem.json");
-    bench::write(&out, "fig_mem", Clock::Host, &metrics);
+    bench::write(&out, "fig_mem", &metrics);
 }

@@ -23,7 +23,6 @@
 //!   baseline instead of writing one; exits non-zero past 2x or when a
 //!   fresh run misses either bypass floor.
 
-use bench::Clock;
 use cluster::{node::NodeRuntime, OsVariant};
 use hlwk_core::abi::Sysno;
 use hlwk_core::costs::CostModel;
@@ -499,7 +498,7 @@ fn main() {
 
     let Some(path) = bench::check_arg() else {
         let out = bench::bench_out("BENCH_offload.json");
-        bench::write(&out, "fig_offload_hotpath", Clock::Host, &metrics);
+        bench::write(&out, "fig_offload_hotpath", &metrics);
         return;
     };
     let gated: Vec<_> = metrics
@@ -507,7 +506,7 @@ fn main() {
         .filter(|(k, _)| *k != "bench_iters")
         .copied()
         .collect();
-    let mut failed = bench::check(Clock::Host, &bench::read(&path), &gated);
+    let mut failed = bench::check(&bench::read(&path), &gated);
     // Both bypass floors bind the FRESH interleaved runs, not the
     // committed baseline: paying its domain-switch pair, the promoted
     // read must beat the offload round trip (measured as a pair) and the

@@ -14,7 +14,7 @@
 //! until a fault actually fires. Every faulty cell arms a fail-stop
 //! crash of node 1 halfway through the job.
 
-use bench::{header, max_nodes, resil_iters, seed_base};
+use bench::{header, max_nodes, seed_base};
 use cluster::experiment::run_seed;
 use cluster::{run_resilient, Cluster, OsVariant, RecoveryCosts, RecoveryPolicy, RecoveryReport};
 use netsim::reliable::CrashTrigger;
@@ -24,6 +24,8 @@ use workloads::miniapps::MiniApp;
 
 /// Per-packet loss rates swept (0 = the fault-free equivalence gate).
 const LOSS_RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
+/// HPC-CG iterations per job.
+const ITERS: u32 = 12;
 
 struct Row {
     /// `Ok`: the job completed (possibly shrunk). `Err`: aborted, with
@@ -37,7 +39,7 @@ struct Row {
 
 fn app() -> MiniApp {
     MiniApp {
-        iterations: resil_iters(),
+        iterations: ITERS,
         ..MiniApp::hpccg()
     }
 }
@@ -58,7 +60,7 @@ fn run_cell(os: OsVariant, policy: RecoveryPolicy, rate: f64, seed: u64) -> Row 
     }
     let mut c = Cluster::build(cfg);
     let res = run_resilient(&mut c, &app, policy, &RecoveryCosts::default(), start);
-    let (messages, _bytes) = c.fabric.take_stats();
+    let (messages, _bytes) = c.fabric.stats();
     let rel = c.fabric.reliable_stats();
     let outcome = match res {
         Ok(rep) => {
@@ -91,10 +93,9 @@ fn run_cell(os: OsVariant, policy: RecoveryPolicy, rate: f64, seed: u64) -> Row 
 }
 
 fn main() {
-    let iters = resil_iters();
     let nodes = max_nodes().min(16);
     header(&format!(
-        "Resilience — HPC-CG x{iters} on {nodes} nodes; node 1 fail-stops mid-run in every lossy cell"
+        "Resilience — HPC-CG x{ITERS} on {nodes} nodes; node 1 fail-stops mid-run in every lossy cell"
     ));
     let oses = [OsVariant::LinuxCgroup, OsVariant::McKernel];
     let policies = [

@@ -25,7 +25,6 @@
 //! * `--check <path>` — the 1024-node point, walk-verified, with
 //!   `app_scale_1024_replay_ms` gated at 2x of the baseline in `<path>`.
 
-use bench::Clock;
 use mpisim::collectives::{Ctx, Recorder};
 use mpisim::host::IdealHost;
 use mpisim::record::{decode, resolve};
@@ -200,7 +199,7 @@ fn main() {
         // The replay may take up to bench::TOLERANCE of the committed
         // baseline, the shared host-clock tolerance.
         let fresh = [("app_scale_1024_replay_ms", p.replay_ms)];
-        if bench::check(Clock::Host, &base, &fresh) {
+        if bench::check(&base, &fresh) {
             std::process::exit(1);
         }
         println!("app scale check passed (tolerance {}x)", bench::TOLERANCE);
@@ -239,5 +238,5 @@ fn main() {
         .collect();
     metrics.push(("app_scale_nproc".into(), nproc as f64));
     let out = bench::bench_out("BENCH_engine.json");
-    bench::write(&out, "fig_scale_app", Clock::Host, &metrics);
+    bench::write(&out, "fig_scale_app", &metrics);
 }

@@ -1,7 +1,10 @@
 //! Figure conformance: every figure binary against its committed golden,
 //! plus the end-to-end host-time baseline.
 //!
-//! [`TABLE`] lists the figure binaries. Each row runs at the reduced
+//! [`TABLE`] lists the binaries that print simulated output: the paper's
+//! figures, the ablations and the resilience, failure-domain and
+//! tenancy sweeps. A unit test holds every other binary in
+//! `src/bin/` to a named host-time list. Each row runs at the reduced
 //! knobs in [`KNOBS`], with every inherited `HLWK_*` variable cleared,
 //! and its stdout must equal `results/reduced/<bin>.txt` byte for byte.
 //! The table runs three ways, each compared with the same golden:
@@ -33,7 +36,6 @@
 //! regenerates the file. It writes no BENCH file and takes minutes
 //! (fig9 alone takes the longest), so CI does not run it.
 
-use bench::Clock;
 use cluster::experiment::run_seed;
 use cluster::{Cluster, OsVariant};
 use simcore::{par, Cycles};
@@ -43,7 +45,7 @@ use std::time::Instant;
 use workloads::osu::{Collective, OsuConfig};
 
 /// The figure binaries, each with a golden `results/reduced/<bin>.txt`.
-const TABLE: [&str; 12] = [
+const TABLE: [&str; 14] = [
     "fig5_fwq",
     "fig6_osu_latency",
     "fig7_osu_variation",
@@ -56,6 +58,8 @@ const TABLE: [&str; 12] = [
     "fig_pt2pt",
     "fig_resilience",
     "fig_fault_recovery",
+    "fig_domains",
+    "fig_serve",
 ];
 
 /// The reduced knobs every row runs at. fig9 needs 8 nodes: at 4 it
@@ -394,14 +398,57 @@ fn main() {
 
     let Some(path) = bench::check_arg() else {
         let out = bench::bench_out("BENCH_e2e.json");
-        bench::write(&out, "fig_table", Clock::Host, &metrics);
+        bench::write(&out, "fig_table", &metrics);
         return;
     };
     let base = bench::read(&path);
-    let mut failed = bench::check(Clock::Host, &base, &[("table_t1_s", totals[0])]);
+    let mut failed = bench::check(&base, &[("table_t1_s", totals[0])]);
     failed |= check_pool_floor(&base, &metrics);
     if failed {
         std::process::exit(1);
     }
     println!("perf check passed (tolerance {}x)", bench::TOLERANCE);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The binaries that print host wall-clock time, which no golden can
+    /// hold.
+    const HOST_TIME: [&str; 5] = [
+        "fig_offload_hotpath",
+        "fig_mem",
+        "fig_scale_app",
+        "prof_collectives",
+        "fig_table",
+    ];
+
+    #[test]
+    fn every_binary_is_a_table_row_or_host_time() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let bins: Vec<String> = std::fs::read_dir(root.join("src/bin"))
+            .expect("list src/bin")
+            .map(|e| e.expect("src/bin entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| p.file_stem().expect("file name").to_string_lossy().into_owned())
+            .collect();
+        let golden = |bin: &str| root.join("../..").join(GOLDEN_DIR).join(format!("{bin}.txt"));
+        let mut stray: Vec<&str> = bins
+            .iter()
+            .map(String::as_str)
+            .filter(|bin| {
+                let row = TABLE.contains(bin) && golden(bin).is_file();
+                row == HOST_TIME.contains(bin)
+            })
+            .collect();
+        stray.sort_unstable();
+        assert!(
+            stray.is_empty(),
+            "each binary must be a TABLE row with a golden or on the host-time list, not both: {stray:?}"
+        );
+        for bin in TABLE.iter().chain(&HOST_TIME) {
+            assert!(bins.iter().any(|b| b == bin), "{bin} has no source in src/bin");
+        }
+    }
 }

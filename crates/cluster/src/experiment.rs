@@ -1,4 +1,4 @@
-//! Repetition running and statistics.
+//! Repetition seeds.
 //!
 //! The paper runs every measurement 15 times and reports average plus
 //! variation. Repetitions are independent simulations with derived seeds,
@@ -6,49 +6,8 @@
 //! repetition owns its whole cluster, so there is no shared mutable
 //! state and the runs are embarrassingly parallel). Figure binaries
 //! flatten their *entire* task grid (collective × OS × run, …) into one
-//! pool submission via [`simcore::par::parallel_map`]; this wrapper is
-//! the single-dimension convenience used by tests and callers that only
-//! sweep repetitions.
-
-use simcore::Summary;
-
-/// Number of repetitions the paper uses.
-pub const PAPER_RUNS: usize = 15;
-
-/// Run `n` independent repetitions of `f(run_index)` on the shared task
-/// pool and collect results in index order. `f` receives the repetition
-/// index and must derive its seed from it for determinism; the output is
-/// identical at any `HLWK_THREADS` setting.
-pub fn parallel_runs<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
-    simcore::par::parallel_map(n, f)
-}
-
-/// Statistics over repeated scalar measurements (one per run).
-#[derive(Clone, Debug)]
-pub struct RunStats {
-    /// Raw per-run values.
-    pub values: Vec<f64>,
-    /// Summary statistics.
-    pub summary: Summary,
-}
-
-impl RunStats {
-    /// Summarize per-run values.
-    pub fn new(values: Vec<f64>) -> RunStats {
-        let summary = Summary::from_samples(&values);
-        RunStats { values, summary }
-    }
-
-    /// Mean.
-    pub fn mean(&self) -> f64 {
-        self.summary.mean
-    }
-
-    /// The paper's variation metric, percent.
-    pub fn max_variation_pct(&self) -> f64 {
-        self.summary.max_variation_pct()
-    }
-}
+//! pool submission via [`simcore::par::parallel_map`] and summarize each
+//! cell's runs with [`simcore::Summary::from_samples`].
 
 /// Derive a per-run seed from a base seed (keeps runs decorrelated while
 /// reproducible).
@@ -59,27 +18,6 @@ pub fn run_seed(base: u64, run: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_runs_preserve_order() {
-        let out = parallel_runs(32, |i| i * 2);
-        assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let f = |i: usize| (i as f64).sqrt() * 3.0;
-        let par = parallel_runs(10, f);
-        let ser: Vec<f64> = (0..10).map(f).collect();
-        assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn run_stats_metrics() {
-        let s = RunStats::new(vec![10.0, 11.0, 12.0]);
-        assert!((s.mean() - 11.0).abs() < 1e-12);
-        assert!((s.max_variation_pct() - 2.0 / 11.0 * 100.0).abs() < 1e-9);
-    }
 
     #[test]
     fn run_seeds_distinct() {

@@ -33,7 +33,6 @@ pub mod sim;
 pub mod tenancy;
 
 pub use config::{ClusterConfig, NodeCrash, OsVariant};
-pub use experiment::{parallel_runs, RunStats};
 pub use node::NodeError;
 pub use recovery::{
     run_resilient, BuddyPlacement, HierarchicalCkpt, RecoveryCosts, RecoveryPolicy, RecoveryReport,

@@ -1504,12 +1504,12 @@ mod tests {
     #[test]
     fn local_syscalls_stay_on_the_lwk() {
         let mut n = build(OsVariant::McKernel, false);
-        let before = n.mck.as_ref().unwrap().trace.get("mck.syscall.local");
+        let before = n.mck.as_ref().unwrap().syscalls_local;
         let (ret, _) = n.offload_syscall(Sysno::Getpid, [0; 6], Cycles::from_ms(1));
         assert_eq!(ret, n.app_pid.0 as i64);
-        let after = n.mck.as_ref().unwrap().trace.get("mck.syscall.local");
+        let after = n.mck.as_ref().unwrap().syscalls_local;
         assert_eq!(after, before + 1);
-        assert_eq!(n.linux.trace.get("linux.offload.serviced"), 1, "only the open()");
+        assert_eq!(n.linux.offloads_serviced, 1, "only the open()");
     }
 
     #[test]
@@ -1653,8 +1653,7 @@ mod tests {
         let promoted = fast.bypass_promoted;
         assert!(promoted >= 4, "promoted {promoted} calls");
         assert!(
-            fast.linux.trace.get("linux.offload.serviced")
-                < base.linux.trace.get("linux.offload.serviced"),
+            fast.linux.offloads_serviced < base.linux.offloads_serviced,
             "promotion must shed offloads"
         );
         // And it is dramatically cheaper in modeled time too.
@@ -1689,11 +1688,11 @@ mod tests {
         let (c1, t) = n.offload_syscall(Sysno::ClockGettime, [0, 0, 0, 0, 0, 0], t);
         assert_eq!(c1, 0, "unpublished clock reads 0 via offload");
         n.publish_time(987_654_321);
-        let serviced_before = n.linux.trace.get("linux.offload.serviced");
+        let serviced_before = n.linux.offloads_serviced;
         let (c2, _) = n.offload_syscall(Sysno::ClockGettime, [0, 0, 0, 0, 0, 0], t);
         assert_eq!(c2, 987_654_321);
         assert_eq!(
-            n.linux.trace.get("linux.offload.serviced"),
+            n.linux.offloads_serviced,
             serviced_before,
             "published clock never leaves the LWK"
         );
@@ -1707,13 +1706,13 @@ mod tests {
         let fd = n.uverbs_fd as u64;
         let buf = n.arena_va.raw();
         let mut t = Cycles::from_ms(1);
-        let before = n.linux.trace.get("linux.offload.serviced");
+        let before = n.linux.offloads_serviced;
         for _ in 0..5 {
             let (_, t2) = n.offload_syscall(Sysno::Write, [fd, buf, 64, 0, 0, 0], t);
             t = t2;
         }
         assert_eq!(
-            n.linux.trace.get("linux.offload.serviced"),
+            n.linux.offloads_serviced,
             before + 5,
             "device-fd writes must all reach Linux"
         );

@@ -215,7 +215,7 @@ fn run_sequence(ops: &[RawOp], bypass: Option<(u64, bool)>, kill_after: Option<u
         done: t,
         promoted: n.bypass_promoted,
         fallbacks: n.bypass_fallbacks,
-        serviced: n.linux.trace.get("linux.offload.serviced"),
+        serviced: n.linux.offloads_serviced,
     }
 }
 

@@ -171,11 +171,6 @@ impl IhkManager {
             Ok(())
         }
     }
-
-    /// Whether a core carries the live-offload busy mark.
-    pub fn is_core_busy(&self, core: CoreId) -> bool {
-        self.cpus.is_busy(core)
-    }
 }
 
 /// Liveness tracking for one proxy process via heartbeat `Control`

@@ -490,8 +490,7 @@ pub const PCP_LARGE_BATCH: usize = 2;
 /// High watermark for the 2 MiB cache.
 pub const PCP_LARGE_HIGH: usize = 4;
 
-/// Allocator-side mechanism counters (mirrored into `simcore::trace` by
-/// the kernel via [`FrameAllocator::publish_stats`]).
+/// Allocator-side mechanism counters, cumulative since boot.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemStats {
     /// Order-0 / 2 MiB allocations served straight from a PCP list.
@@ -534,9 +533,6 @@ pub struct FrameAllocator {
     cached_bytes: u64,
     /// Mechanism counters.
     pub stats: MemStats,
-    /// Snapshot of `stats` at the last `publish_stats` call (published
-    /// as deltas so counters in `Trace` accumulate correctly).
-    published: MemStats,
 }
 
 impl FrameAllocator {
@@ -577,18 +573,12 @@ impl FrameAllocator {
             pcp,
             cached_bytes: 0,
             stats: MemStats::default(),
-            published: MemStats::default(),
         }
     }
 
     /// Number of CPUs with a cache.
     pub fn ncpus(&self) -> usize {
         self.pcp.len()
-    }
-
-    /// Number of NUMA arenas.
-    pub fn arena_count(&self) -> usize {
-        self.arenas.len()
     }
 
     /// First arena's base (the partition base in the single-domain case).
@@ -855,19 +845,6 @@ impl FrameAllocator {
                 b.free(pa).expect("uncached block frees");
             }
         }
-    }
-
-    /// Mirror counter deltas since the last publish into `trace` under
-    /// `mck.pcp.*` / `mck.alloc.*`.
-    pub fn publish_stats(&mut self, trace: &mut simcore::Trace) {
-        let s = self.stats;
-        let p = self.published;
-        trace.add("mck.pcp.hit", s.pcp_hit - p.pcp_hit);
-        trace.add("mck.pcp.refill", s.pcp_refill - p.pcp_refill);
-        trace.add("mck.pcp.drain", s.pcp_drain - p.pcp_drain);
-        trace.add("mck.alloc.local", s.alloc_local - p.alloc_local);
-        trace.add("mck.alloc.spill", s.alloc_spill - p.alloc_spill);
-        self.published = s;
     }
 
     /// Run every arena's invariant sweep (caches stay parked).
@@ -1156,19 +1133,6 @@ mod tests {
         f.free(q).unwrap();
         f.drain_all();
         assert_eq!(f.free_bytes(), f.len_bytes());
-    }
-
-    #[test]
-    fn publish_stats_emits_deltas() {
-        let mut f = mk_numa();
-        let mut t = simcore::Trace::new();
-        let _ = f.alloc_on(0, 0).unwrap();
-        f.publish_stats(&mut t);
-        assert_eq!(t.get("mck.pcp.refill"), 1);
-        let _ = f.alloc_on(0, 0).unwrap();
-        f.publish_stats(&mut t);
-        assert_eq!(t.get("mck.pcp.hit"), 1);
-        assert_eq!(t.get("mck.pcp.refill"), 1, "published as deltas");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use process::{Process, Thread, ThreadState};
 use sched::CoopScheduler;
 use shm::{ShmId, ShmRegistry};
 use signal::SignalState;
-use simcore::{Cycles, Trace};
+use simcore::Cycles;
 use std::collections::{BTreeSet, HashMap};
 use syscall::{BypassConfig, Disposition, SyscallProfiler, SyscallRequest};
 
@@ -100,8 +100,13 @@ pub struct McKernel {
     next_tid: u32,
     next_seq: u64,
     shm: ShmRegistry,
-    /// Mechanism counters (offloads, faults, ...).
-    pub trace: Trace,
+    /// Syscalls delegated to Linux through IKC.
+    pub syscalls_offloaded: u64,
+    /// Syscalls served inside the LWK.
+    pub syscalls_local: u64,
+    /// Device-mapping page faults resolved through the tracking object
+    /// ([`crate::proxy::devmap::device_fault`]).
+    pub devmap_faults: u64,
     /// Per-process syscall heat profiler (drives the promoted tier).
     pub prof: SyscallProfiler,
     /// Offload-bypass policy (off by default: figures stay identical).
@@ -155,7 +160,9 @@ impl McKernel {
             next_tid: 1000,
             next_seq: 1,
             shm: ShmRegistry::new(),
-            trace: Trace::new(),
+            syscalls_offloaded: 0,
+            syscalls_local: 0,
+            devmap_faults: 0,
             prof: SyscallProfiler::new(),
             bypass: BypassConfig::default(),
             domains: domains::DomainModel::disabled(),
@@ -333,11 +340,6 @@ impl McKernel {
         self.threads.get(&tid)
     }
 
-    /// Mutable thread accessor.
-    pub fn thread_mut(&mut self, tid: Tid) -> Option<&mut Thread> {
-        self.threads.get_mut(&tid)
-    }
-
     /// Per-thread perf counters.
     pub fn perf_counters(&self, tid: Tid) -> Option<&PerfCounters> {
         self.perf.get(&tid)
@@ -372,7 +374,7 @@ impl McKernel {
             s => syscall::disposition(s),
         };
         if disposition == Disposition::Delegate {
-            self.trace.bump("mck.syscall.offloaded");
+            self.syscalls_offloaded += 1;
             // Heat bookkeeping only — no modeled cycles, so figure
             // output is untouched whether or not bypass is armed.
             self.prof.record_call(pid, sysno);
@@ -389,7 +391,7 @@ impl McKernel {
                 cost: base + self.costs.ikc_send,
             };
         }
-        self.trace.bump("mck.syscall.local");
+        self.syscalls_local += 1;
         match sysno {
             Sysno::Getpid => SyscallOutcome::Done {
                 ret: pid.0 as i64,
@@ -527,35 +529,8 @@ impl McKernel {
     /// first-touch NUMA placement and the per-CPU frame cache). Split
     /// borrow over process map and allocator.
     pub fn page_fault_on(&mut self, pid: Pid, cpu: usize, va: VirtAddr) -> FaultOutcome {
-        self.trace.bump("mck.fault");
         let proc = self.procs.get_mut(&pid).expect("fault on unknown pid");
-        let out = mem::handle_fault(&mut proc.aspace, &mut self.alloc, &self.costs, cpu, va);
-        if let FaultOutcome::Mapped { size, pages, .. } = &out {
-            match (pages, size) {
-                (0, _) => self.trace.bump("mck.fault.spurious"),
-                (_, mem::pagetable::PageSize::Size2m) => self.trace.bump("mck.fault.2m"),
-                (n, mem::pagetable::PageSize::Size4k) => {
-                    self.trace.bump("mck.fault.4k");
-                    self.trace.add("mck.fault.around", n - 1);
-                }
-            }
-        }
-        out
-    }
-
-    /// Mirror the frame engine's mechanism counters (PCP hit/refill/
-    /// drain, local/spill placement) into the kernel trace as deltas.
-    pub fn publish_mem_stats(&mut self) {
-        self.alloc.publish_stats(&mut self.trace);
-    }
-
-    /// Mirror the syscall profiler into the kernel trace as deltas
-    /// (`publish_mem_stats` pattern): total delegated calls observed and
-    /// the number of (pid, sysno) entries with a live cost EWMA.
-    pub fn publish_prof_stats(&mut self) {
-        let (calls, hot) = self.prof.take_publish_delta();
-        self.trace.add("mck.prof.calls", calls);
-        self.trace.add("mck.prof.hot", hot);
+        mem::handle_fault(&mut proc.aspace, &mut self.alloc, &self.costs, cpu, va)
     }
 
     /// Linux published a fresh time value to the vDSO-style shared page.
@@ -626,7 +601,6 @@ impl McKernel {
         let id = self.shm.create(&mut self.alloc, len)?;
         let proc = self.procs.get_mut(&pid).ok_or(Errno::ENOENT)?;
         let va = self.shm.attach(id, &mut proc.aspace)?;
-        self.trace.bump("mck.shm.created");
         Ok((id, va))
     }
 
@@ -697,7 +671,6 @@ impl McKernel {
             matches!(delivered, Some((signal::sig::KILL, signal::Delivery::Terminate))),
             "SIGKILL must terminate: {delivered:?}"
         );
-        self.trace.bump("mck.proc.killed");
         self.reap_process(pid);
         true
     }
@@ -737,7 +710,7 @@ mod tests {
             }
             o => panic!("{o:?}"),
         }
-        assert_eq!(k.trace.get("mck.syscall.local"), 1);
+        assert_eq!(k.syscalls_local, 1);
     }
 
     #[test]
@@ -753,7 +726,7 @@ mod tests {
             }
             o => panic!("{o:?}"),
         }
-        assert_eq!(k.trace.get("mck.syscall.offloaded"), 1);
+        assert_eq!(k.syscalls_offloaded, 1);
     }
 
     #[test]

@@ -276,14 +276,10 @@ struct Heat {
 ///
 /// Recording is branch-light bookkeeping on the LWK side of the offload
 /// path; it charges no modeled cycles, so arming the profiler never
-/// perturbs figure output. Stats are exported as trace-counter deltas by
-/// `McKernel::publish_prof_stats` (same pattern as `publish_mem_stats`).
+/// perturbs figure output.
 #[derive(Debug, Default)]
 pub struct SyscallProfiler {
     heat: HashMap<(Pid, u32), Heat>,
-    /// Totals already pushed to the trace (delta export).
-    published_calls: u64,
-    published_samples: u64,
 }
 
 impl SyscallProfiler {
@@ -344,27 +340,6 @@ impl SyscallProfiler {
     /// Whether any state is live (pristine-LWK check).
     pub fn is_empty(&self) -> bool {
         self.heat.is_empty()
-    }
-
-    /// Totals for delta export: (calls recorded, EWMA samples folded).
-    pub fn totals(&self) -> (u64, u64) {
-        let calls = self.heat.values().map(|h| h.count).sum();
-        let samples = self.heat.values().filter(|h| h.ewma_raw > 0).count() as u64;
-        (calls, samples)
-    }
-
-    /// Take the not-yet-published delta of (calls, hot entries) — the
-    /// `publish_mem_stats` pattern, so repeated publishes never
-    /// double-count.
-    pub fn take_publish_delta(&mut self) -> (u64, u64) {
-        let (calls, samples) = self.totals();
-        let d = (
-            calls - self.published_calls,
-            samples.saturating_sub(self.published_samples),
-        );
-        self.published_calls = calls;
-        self.published_samples = samples;
-        d
     }
 }
 
@@ -522,10 +497,7 @@ mod tests {
         prof.record_cycles(pid, Sysno::Read, Cycles(800));
         // 8000 - 1000 + 100 = 7100: pulled 1/8 toward the new sample.
         assert_eq!(prof.ewma(pid, Sysno::Read), Some(Cycles(7100)));
-        prof.record_call(pid, Sysno::Read);
-        let (calls, hot) = prof.take_publish_delta();
-        assert_eq!((calls, hot), (1, 1));
-        assert_eq!(prof.take_publish_delta(), (0, 0), "delta export");
+        assert_eq!(prof.record_call(pid, Sysno::Read), 1);
         prof.forget(pid);
         assert!(prof.is_empty());
         assert_eq!(prof.count(pid, Sysno::Read), 0);

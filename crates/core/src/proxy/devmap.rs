@@ -112,7 +112,7 @@ pub fn device_fault(
             let proc = mck.process_mut(app_pid).ok_or(Errno::ENOENT)?;
             mem::complete_device_fault(&mut proc.aspace, page_va, phys)
                 .map_err(|_| Errno::EEXIST)?;
-            mck.trace.bump("mck.devmap.fault");
+            mck.devmap_faults += 1;
             Ok((phys, costs.devmap_fault))
         }
         FaultOutcome::Mapped { phys, .. } => Ok((phys, Cycles::ZERO)),
@@ -168,7 +168,6 @@ pub fn device_mmap_zero_copy(
         // ... plus the local PTE install per page.
         populate_cost += mck.costs.page_touch;
     }
-    mck.trace.add("mck.devmap.zero_copy_pages", pages);
     Ok(DevMmapZeroCopyResult {
         map,
         pages,
@@ -192,7 +191,6 @@ pub fn device_munmap_zero_copy(
     // The tracking object may already be gone (proxy death reclaimed it);
     // the unmap itself must still succeed.
     delegator.drop_tracking(tracking);
-    mck.trace.bump("mck.devmap.zero_copy_unmap");
     Ok(stats.cost)
 }
 
@@ -293,11 +291,7 @@ mod tests {
             assert_eq!(cost, Cycles::ZERO, "page {i} pre-resolved");
             assert_eq!(phys, bar_base + 0x1000 + i * 0x1000);
         }
-        assert_eq!(
-            mck.trace.get("mck.devmap.fault"),
-            0,
-            "no lazy faults were needed"
-        );
+        assert_eq!(mck.devmap_faults, 0, "no lazy faults were needed");
     }
 
     #[test]

@@ -38,11 +38,6 @@ pub struct MemProfile {
 }
 
 impl MemProfile {
-    /// A compute-bound profile.
-    pub fn compute_bound() -> Self {
-        MemProfile { mem_intensity: 0.2 }
-    }
-
     /// A memory-bound profile (sparse matrix kernels).
     pub fn memory_bound() -> Self {
         MemProfile { mem_intensity: 0.8 }

@@ -13,9 +13,9 @@
 //!   residual noise McKernel cannot eliminate (shared last-level cache).
 //! * [`pci`] — PCI devices and BARs (the NIC doorbell pages that get
 //!   `mmap()`ed through the device-file path).
-//! * [`node`] / [`topology`] — the paper's testbed: 64 nodes, each
-//!   2 sockets x 10 cores Xeon E5-2680v2 @ 2.8 GHz, 64 GiB in 2 NUMA
-//!   domains, one Connect-IB FDR HCA + one GbE NIC.
+//! * [`node`] — one node of the paper's testbed: 2 sockets x 10 cores
+//!   Xeon E5-2680v2 @ 2.8 GHz, 64 GiB in 2 NUMA domains, one Connect-IB
+//!   FDR HCA + one GbE NIC.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,11 +26,9 @@ pub mod interference;
 pub mod memory;
 pub mod node;
 pub mod pci;
-pub mod topology;
 
 pub use addr::{PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE, PAGE_SIZE_2M};
 pub use cpu::{CoreId, CpuTopology, NumaId};
 pub use memory::{FrameId, FrameOwner, PhysMemory};
 pub use node::{NodeId, NodeSpec};
 pub use pci::{Bar, DeviceClass, PciAddress, PciDevice};
-pub use topology::ClusterSpec;

@@ -21,7 +21,7 @@ use hwmodel::addr::VirtAddr;
 use hwmodel::cpu::CoreId;
 use hwmodel::memory::PhysMemory;
 use hwmodel::pci::DeviceClass;
-use simcore::{Cycles, StreamRng, Trace};
+use simcore::{Cycles, StreamRng};
 use std::collections::{BTreeSet, HashMap};
 
 /// Noise configuration for a node's Linux instance.
@@ -84,8 +84,8 @@ pub struct LinuxKernel {
     /// kernels at once, so the offloaded `clock_gettime` arm and the
     /// promoted in-LWK read are observationally identical.
     vdso_ns: u64,
-    /// Mechanism counters.
-    pub trace: Trace,
+    /// Offloaded syscalls serviced by proxies.
+    pub offloads_serviced: u64,
 }
 
 impl LinuxKernel {
@@ -140,7 +140,7 @@ impl LinuxKernel {
             next_pid: 300,
             rng,
             vdso_ns: 0,
-            trace: Trace::new(),
+            offloads_serviced: 0,
         }
     }
 
@@ -261,7 +261,7 @@ impl LinuxKernel {
             .get_mut(&proxy_pid)
             .expect("service_syscall for unknown proxy");
         proxy.state = ProxyState::Executing(req.seq);
-        self.trace.bump("linux.offload.serviced");
+        self.offloads_serviced += 1;
         let costs = hlwk_core::costs::CostModel::default();
         let vfs = &mut self.vfs;
         let (ret, service): (i64, Cycles) = match Sysno::from_nr(req.sysno) {
@@ -417,11 +417,6 @@ impl LinuxKernel {
         self.vdso_ns = ns;
     }
 
-    /// Current contents of the shared time page.
-    pub fn vdso_time(&self) -> u64 {
-        self.vdso_ns
-    }
-
     /// Invalidate proxy pseudo-mapping PTEs after an LWK munmap.
     pub fn sync_munmap(&mut self, app_pid: Pid, ranges: &[(VirtAddr, u64)]) -> u64 {
         let Some(proxy_pid) = self.proxy_for_app(app_pid) else {
@@ -432,13 +427,7 @@ impl LinuxKernel {
         for &(start, len) in ranges {
             n += proxy.uas.invalidate_range(start, len);
         }
-        self.trace.add("linux.uas.invalidated", n);
         n
-    }
-
-    /// Mutable proxy accessor (device mapping flow).
-    pub fn proxy_mut(&mut self, pid: Pid) -> Option<&mut ProxyProcess> {
-        self.proxies.get_mut(&pid)
     }
 
     /// Split borrow of a proxy and the delegator module together — the

@@ -150,11 +150,6 @@ impl RecordSink {
         self.xfers
     }
 
-    /// Total ops recorded across all nodes.
-    pub fn num_ops(&self) -> usize {
-        self.ops.iter().map(Vec::len).sum()
-    }
-
     /// The per-node op lists, node-index order.
     pub fn into_ops(self) -> Vec<Vec<ReplayOp>> {
         self.ops

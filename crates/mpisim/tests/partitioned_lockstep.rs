@@ -243,12 +243,9 @@ fn chained_operations_carry_warm_state() {
         lookahead: rfab.lookahead(),
         view: Arc::new(rfab.partition_view().expect("fault-free")),
     };
-    // The walk's take_stats window: what the replay must report.
+    // The walk's counters: what the replay must report.
     let cumulative = fabric.stats();
     let rel_cumulative = fabric.reliable_stats();
-    let walk_window = fabric.take_stats();
-    let walk_rel_window = fabric.take_reliable_stats();
-    assert_eq!(walk_window, cumulative, "first window covers everything");
     let mut fab2 = ReliableFabric::new(p, LinkParams::fdr_infiniband());
     let seats: Vec<NodeSeat<IdealHost>> = fab2
         .detach_ends()
@@ -267,9 +264,4 @@ fn chained_operations_carry_warm_state() {
     fab2.absorb_ends(seats.into_iter().map(|st| st.end).collect());
     assert_eq!(fab2.stats(), cumulative, "cumulative stats");
     assert_eq!(fab2.reliable_stats(), rel_cumulative);
-    // Ends merge back in node-index order, so the post-replay
-    // take_stats window equals the walk's.
-    assert_eq!(fab2.take_stats(), walk_window, "stats window");
-    assert_eq!(fab2.take_reliable_stats(), walk_rel_window);
-    assert_eq!(fab2.take_stats(), (0, 0), "window resets");
 }

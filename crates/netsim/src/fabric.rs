@@ -62,10 +62,6 @@ pub struct Fabric {
     ports: Vec<PortTimeline>,
     messages: u64,
     bytes: u64,
-    /// Counter values at the last [`Fabric::take_stats`] call;
-    /// `stats()` stays cumulative while `take_stats()` reports deltas.
-    taken_messages: u64,
-    taken_bytes: u64,
 }
 
 /// Timing of one transferred message.
@@ -88,8 +84,6 @@ impl Fabric {
             ports: vec![PortTimeline::default(); n],
             messages: 0,
             bytes: 0,
-            taken_messages: 0,
-            taken_bytes: 0,
         }
     }
 
@@ -150,19 +144,6 @@ impl Fabric {
     /// (messages, bytes) carried so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.messages, self.bytes)
-    }
-
-    /// (messages, bytes) carried since the previous `take_stats` call —
-    /// a snapshot-and-reset window for per-iteration accounting.
-    /// `stats()` keeps reporting cumulative totals.
-    pub fn take_stats(&mut self) -> (u64, u64) {
-        let d = (
-            self.messages - self.taken_messages,
-            self.bytes - self.taken_bytes,
-        );
-        self.taken_messages = self.messages;
-        self.taken_bytes = self.bytes;
-        d
     }
 
     /// Reset port timelines (new iteration measured from a fresh barrier).
@@ -287,18 +268,5 @@ mod tests {
         let fresh = Fabric::new(2, LinkParams::fdr_infiniband()).send(0, 1, 100, Cycles::ZERO);
         let queued = f.send(0, 1, 100, Cycles::ZERO);
         assert!(queued.sender_free > fresh.sender_free);
-    }
-
-    #[test]
-    fn take_stats_windows_while_stats_stays_cumulative() {
-        let mut f = fab(2);
-        f.send(0, 1, 100, Cycles::ZERO);
-        f.send(0, 1, 200, Cycles::ZERO);
-        assert_eq!(f.take_stats(), (2, 300));
-        assert_eq!(f.stats(), (2, 300), "cumulative view unaffected");
-        assert_eq!(f.take_stats(), (0, 0), "window was reset");
-        f.send(1, 0, 50, Cycles::ZERO);
-        assert_eq!(f.take_stats(), (1, 50));
-        assert_eq!(f.stats(), (3, 350));
     }
 }

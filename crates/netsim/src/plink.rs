@@ -65,11 +65,6 @@ impl FaultView {
         FaultView { dead_at, down }
     }
 
-    /// A view with no faults at all, for `n` nodes.
-    pub fn fault_free(n: usize) -> FaultView {
-        FaultView { dead_at: vec![None; n], down: vec![Vec::new(); n] }
-    }
-
     /// The time `node` dies, if armed.
     pub fn dead_at(&self, node: usize) -> Option<Cycles> {
         self.dead_at[node]

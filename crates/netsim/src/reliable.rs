@@ -175,17 +175,6 @@ pub struct ReliableStats {
     pub gave_up: u64,
 }
 
-impl ReliableStats {
-    fn minus(self, base: ReliableStats) -> ReliableStats {
-        ReliableStats {
-            retransmits: self.retransmits - base.retransmits,
-            corrupt_caught: self.corrupt_caught - base.corrupt_caught,
-            flap_stalls: self.flap_stalls - base.flap_stalls,
-            gave_up: self.gave_up - base.gave_up,
-        }
-    }
-}
-
 /// A [`Fabric`] wrapped with per-port fault plans, the retransmission
 /// protocol, and node-death tracking.
 #[derive(Debug)]
@@ -200,7 +189,6 @@ pub struct ReliableFabric {
     /// Fabric sends posted per node (for `AfterSends`).
     sends_posted: Vec<u64>,
     stats: ReliableStats,
-    taken_stats: ReliableStats,
 }
 
 impl ReliableFabric {
@@ -216,7 +204,6 @@ impl ReliableFabric {
             crash_after_sends: vec![None; n],
             sends_posted: vec![0; n],
             stats: ReliableStats::default(),
-            taken_stats: ReliableStats::default(),
         }
     }
 
@@ -266,22 +253,9 @@ impl ReliableFabric {
         self.fabric.stats()
     }
 
-    /// (messages, bytes) since the last take; see [`Fabric::take_stats`].
-    pub fn take_stats(&mut self) -> (u64, u64) {
-        self.fabric.take_stats()
-    }
-
     /// Cumulative protocol counters.
     pub fn reliable_stats(&self) -> ReliableStats {
         self.stats
-    }
-
-    /// Protocol counters since the last take (snapshot-and-reset
-    /// window; the cumulative view is unaffected).
-    pub fn take_reliable_stats(&mut self) -> ReliableStats {
-        let d = self.stats.minus(self.taken_stats);
-        self.taken_stats = self.stats;
-        d
     }
 
     /// Reset port timelines (new iteration from a fresh barrier).
@@ -445,8 +419,8 @@ impl ReliableFabric {
     /// traffic, posted-send and protocol counters back into the shared
     /// totals. Sums plus an index-ordered reinstall: the merged state is
     /// independent of the order the replay ran the nodes in, which is
-    /// what keeps [`ReliableFabric::take_stats`] windows identical to the
-    /// walk's.
+    /// what keeps the cumulative [`ReliableFabric::stats`] identical to
+    /// the walk's.
     pub fn absorb_ends(&mut self, ends: Vec<crate::plink::LinkEnd>) {
         assert_eq!(ends.len(), self.sends_posted.len(), "one end per node");
         let mut messages = 0u64;
@@ -844,17 +818,5 @@ mod tests {
 
         // Never below the wire latency.
         assert!(faulty.lookahead() >= p.latency);
-    }
-
-    #[test]
-    fn reliable_stats_take_windows() {
-        let cfg = LinkFaultConfig::loss(1.0);
-        let rng = StreamRng::root(5);
-        let mut rel = ReliableFabric::with_faults(2, params(), cfg, &rng);
-        let _ = rel.send(0, 1, 64, Cycles::ZERO);
-        let w = rel.take_reliable_stats();
-        assert_eq!(w.gave_up, 1);
-        assert_eq!(rel.take_reliable_stats(), ReliableStats::default());
-        assert_eq!(rel.reliable_stats().gave_up, 1, "cumulative unaffected");
     }
 }

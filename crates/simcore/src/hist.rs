@@ -1,6 +1,6 @@
 //! Log-scaled latency histograms.
 //!
-//! FWQ/FTQ analysis wants the *distribution* of sample latencies, not
+//! FWQ analysis wants the *distribution* of sample latencies, not
 //! just extremes: a noise signature is "a tight mode at the quantum plus
 //! a tail". Buckets are power-of-two so six decades of latency fit in a
 //! few dozen buckets with no allocation surprises.

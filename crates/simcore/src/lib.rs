@@ -15,7 +15,6 @@
 //! * [`stats`] — the statistics used throughout the evaluation (mean,
 //!   standard deviation, percentiles, and the paper's "maximum performance
 //!   variation" metric).
-//! * [`trace`] — lightweight counters and an optional event trace.
 //!
 //! There is no event engine. Time is closed form: each layer advances its
 //! own clocks (per-rank virtual clocks, fabric port timelines, noise per
@@ -31,7 +30,6 @@ pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use fault::{
     DomainEvent, DomainEventKind, DomainFaultConfig, DomainFaultPlan, DomainScope, DomainTopology,
@@ -39,6 +37,5 @@ pub use fault::{
 };
 pub use hist::LogHistogram;
 pub use rng::{StreamFamily, StreamRng};
-pub use stats::{RunningStats, Summary};
+pub use stats::Summary;
 pub use time::Cycles;
-pub use trace::Trace;

@@ -176,11 +176,6 @@ impl StreamRng {
         mean + std_dev * z
     }
 
-    /// Normal draw truncated below at `floor` (costs cannot be negative).
-    pub fn normal_at_least(&mut self, mean: f64, std_dev: f64, floor: f64) -> f64 {
-        self.normal(mean, std_dev).max(floor)
-    }
-
     /// Bounded Pareto draw (heavy-tailed; used for rare long noise events
     /// like kswapd scans and JVM GC pauses). `alpha` is the tail index.
     pub fn pareto(&mut self, scale: f64, alpha: f64, cap: f64) -> f64 {

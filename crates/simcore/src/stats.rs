@@ -7,102 +7,7 @@
 //! variation metric as `(max - min) / mean`, expressed in percent, which
 //! matches the paper's described axis.
 
-/// Streaming mean/variance via Welford's algorithm, plus min/max.
-#[derive(Clone, Debug, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation (0 for fewer than 2 samples).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (NaN-free; infinity when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// The paper's Fig. 7/9 metric: `(max - min) / mean`, in percent.
-    pub fn max_variation_pct(&self) -> f64 {
-        if self.n == 0 || self.mean == 0.0 {
-            0.0
-        } else {
-            (self.max - self.min) / self.mean * 100.0
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Full sample summary including percentiles (requires materialized samples).
+/// Summary of a sample slice: moments, extremes and percentiles.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Summary {
     /// Number of samples.
@@ -164,15 +69,6 @@ impl Summary {
         }
     }
 
-    /// Coefficient of variation in percent (`std_dev / mean * 100`).
-    pub fn cv_pct(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean * 100.0
-        }
-    }
-
     /// Slowdown of the worst sample relative to the best (`max / min`).
     /// Fig. 5's "up to 16X slowdown" reads off this.
     pub fn worst_slowdown(&self) -> f64 {
@@ -205,54 +101,6 @@ fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_matches_batch() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut r = RunningStats::new();
-        for &x in &xs {
-            r.push(x);
-        }
-        let s = Summary::from_samples(&xs);
-        assert!((r.mean() - s.mean).abs() < 1e-12);
-        assert!((r.std_dev() - s.std_dev).abs() < 1e-12);
-        assert_eq!(r.min(), s.min);
-        assert_eq!(r.max(), s.max);
-        assert_eq!(r.count(), 8);
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-9);
-        assert_eq!(a.count(), 100);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(5.0);
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.mean(), before.mean());
-        let mut e = RunningStats::new();
-        e.merge(&before);
-        assert_eq!(e.mean(), 5.0);
-    }
 
     #[test]
     fn percentiles_interpolate() {

@@ -1,7 +1,6 @@
 //! # workloads — everything the paper runs
 //!
-//! * [`fwq`] / [`ftq`] — the ASC Sequoia fixed-work / fixed-time quantum
-//!   noise probes (Fig. 5);
+//! * [`fwq`] — the ASC Sequoia fixed-work quantum noise probe (Fig. 5);
 //! * [`osu`] — an OSU-micro-benchmark-style driver for the six collective
 //!   operations (Fig. 6/7);
 //! * [`miniapps`] — BSP models of miniFE, HPC-CG (Mantevo) and Modylas,
@@ -17,7 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ftq;
 pub mod fwq;
 pub mod hadoop;
 pub mod miniapps;

@@ -2,16 +2,12 @@
 # Perf-baseline benchmark driver. Run from the repo root.
 #
 #   scripts/bench.sh              # full run, rewrites BENCH_offload.json,
-#                                 # BENCH_e2e.json, BENCH_engine.json,
-#                                 # BENCH_mem.json, BENCH_resilience.json
-#                                 # and BENCH_serve.json
+#                                 # BENCH_e2e.json, BENCH_engine.json
+#                                 # and BENCH_mem.json
 #   scripts/bench.sh --check      # compare fresh runs against the
-#                                 # committed baselines (2x tolerance for
-#                                 # the wall-clock benches; exact for the
-#                                 # simulated-time fig_domains and
-#                                 # fig_serve metrics), exit non-zero on
-#                                 # regression or on a metric the
-#                                 # baseline lacks
+#                                 # committed baselines (2x tolerance),
+#                                 # exit non-zero on regression or on a
+#                                 # metric the baseline lacks
 #
 # Knobs (environment):
 #   HLWK_BENCH_ITERS  iterations per metric (default 20000)
@@ -30,13 +26,9 @@
 # a fragmentation sweep, and a first-touch fault storm with PCP hit
 # rate. fig_scale_app records and replays the *real* mini-app (HPC-CG
 # via the full collectives layer) at 1024/4096 nodes and writes its
-# app_scale_* record and replay times to BENCH_engine.json. fig_domains is the
-# exception: its metrics are *simulated* time (failure-domain recovery
-# sweep), deterministic across machines, so its --check demands an
-# exact match against BENCH_resilience.json.
-# fig_serve is simulated time too (elastic-tenancy serving sweep: SLO
-# shrink/grow, overload shedding, the 100+-cycle resize storm); its
-# --check demands an exact match against BENCH_serve.json.
+# app_scale_* record and replay times to BENCH_engine.json. Simulated
+# output (fig_domains and fig_serve included) is checked against the
+# goldens under results/reduced/ by fig_table, not against a BENCH file.
 # See EXPERIMENTS.md for how to read and update them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,14 +47,9 @@ if [[ "${1:-}" == "--check" ]]; then
     # fig_scale_app replays the real 1024-node mini-app: trials
     # reproduce each other, walk-verified, replay time within 2x.
     ./target/release/fig_scale_app --check BENCH_engine.json
-    ./target/release/fig_mem --check BENCH_mem.json
-    ./target/release/fig_domains --check BENCH_resilience.json
-    # fig_serve: simulated-time elastic-tenancy metrics, exact match.
-    exec ./target/release/fig_serve --check BENCH_serve.json
+    exec ./target/release/fig_mem --check BENCH_mem.json
 fi
 ./target/release/fig_offload_hotpath
 ./target/release/fig_table
 ./target/release/fig_scale_app
-./target/release/fig_mem
-./target/release/fig_domains
-exec ./target/release/fig_serve
+exec ./target/release/fig_mem

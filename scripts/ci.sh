@@ -3,10 +3,11 @@
 # root.
 #
 #   scripts/ci.sh                 # build + test + clippy + the figure
-#                                 # table (every figure binary against
-#                                 # its golden results/reduced/<bin>.txt
-#                                 # at 1 thread, and at 4 threads with
-#                                 # the bypass off and armed-but-cold)
+#                                 # table (every binary that prints
+#                                 # simulated output against its golden
+#                                 # results/reduced/<bin>.txt at 1
+#                                 # thread, and at 4 threads with the
+#                                 # bypass off and armed-but-cold)
 #   scripts/ci.sh --bench-smoke   # the figure table as
 #                                 # `--check BENCH_e2e.json` (1-thread
 #                                 # table time within 2x, pool speedup
@@ -14,23 +15,19 @@
 #                                 # memory benches (few iterations) and a
 #                                 # fail on a >2x regression against
 #                                 # BENCH_offload.json / BENCH_mem.json,
-#                                 # plus the exact-match failure-domain
-#                                 # check against BENCH_resilience.json,
 #                                 # plus the fig_scale_app real-mini-app
 #                                 # replay gate (1024 nodes, walk-verified,
 #                                 # replay time within 2x of
-#                                 # BENCH_engine.json),
-#                                 # and the fig_serve elastic-tenancy
-#                                 # gate (exact match vs BENCH_serve.json
-#                                 # at full knobs, 100+ resize cycles)
+#                                 # BENCH_engine.json)
 #   scripts/ci.sh --soak          # also soak the resilience sweeps:
 #                                 # HLWK_SOAK_SEEDS (default 5) fresh
 #                                 # seeds through fig_resilience (5% loss
 #                                 # + node crash), fig_domains (rack
 #                                 # kills + fault storm) and the
-#                                 # fig_serve resize storm, each run
-#                                 # under a wall-clock timeout — a hang
-#                                 # or claim violation on ANY seed fails
+#                                 # fig_serve resize storm, each at its
+#                                 # default length and under a
+#                                 # wall-clock timeout — a hang or claim
+#                                 # violation on ANY seed fails
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,54 +40,14 @@ cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 
-# same_output WHAT A B: fail unless files A and B are byte-identical;
-# WHAT names the two runs in the failure message.
-same_output() {
-    if ! diff -q "$2" "$3" >/dev/null; then
-        echo "DETERMINISM FAILURE: $1" >&2
-        diff "$2" "$3" >&2 || true
-        exit 1
-    fi
-}
-
-# Figure conformance: every figure binary's stdout must equal its
-# committed golden at 1 thread, and at 4 threads with the bypass off and
-# armed-but-cold. A mismatch names the row's first differing line and
-# the command that regenerates its golden. Under --bench-smoke the table
-# runs once, as the BENCH_e2e.json check below.
+# Figure conformance: every binary that prints simulated output must
+# print its committed golden at 1 thread, and at 4 threads with the
+# bypass off and armed-but-cold. A mismatch names the row's first
+# differing line and the command that regenerates its golden. Under
+# --bench-smoke the table runs once, as the BENCH_e2e.json check below.
 if [[ "${1:-}" != "--bench-smoke" ]]; then
     HLWK_BENCH_OUT="$scratch/e2e.json" ./target/release/fig_table
 fi
-
-# Failure-domain smoke: correlated rack kills + the stochastic fault
-# storm draw from per-domain RNG streams, which must not observe worker
-# scheduling. The binary also self-asserts the acceptance claims
-# (buddy rollback < global rollback, degraded completes where abort
-# loses, async overhead < blocking) in every mode, reduced knobs
-# included.
-dom="HLWK_DOMAIN_ITERS=6"
-env $dom HLWK_THREADS=1 HLWK_BENCH_OUT="$scratch/dom_t1.json" \
-    ./target/release/fig_domains > "$scratch/dom_t1.txt"
-env $dom HLWK_THREADS=4 HLWK_BENCH_OUT="$scratch/dom_t4.json" \
-    ./target/release/fig_domains > "$scratch/dom_t4.txt"
-same_output "fig_domains metrics at 1 vs 4 threads" "$scratch/dom_t1.json" "$scratch/dom_t4.json"
-echo "failure-domain smoke passed (fig_domains @ 1 thread == 4 threads, claims hold)"
-
-# Elastic-tenancy smoke: SLO-driven online LWK resizing under the mixed
-# serving + gang workload, reduced knobs (40 windows, 2 nodes). The
-# binary self-asserts the acceptance claims (conservation, idle holds,
-# overload sheds then gets elastic relief, storm audits every released
-# core) in every mode; here we additionally require the metrics and
-# the figure output (minus the line naming the metrics file) to be
-# byte-identical at 1 vs 4 threads.
-serve="HLWK_SERVE_WINDOWS=40 HLWK_SERVE_NODES=2"
-for t in 1 4; do
-    env $serve HLWK_THREADS=$t HLWK_BENCH_OUT="$scratch/serve_t$t.json" \
-        ./target/release/fig_serve | grep -v '^wrote ' > "$scratch/serve_t$t.txt"
-done
-same_output "fig_serve metrics at 1 vs 4 threads" "$scratch/serve_t1.json" "$scratch/serve_t4.json"
-same_output "fig_serve output at 1 vs 4 threads" "$scratch/serve_t1.txt" "$scratch/serve_t4.txt"
-echo "elastic-tenancy smoke passed (fig_serve @ 1 thread == 4 threads, claims hold)"
 
 if [[ "${1:-}" == "--soak" ]]; then
     # Resilience soak: fresh seeds through both fault sweeps, each run
@@ -100,14 +57,9 @@ if [[ "${1:-}" == "--soak" ]]; then
     # (fig_domains exits non-zero if any acceptance claim breaks).
     seeds="${HLWK_SOAK_SEEDS:-5}"
     for s in $(seq 1 "$seeds"); do
-        env HLWK_SEED_BASE=$((11851 + s)) HLWK_RESIL_ITERS=6 HLWK_NODES=4 \
+        env HLWK_SEED_BASE=$((11851 + s)) HLWK_NODES=4 \
             timeout 300 ./target/release/fig_resilience > "$scratch/soak_resil_$s.txt"
-        # Seed varies, job length stays at the default: the rollback
-        # claims need a kill that lands past a local snapshot that is
-        # newer than the last global commit, which the default length
-        # guarantees.
         env HLWK_DOMAIN_SEED=$((53870 + s)) \
-            HLWK_BENCH_OUT="$scratch/soak_dom_$s.json" \
             timeout 300 ./target/release/fig_domains > "$scratch/soak_dom_$s.txt"
     done
     # Resize-storm soak: fresh seeds through the tenancy storm profile
@@ -115,8 +67,7 @@ if [[ "${1:-}" == "--soak" ]]; then
     # evicted and resumed on every cycle). Hunts schedule-dependent
     # hangs in the drain protocol and seed-dependent reclaim-audit or
     # digest failures; any lost request or corrupted job fails the run.
-    env HLWK_SERVE_WINDOWS=60 HLWK_SERVE_NODES=2 \
-        timeout 300 ./target/release/fig_serve --soak "$seeds"
+    timeout 300 ./target/release/fig_serve --soak "$seeds"
     echo "soak passed ($seeds seeds x {fig_resilience @ 5% loss + crash, fig_domains rack kills + storm, fig_serve resize storm}, no hangs)"
 fi
 
@@ -143,11 +94,4 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     # fault-storm metrics amortize their setup; still well under a second.
     HLWK_BENCH_ITERS="${HLWK_MEM_BENCH_ITERS:-5000}" \
         ./target/release/fig_mem --check BENCH_mem.json
-    # Simulated-time metrics are deterministic: exact match, full knobs.
-    ./target/release/fig_domains --check BENCH_resilience.json
-    # Elastic-tenancy gate: exact match against the committed baseline
-    # at full knobs (240 windows, 4 nodes: the resize storm completes
-    # 100+ reserve/release cycles) plus the built-in claims, including
-    # the coloc p99-isolation floor against idle.
-    timeout 600 ./target/release/fig_serve --check BENCH_serve.json
 fi

@@ -89,7 +89,7 @@ fn loss_and_corruption_are_recovered() {
     // default 8 attempts would occasionally exhaust (which is the correct
     // degradation — but this test is about full recovery).
     n.retry.max_attempts = 24;
-    let before = n.linux.trace.get("linux.offload.serviced");
+    let before = n.linux.offloads_serviced;
     let (rets, _) = run_workload(&mut n, 30);
     for (i, ret) in rets.iter().enumerate() {
         let expected = 64 + (i as i64 % 4) * 64;
@@ -100,7 +100,7 @@ fn loss_and_corruption_are_recovered() {
     assert!(drops + corruptions > 0);
     // Dedup: each of the 30 getrandom calls was serviced exactly once —
     // retransmits were answered from the completed cache, never re-run.
-    let serviced = n.linux.trace.get("linux.offload.serviced") - before;
+    let serviced = n.linux.offloads_serviced - before;
     assert_eq!(serviced, 30, "no duplicate execution under retransmission");
 }
 

@@ -2,9 +2,9 @@
 //! same code paths the bench binaries drive, small enough for `cargo
 //! test`. Each test asserts the *qualitative* claim of its figure.
 
-use cluster::experiment::{parallel_runs, run_seed, RunStats};
+use cluster::experiment::run_seed;
 use cluster::{Cluster, ClusterConfig, OsVariant};
-use simcore::{Cycles, Summary};
+use simcore::{par, Cycles, Summary};
 use workloads::fwq;
 use workloads::miniapps::MiniApp;
 use workloads::osu::{Collective, OsuConfig};
@@ -54,7 +54,7 @@ fn fig6_shape() {
         iter_gap: Cycles::from_us(300),
     };
     let sweep = |os| -> Vec<f64> {
-        parallel_runs(4, |run| {
+        par::parallel_map(4, |run| {
             let mut c = cluster(os, 8, false, run_seed(61, run));
             let res = c.run_osu(Collective::Allreduce, 1024, &osu, Cycles::from_ms(1)).expect("fault-free");
             res.latencies_us.iter().sum::<f64>() / res.latencies_us.len() as f64
@@ -79,7 +79,7 @@ fn fig7_shape() {
         iter_gap: Cycles::from_us(300),
     };
     let measure = |os, bytes| {
-        let vals = parallel_runs(5, |run| {
+        let vals = par::parallel_map(5, |run| {
             let mut c = cluster(os, 8, true, run_seed(71, run));
             let res = c.run_osu(Collective::Reduce, bytes, &osu, Cycles::from_ms(1)).expect("fault-free");
             res.latencies_us.iter().sum::<f64>() / res.latencies_us.len() as f64
@@ -130,11 +130,11 @@ fn fig9_shape() {
         ..MiniApp::ffvc()
     };
     let measure = |os| {
-        let vals = parallel_runs(6, |run| {
+        let vals = par::parallel_map(6, |run| {
             let mut c = cluster(os, 2, true, run_seed(91, run));
             c.run_miniapp(&app, Cycles::from_ms(1)).expect("fault-free").as_secs_f64()
         });
-        RunStats::new(vals).max_variation_pct()
+        Summary::from_samples(&vals).max_variation_pct()
     };
     let cgroup = measure(OsVariant::LinuxCgroup);
     let iso = measure(OsVariant::LinuxCgroupIsolcpus);

@@ -29,7 +29,7 @@ fn boot_leaves_linux_with_numa0_plus_proxy_core() {
 #[test]
 fn offloaded_syscall_round_trip_crosses_every_layer() {
     let mut node = mck_node(2);
-    let before_offloads = node.mck.as_ref().unwrap().trace.get("mck.syscall.offloaded");
+    let before_offloads = node.mck.as_ref().unwrap().syscalls_offloaded;
     let (ret, done) = node.offload_syscall(
         Sysno::GetRandom,
         [node.arena_va.raw(), 512, 0, 0, 0, 0],
@@ -39,11 +39,11 @@ fn offloaded_syscall_round_trip_crosses_every_layer() {
     assert!(done > Cycles::from_ms(3));
     // LWK counted the offload...
     assert_eq!(
-        node.mck.as_ref().unwrap().trace.get("mck.syscall.offloaded"),
+        node.mck.as_ref().unwrap().syscalls_offloaded,
         before_offloads + 1
     );
     // ...Linux serviced it...
-    assert!(node.linux.trace.get("linux.offload.serviced") >= 1);
+    assert!(node.linux.offloads_serviced >= 1);
     // ...the IKC channels carried request and reply...
     let (sent, received, full) = node.ikc.to_linux.stats();
     assert_eq!(sent, received);
