@@ -3,7 +3,7 @@
 //! variation (the paper's error bars).
 //!
 //! The whole figure — every (collective × OS variant × repetition) cell
-//! — is one submission to the bounded work-stealing pool, so all host
+//! — is one submission to the bounded task pool, so all host
 //! cores stay busy for the figure's full duration instead of joining at
 //! each sweep boundary. Each cell runs one full size sweep (the sizes
 //! within a run share a cluster and advance simulated time, so they stay

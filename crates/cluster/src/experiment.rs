@@ -2,7 +2,7 @@
 //!
 //! The paper runs every measurement 15 times and reports average plus
 //! variation. Repetitions are independent simulations with derived seeds,
-//! executed on the bounded work-stealing pool ([`simcore::par`] — each
+//! executed on the bounded task pool ([`simcore::par`] — each
 //! repetition owns its whole cluster, so there is no shared mutable
 //! state and the runs are embarrassingly parallel). Figure binaries
 //! flatten their *entire* task grid (collective × OS × run, …) into one

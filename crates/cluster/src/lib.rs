@@ -6,7 +6,7 @@
 //! * [`config`] — the three OS variants (Linux+cgroup,
 //!   Linux+cgroup+isolcpus, IHK/McKernel) and co-location settings;
 //! * [`node`] — one node's runtime: hardware + Linux (+ IHK/McKernel
-//!   partition, proxy process, verbs context); job setup walks the real
+//!   partition, proxy process, HCA doorbell); job setup walks the real
 //!   protocols: IHK reservation, LWK boot, proxy spawn, offloaded
 //!   `open()` of the uverbs device *through the unified address space*,
 //!   and the Fig. 4 device-file mmap of the doorbell page;
@@ -18,7 +18,7 @@
 //!   shrink-and-redo / checkpoint-restart) on top of the typed
 //!   detection the fabric and MPI layers provide;
 //! * [`experiment`] — deterministic seeding, parallel repetition runner
-//!   (the [`simcore::par`] bounded work-stealing pool), result tables.
+//!   (the [`simcore::par`] bounded task pool), result tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,14 +21,13 @@ use hlwk_core::mck::syscall::{Disposition, RetryPolicy, SyscallReply, SyscallReq
 use hlwk_core::mck::{McKernel, SyscallOutcome};
 use hlwk_core::proxy::devmap;
 use hlwk_core::IhkManager;
-use hwmodel::addr::{VirtAddr, PAGE_SIZE};
+use hwmodel::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use hwmodel::cpu::{CoreId, NumaId};
 use hwmodel::interference::{InterferenceModel, MemProfile, PageBacking, Pollution};
 use hwmodel::node::{NodeHw, NodeId, NodeSpec};
 use hwmodel::pci::DeviceClass;
 use linuxsim::vfs::FileKind;
 use linuxsim::{LinuxKernel, NoiseConfig};
-use netsim::verbs::IbContext;
 use simcore::fault::{FaultPlan, MsgFault};
 use simcore::{Cycles, StreamRng};
 use workloads::hadoop;
@@ -110,8 +109,9 @@ pub struct NodeRuntime {
     pub app_cores: Vec<CoreId>,
     /// uverbs file descriptor (lives in Linux either way).
     pub uverbs_fd: i64,
-    /// Per-process verbs context.
-    pub ib: IbContext,
+    /// Physical address of the HCA doorbell (UAR) page, once job setup
+    /// mapped it (Fig. 4 flow on McKernel, BAR 0 directly on Linux).
+    pub doorbell_phys: Option<PhysAddr>,
     /// Registered-buffer arena base (for MR registration calls).
     pub arena_va: VirtAddr,
     /// Interference model + inputs.
@@ -304,7 +304,7 @@ impl NodeRuntime {
             proxy_pid: None,
             app_cores: cfg.app_cores(),
             uverbs_fd: -1,
-            ib: IbContext::new(),
+            doorbell_phys: None,
             arena_va: VirtAddr::NULL,
             interference: InterferenceModel::default(),
             pollution,
@@ -359,7 +359,7 @@ impl NodeRuntime {
                     .hw
                     .device_of_class(DeviceClass::InfinibandHca)
                     .expect("testbed has an HCA");
-                node.ib.doorbell_phys = dev.bar_phys(0, 0);
+                node.doorbell_phys = dev.bar_phys(0, 0);
             }
         }
         // Setup is done: arm the plan (a disabled config stays inert —
@@ -423,7 +423,7 @@ impl NodeRuntime {
             .expect("UAR maps");
         let (phys, _) = devmap::device_fault(mck, self.app_pid, delegator, map.lwk_va)
             .expect("fault resolves");
-        self.ib.doorbell_phys = Some(phys);
+        self.doorbell_phys = Some(phys);
         let _ = now;
     }
 
@@ -630,9 +630,9 @@ impl NodeRuntime {
                             None => encode_result(Err(Errno::EFAULT)),
                         }
                     }
-                    // FUTEX_WAKE: the wait table lives in the LWK
-                    // scheduler; through the syscall surface a wake is
-                    // always 0, exactly like the offloaded arm.
+                    // FUTEX_WAKE: no thread parks in this model, so a
+                    // wake finds no waiter and returns 0, exactly like
+                    // the offloaded arm.
                     1 => {
                         cost += self.enter_domain(DomainId::FdRing);
                         0
@@ -1143,29 +1143,9 @@ impl NodeRuntime {
     pub fn exec_app_thread(&mut self, thread_idx: usize, at: Cycles, work: Cycles) -> Cycles {
         let stretched = work.scale(self.stretch(at));
         match self.os {
-            OsVariant::McKernel => {
-                // Tick-less cooperative LWK: nothing shares the core, so
-                // the quantum runs to completion exactly.
-                let pol = if self.in_busy_phase(at) {
-                    self.pollution
-                } else {
-                    Pollution::NONE
-                };
-                if let (Some(mck), Some(tid)) = (self.mck.as_mut(), self.app_tid) {
-                    if let Some(pc) = mck.perf_counters_mut(tid) {
-                        pc.account_compute(
-                            stretched,
-                            &self.interference,
-                            MemProfile {
-                                mem_intensity: self.mem_intensity,
-                            },
-                            self.backing,
-                            pol,
-                        );
-                    }
-                }
-                at + stretched
-            }
+            // Tick-less cooperative LWK: nothing shares the core, so
+            // the quantum runs to completion exactly.
+            OsVariant::McKernel => at + stretched,
             _ => {
                 let core = self.app_cores[thread_idx % self.app_cores.len()];
                 self.linux.execute_on(core, at, stretched).finish
@@ -1399,11 +1379,11 @@ mod tests {
         assert!(n.mck.is_some());
         assert!(n.proxy_pid.is_some());
         assert!(n.uverbs_fd >= 3, "offloaded open returned {}", n.uverbs_fd);
-        assert!(n.ib.doorbell_phys.is_some());
+        assert!(n.doorbell_phys.is_some());
         assert_ne!(n.arena_va, VirtAddr::NULL);
         // The doorbell resolves into the HCA BAR.
         let bar = n.hw.device_of_class(DeviceClass::InfinibandHca).unwrap().bars[0];
-        assert!(bar.contains(n.ib.doorbell_phys.unwrap()));
+        assert!(bar.contains(n.doorbell_phys.unwrap()));
         // fd state lives on the Linux side.
         assert!(n.linux.vfs.fd_count(n.proxy_pid.unwrap()) >= 4);
         // The unified AS actually faulted pages (path read).
@@ -1417,7 +1397,7 @@ mod tests {
         assert!(n.mck.is_none());
         assert!(n.proxy_pid.is_none());
         assert!(n.uverbs_fd >= 3);
-        assert!(n.ib.doorbell_phys.is_some());
+        assert!(n.doorbell_phys.is_some());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Inter-Kernel Communication: bounded message queues between McKernel and
-//! Linux, with typed payloads for syscall delegation and the device-mapping
-//! protocol (Fig. 4).
+//! Linux, with typed payloads for syscall delegation and control traffic
+//! (heartbeats, NACKs, proxy death).
 //!
 //! The channel is the single structure every offloaded syscall crosses
 //! twice, so it is built for **zero steady-state allocation**: a
@@ -12,9 +12,6 @@
 //! re-checksumming. Receivers borrow the slot in place via
 //! [`IkcChannel::recv_ref`] — no copy, no refcount traffic.
 
-use crate::mck::syscall::{SyscallReply, SyscallRequest};
-use bytes::Bytes;
-
 /// Message discriminator.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MsgKind {
@@ -22,23 +19,19 @@ pub enum MsgKind {
     SyscallRequest,
     /// Linux -> LWK: offload result.
     SyscallReply,
-    /// LWK -> Linux: resolve a device-mapping page (Fig. 4, step 8).
-    PfnRequest,
-    /// Linux -> LWK: resolved physical address (Fig. 4, step 10).
-    PfnReply,
-    /// Management traffic (boot/shutdown handshakes).
+    /// Management traffic: a [`ControlMsg`] (heartbeats, NACKs, proxy
+    /// death).
     Control,
 }
 
 impl MsgKind {
     /// Stable wire tag, mixed into the checksum so a corrupted kind
-    /// cannot masquerade as a valid message of another kind.
+    /// cannot masquerade as a valid message of another kind. The values
+    /// are fixed wire constants (3 and 4 are unused).
     fn tag(self) -> u8 {
         match self {
             MsgKind::SyscallRequest => 1,
             MsgKind::SyscallReply => 2,
-            MsgKind::PfnRequest => 3,
-            MsgKind::PfnReply => 4,
             MsgKind::Control => 5,
         }
     }
@@ -141,82 +134,11 @@ pub fn message_checksum(kind: MsgKind, payload: &[u8]) -> u32 {
     c.finish()
 }
 
-/// One IKC message. The checksum covers the kind tag and the payload;
-/// receivers must [`verify`](IkcMessage::verify) before decoding and
-/// NACK on mismatch (the fault model flips payload bits in flight).
-///
-/// This owned form is the channel's *compatibility* currency (tests,
-/// cold paths); the hot path never materializes it — it encodes into
-/// ring slots and reads them back by reference as [`WireMsg`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct IkcMessage {
-    /// Payload discriminator.
-    pub kind: MsgKind,
-    /// Serialized payload.
-    pub payload: Bytes,
-    /// CRC-32 of the kind tag followed by the payload bytes.
-    pub checksum: u32,
-}
-
-impl IkcMessage {
-    /// Build a message with a correct checksum.
-    pub fn new(kind: MsgKind, payload: Bytes) -> Self {
-        let checksum = message_checksum(kind, &payload);
-        IkcMessage { kind, payload, checksum }
-    }
-
-    /// True when the checksum matches the payload — the message
-    /// survived the channel intact.
-    pub fn verify(&self) -> bool {
-        self.checksum == message_checksum(self.kind, &self.payload)
-    }
-
-    /// In-flight corruption: returns a copy with one payload bit
-    /// flipped (chosen by `flip`) and the checksum left stale, exactly
-    /// what a receiver's `verify` must catch. Empty payloads get a
-    /// corrupted checksum instead. (Fault-injection/test path; in-ring
-    /// corruption uses [`IkcChannel::corrupt_newest`].)
-    pub fn corrupted(&self, flip: u64) -> Self {
-        let mut c = self.clone();
-        if self.payload.is_empty() {
-            c.checksum ^= 1;
-            return c;
-        }
-        let mut bytes = self.payload.to_vec();
-        let bit = (flip % (bytes.len() as u64 * 8)) as usize;
-        bytes[bit / 8] ^= 1 << (bit % 8);
-        c.payload = Bytes::from(bytes);
-        c
-    }
-
-    /// Wrap a syscall request.
-    pub fn syscall_request(req: &SyscallRequest) -> Self {
-        IkcMessage::new(MsgKind::SyscallRequest, Bytes::from(req.encode()))
-    }
-
-    /// Wrap a syscall reply.
-    pub fn syscall_reply(rep: &SyscallReply) -> Self {
-        IkcMessage::new(MsgKind::SyscallReply, Bytes::from(rep.encode()))
-    }
-
-    /// Wrap a PFN resolution request.
-    pub fn pfn_request(req: &PfnRequest) -> Self {
-        IkcMessage::new(MsgKind::PfnRequest, Bytes::from(req.encode()))
-    }
-
-    /// Wrap a PFN resolution reply.
-    pub fn pfn_reply(rep: &PfnReply) -> Self {
-        IkcMessage::new(MsgKind::PfnReply, Bytes::from(rep.encode()))
-    }
-
-    /// Wrap a control message.
-    pub fn control(msg: &ControlMsg) -> Self {
-        IkcMessage::new(MsgKind::Control, Bytes::from(msg.encode()))
-    }
-}
-
-/// A message borrowed straight out of a ring slot: the zero-copy view
-/// the hot path decodes from.
+/// A message borrowed straight out of a ring slot — the only form a
+/// receiver sees. The checksum covers the kind tag and the payload;
+/// receivers must [`verify`](WireMsg::verify) before decoding and NACK
+/// on mismatch (the fault model flips payload bits in flight, see
+/// [`IkcChannel::corrupt_newest`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WireMsg<'a> {
     /// Payload discriminator.
@@ -232,15 +154,6 @@ impl WireMsg<'_> {
     /// True when the checksum matches the payload.
     pub fn verify(&self) -> bool {
         self.checksum == message_checksum(self.kind, self.payload)
-    }
-
-    /// Copy out into an owned [`IkcMessage`] (cold paths only).
-    pub fn to_owned(&self) -> IkcMessage {
-        IkcMessage {
-            kind: self.kind,
-            payload: Bytes::copy_from_slice(self.payload),
-            checksum: self.checksum,
-        }
     }
 }
 
@@ -304,82 +217,6 @@ impl ControlMsg {
             4 => u32::try_from(val).ok().map(|proxy_pid| ControlMsg::ProxyDead { proxy_pid }),
             _ => None,
         }
-    }
-}
-
-/// Device-fault resolution request: "McKernel's page fault handler ...
-/// requests the IHK module on Linux to resolve the physical address based
-/// on the tracking object and the offset in the mapping" (Sec. III-B).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PfnRequest {
-    /// Correlates request and reply.
-    pub seq: u64,
-    /// Tracking-object id.
-    pub tracking: u64,
-    /// Byte offset within the tracked mapping.
-    pub offset: u64,
-}
-
-/// Reply carrying the physical address.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PfnReply {
-    /// Correlates request and reply.
-    pub seq: u64,
-    /// Resolved physical address (0 == failure).
-    pub phys: u64,
-}
-
-impl PfnRequest {
-    /// Serialize into `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.tracking.to_le_bytes());
-        out.extend_from_slice(&self.offset.to_le_bytes());
-    }
-
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(24);
-        self.encode_into(&mut v);
-        v
-    }
-
-    /// Deserialize.
-    pub fn decode(b: &[u8]) -> Option<Self> {
-        if b.len() != 24 {
-            return None;
-        }
-        Some(PfnRequest {
-            seq: u64::from_le_bytes(b[0..8].try_into().ok()?),
-            tracking: u64::from_le_bytes(b[8..16].try_into().ok()?),
-            offset: u64::from_le_bytes(b[16..24].try_into().ok()?),
-        })
-    }
-}
-
-impl PfnReply {
-    /// Serialize into `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.phys.to_le_bytes());
-    }
-
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(16);
-        self.encode_into(&mut v);
-        v
-    }
-
-    /// Deserialize.
-    pub fn decode(b: &[u8]) -> Option<Self> {
-        if b.len() != 16 {
-            return None;
-        }
-        Some(PfnReply {
-            seq: u64::from_le_bytes(b[0..8].try_into().ok()?),
-            phys: u64::from_le_bytes(b[8..16].try_into().ok()?),
-        })
     }
 }
 
@@ -520,12 +357,6 @@ impl IkcChannel {
         Ok(())
     }
 
-    /// Enqueue an owned message (compatibility path; copies the payload
-    /// into the slot arena).
-    pub fn send(&mut self, msg: IkcMessage) -> Result<(), IkcFull> {
-        self.send_encoded(msg.kind, &msg.payload, msg.checksum)
-    }
-
     /// Dequeue the oldest message, borrowing its bytes in place —
     /// nothing is copied or allocated. The borrow must end before the
     /// next channel operation (slot reuse).
@@ -542,12 +373,6 @@ impl IkcChannel {
             payload: &slot.buf,
             checksum: slot.checksum,
         })
-    }
-
-    /// Dequeue the oldest message as an owned value (compatibility
-    /// path; copies the slot bytes out).
-    pub fn recv(&mut self) -> Option<IkcMessage> {
-        self.recv_ref().map(|m| m.to_owned())
     }
 
     /// Fault injection: flip one payload bit (chosen by `flip`) of the
@@ -620,48 +445,57 @@ impl Default for IkcPair {
 mod tests {
     use super::*;
     use crate::abi::Sysno;
+    use crate::mck::syscall::{SyscallReply, SyscallRequest};
+
+    fn request(seq: u64) -> SyscallRequest {
+        SyscallRequest {
+            seq,
+            pid: 1,
+            tid: 1,
+            sysno: Sysno::Read.nr(),
+            args: [3, 0x2000, 64, 0, 0, 0],
+        }
+    }
 
     #[test]
     fn fifo_order_preserved() {
         let mut ch = IkcChannel::new(8);
         for i in 0..5u64 {
-            ch.send(IkcMessage::pfn_request(&PfnRequest {
-                seq: i,
-                tracking: 1,
-                offset: 0,
-            }))
-            .unwrap();
+            ch.send_with(MsgKind::SyscallRequest, |b| request(i).encode_into(b))
+                .unwrap();
         }
         for i in 0..5u64 {
-            let m = ch.recv().unwrap();
-            assert_eq!(m.kind, MsgKind::PfnRequest);
-            assert_eq!(PfnRequest::decode(&m.payload).unwrap().seq, i);
+            let m = ch.recv_ref().unwrap();
+            assert_eq!(m.kind, MsgKind::SyscallRequest);
+            assert_eq!(SyscallRequest::decode(m.payload).unwrap().seq, i);
         }
-        assert!(ch.recv().is_none());
+        assert!(ch.recv_ref().is_none());
     }
 
     #[test]
     fn bounded_queue_back_pressures() {
         let mut ch = IkcChannel::new(2);
-        let msg = IkcMessage::new(MsgKind::Control, Bytes::new());
-        ch.send(msg.clone()).unwrap();
-        ch.send(msg.clone()).unwrap();
-        assert_eq!(ch.send(msg.clone()), Err(IkcFull));
+        ch.send_with(MsgKind::Control, |_| {}).unwrap();
+        ch.send_with(MsgKind::Control, |_| {}).unwrap();
+        assert_eq!(ch.send_with(MsgKind::Control, |_| {}), Err(IkcFull));
         assert_eq!(ch.stats(), (2, 0, 1));
-        ch.recv().unwrap();
-        ch.send(msg).unwrap();
+        ch.recv_ref().unwrap();
+        ch.send_with(MsgKind::Control, |_| {}).unwrap();
     }
 
     #[test]
     fn non_power_of_two_capacity_back_pressures_exactly() {
         let mut ch = IkcChannel::new(3);
-        let msg = IkcMessage::new(MsgKind::Control, Bytes::new());
         for _ in 0..3 {
-            ch.send(msg.clone()).unwrap();
+            ch.send_with(MsgKind::Control, |_| {}).unwrap();
         }
-        assert_eq!(ch.send(msg.clone()), Err(IkcFull), "capacity 3, not 4");
-        ch.recv().unwrap();
-        ch.send(msg).unwrap();
+        assert_eq!(
+            ch.send_with(MsgKind::Control, |_| {}),
+            Err(IkcFull),
+            "capacity 3, not 4"
+        );
+        ch.recv_ref().unwrap();
+        ch.send_with(MsgKind::Control, |_| {}).unwrap();
         assert_eq!(ch.len(), 3);
     }
 
@@ -670,18 +504,16 @@ mod tests {
         let mut ch = IkcChannel::new(4);
         for round in 0..100u64 {
             for i in 0..3 {
-                ch.send(IkcMessage::pfn_request(&PfnRequest {
-                    seq: round * 3 + i,
-                    tracking: round,
-                    offset: i,
-                }))
+                ch.send_with(MsgKind::SyscallRequest, |b| {
+                    request(round * 3 + i).encode_into(b)
+                })
                 .unwrap();
             }
             for i in 0..3 {
-                let m = ch.recv().unwrap();
+                let m = ch.recv_ref().unwrap();
                 assert!(m.verify());
                 assert_eq!(
-                    PfnRequest::decode(&m.payload).unwrap().seq,
+                    SyscallRequest::decode(m.payload).unwrap().seq,
                     round * 3 + i
                 );
             }
@@ -770,39 +602,44 @@ mod tests {
             sysno: Sysno::Read.nr(),
             args: [5, 0x1000, 512, 0, 0, 0],
         };
-        pair.to_linux.send(IkcMessage::syscall_request(&req)).unwrap();
-        let m = pair.to_linux.recv().unwrap();
+        pair.to_linux
+            .send_with(MsgKind::SyscallRequest, |b| req.encode_into(b))
+            .unwrap();
+        let m = pair.to_linux.recv_ref().unwrap();
         assert_eq!(m.kind, MsgKind::SyscallRequest);
-        let got = SyscallRequest::decode(&m.payload).unwrap();
-        assert_eq!(got, req);
+        assert_eq!(SyscallRequest::decode(m.payload), Some(req));
         let rep = SyscallReply { seq: 42, ret: 512 };
-        pair.to_lwk.send(IkcMessage::syscall_reply(&rep)).unwrap();
-        let m = pair.to_lwk.recv().unwrap();
-        assert_eq!(SyscallReply::decode(&m.payload), Some(rep));
+        pair.to_lwk
+            .send_with(MsgKind::SyscallReply, |b| rep.encode_into(b))
+            .unwrap();
+        let m = pair.to_lwk.recv_ref().unwrap();
+        assert_eq!(SyscallReply::decode(m.payload), Some(rep));
     }
 
     #[test]
     fn checksum_catches_single_bit_flips() {
-        let req = SyscallRequest {
-            seq: 7,
-            pid: 1,
-            tid: 1,
-            sysno: Sysno::Read.nr(),
-            args: [3, 0x2000, 64, 0, 0, 0],
-        };
-        let msg = IkcMessage::syscall_request(&req);
-        assert!(msg.verify());
-        for flip in 0..(msg.payload.len() as u64 * 8) {
-            assert!(!msg.corrupted(flip).verify(), "bit {flip} undetected");
+        let req = request(7);
+        let mut ch = IkcChannel::new(1);
+        for flip in 0..(SyscallRequest::WIRE_SIZE as u64 * 8) {
+            ch.send_with(MsgKind::SyscallRequest, |b| req.encode_into(b))
+                .unwrap();
+            ch.corrupt_newest(flip);
+            assert!(!ch.recv_ref().unwrap().verify(), "bit {flip} undetected");
         }
+        ch.send_with(MsgKind::SyscallRequest, |b| req.encode_into(b))
+            .unwrap();
+        assert!(ch.recv_ref().unwrap().verify(), "pristine copy verifies");
         // Empty payloads are covered through the checksum itself.
-        let ctl = IkcMessage::new(MsgKind::Control, Bytes::new());
-        assert!(ctl.verify());
-        assert!(!ctl.corrupted(0).verify());
+        ch.send_with(MsgKind::Control, |_| {}).unwrap();
+        assert!(ch.recv_ref().unwrap().verify());
+        ch.send_with(MsgKind::Control, |_| {}).unwrap();
+        ch.corrupt_newest(0);
+        assert!(!ch.recv_ref().unwrap().verify());
     }
 
     #[test]
     fn control_messages_round_trip() {
+        let mut ch = IkcChannel::new(1);
         for msg in [
             ControlMsg::Heartbeat { beat: 3 },
             ControlMsg::HeartbeatAck { beat: 3 },
@@ -810,9 +647,11 @@ mod tests {
             ControlMsg::ProxyDead { proxy_pid: 500 },
         ] {
             assert_eq!(ControlMsg::decode(&msg.encode()), Some(msg));
-            let wrapped = IkcMessage::control(&msg);
+            ch.send_with(MsgKind::Control, |b| msg.encode_into(b))
+                .unwrap();
+            let wrapped = ch.recv_ref().unwrap();
             assert!(wrapped.verify());
-            assert_eq!(ControlMsg::decode(&wrapped.payload), Some(msg));
+            assert_eq!(ControlMsg::decode(wrapped.payload), Some(msg));
         }
         assert_eq!(ControlMsg::decode(&[1, 0, 0]), None);
         assert_eq!(ControlMsg::decode(&[9; 9]), None);
@@ -866,25 +705,11 @@ mod tests {
         // The streaming checksum must equal CRC over tag || payload —
         // the wire format is unchanged.
         let payload = b"some payload bytes";
-        let mut concat = vec![MsgKind::PfnReply.tag()];
+        let mut concat = vec![MsgKind::SyscallReply.tag()];
         concat.extend_from_slice(payload);
-        assert_eq!(message_checksum(MsgKind::PfnReply, payload), crc32(&concat));
-    }
-
-    #[test]
-    fn pfn_messages_round_trip() {
-        let req = PfnRequest {
-            seq: 9,
-            tracking: 3,
-            offset: 0x2000,
-        };
-        assert_eq!(PfnRequest::decode(&req.encode()), Some(req));
-        let rep = PfnReply {
-            seq: 9,
-            phys: 0x10_0000_2000,
-        };
-        assert_eq!(PfnReply::decode(&rep.encode()), Some(rep));
-        assert_eq!(PfnRequest::decode(&[0; 23]), None);
-        assert_eq!(PfnReply::decode(&[0; 15]), None);
+        assert_eq!(
+            message_checksum(MsgKind::SyscallReply, payload),
+            crc32(&concat)
+        );
     }
 }

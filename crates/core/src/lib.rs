@@ -18,9 +18,9 @@
 //!   Linux-side system-call delegator ([`ihk::delegator`]).
 //! * [`mck`] — the lightweight kernel proper: physical memory management
 //!   ([`mck::mem`]), processes and threads ([`mck::process`]), the
-//!   cooperative tick-less scheduler ([`mck::sched`]), the syscall table
-//!   with its delegate-vs-implement split ([`mck::syscall`]), signals
-//!   ([`mck::signal`]) and hardware performance counters ([`mck::perfctr`]).
+//!   cooperative tick-less scheduler's run queues ([`mck::sched`]), the
+//!   syscall table with its delegate-vs-implement split ([`mck::syscall`])
+//!   and signals ([`mck::signal`]).
 //! * [`proxy`] — the proxy process: the unified address space
 //!   ([`proxy::unified`]) and transparent device-file mapping
 //!   ([`proxy::devmap`]).

@@ -2,12 +2,11 @@
 //!
 //! A from-scratch LWK (Sec. II): own memory management, processes and
 //! multi-threading under a cooperative tick-less round-robin scheduler,
-//! signaling, inter-process mappings and perf counters — everything else
-//! is delegated to Linux through IKC.
+//! signaling and inter-process mappings — everything else is delegated
+//! to Linux through IKC.
 
 pub mod domains;
 pub mod mem;
-pub mod perfctr;
 pub mod process;
 pub mod sched;
 pub mod shm;
@@ -21,8 +20,7 @@ use hwmodel::cpu::{CoreId, NumaId};
 use mem::phys::FrameAllocator;
 use mem::vm::VmaKind;
 use mem::FaultOutcome;
-use perfctr::PerfCounters;
-use process::{Process, Thread, ThreadState};
+use process::{Process, Thread};
 use sched::CoopScheduler;
 use shm::{ShmId, ShmRegistry};
 use signal::SignalState;
@@ -95,7 +93,6 @@ pub struct McKernel {
     procs: HashMap<Pid, Process>,
     threads: HashMap<Tid, Thread>,
     signals: HashMap<Pid, SignalState>,
-    perf: HashMap<Tid, PerfCounters>,
     next_pid: u32,
     next_tid: u32,
     next_seq: u64,
@@ -155,7 +152,6 @@ impl McKernel {
             procs: HashMap::new(),
             threads: HashMap::new(),
             signals: HashMap::new(),
-            perf: HashMap::new(),
             next_pid: 1000,
             next_tid: 1000,
             next_seq: 1,
@@ -262,9 +258,8 @@ impl McKernel {
         Ok(())
     }
 
-    /// Move a runnable (or blocked) thread to another online core.
-    /// Refuses for the running thread on its core and for futex-parked
-    /// threads, whose wake is bound to the parking core.
+    /// Move a thread to another online core, carrying its run-queue
+    /// entry with it.
     pub fn migrate_thread(&mut self, tid: Tid, to: CoreId) -> Result<(), &'static str> {
         if !self.core_online(to) {
             return Err("destination core is not online");
@@ -275,12 +270,6 @@ impl McKernel {
         };
         if from == to {
             return Ok(());
-        }
-        if self.sched.current(from) == Some(tid) {
-            return Err("thread is running on its core");
-        }
-        if self.sched.is_futex_parked(tid) {
-            return Err("thread is parked on a futex");
         }
         let was_queued = self.sched.dequeue(from, tid);
         self.threads.get_mut(&tid).expect("thread").core = to;
@@ -306,22 +295,13 @@ impl McKernel {
         assert!(self.core_online(core), "{core} not online in LWK partition");
         let tid = Tid(self.next_tid);
         self.next_tid += 1;
-        self.threads.insert(
-            tid,
-            Thread {
-                tid,
-                pid,
-                state: ThreadState::Ready,
-                core,
-            },
-        );
+        self.threads.insert(tid, Thread { tid, pid, core });
         self.procs
             .get_mut(&pid)
             .expect("spawn_thread on unknown pid")
             .threads
             .push(tid);
         self.sched.enqueue(core, tid);
-        self.perf.insert(tid, PerfCounters::default());
         tid
     }
 
@@ -338,16 +318,6 @@ impl McKernel {
     /// Thread accessor.
     pub fn thread(&self, tid: Tid) -> Option<&Thread> {
         self.threads.get(&tid)
-    }
-
-    /// Per-thread perf counters.
-    pub fn perf_counters(&self, tid: Tid) -> Option<&PerfCounters> {
-        self.perf.get(&tid)
-    }
-
-    /// Mutable perf counters.
-    pub fn perf_counters_mut(&mut self, tid: Tid) -> Option<&mut PerfCounters> {
-        self.perf.get_mut(&tid)
     }
 
     /// Signal state of a process.
@@ -644,13 +614,12 @@ impl McKernel {
         for (start, len) in ranges {
             let _ = mem::unmap_range(&mut proc.aspace, &mut self.alloc, &self.costs, start, len);
         }
+        // No queued threads or stale heat for the reaped job.
         for tid in &proc.threads {
-            self.threads.remove(tid);
-            self.perf.remove(tid);
+            if let Some(t) = self.threads.remove(tid) {
+                self.sched.dequeue(t.core, *tid);
+            }
         }
-        // No stranded futex waiters or stale heat for the reaped job.
-        let dead = proc.threads;
-        self.sched.futex_reap(|t| dead.contains(&t));
         self.prof.forget(pid);
         self.signals.remove(&pid);
     }
@@ -676,11 +645,11 @@ impl McKernel {
     }
 
     /// Whether the kernel is back to a pristine state (no processes, all
-    /// physical memory free, no parked futex waiters, no stale heat).
+    /// physical memory free, every run queue empty, no stale heat).
     pub fn is_pristine(&self) -> bool {
         self.procs.is_empty()
             && self.alloc.free_bytes() == self.alloc.len_bytes()
-            && !self.sched.has_futex_waiters()
+            && self.sched.is_empty()
             && self.prof.is_empty()
     }
 }
@@ -871,6 +840,18 @@ mod tests {
         k.reap_process(pid);
         assert!(k.is_pristine(), "reinit policy requires clean state");
         assert!(k.thread(tid).is_none());
+    }
+
+    #[test]
+    fn reap_dequeues_threads_so_their_core_can_go_offline() {
+        let mut k = boot();
+        let pid = k.create_process(None);
+        k.spawn_thread(pid, CoreId(18));
+        assert_eq!(k.sched.queued(CoreId(18)), 1);
+        k.reap_process(pid);
+        assert_eq!(k.sched.queued(CoreId(18)), 0, "reaped tid left queued");
+        assert!(k.is_pristine());
+        k.offline_core(CoreId(18)).unwrap();
     }
 
     #[test]

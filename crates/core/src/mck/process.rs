@@ -8,32 +8,6 @@ use crate::abi::{Pid, Tid};
 use crate::mck::mem::AddressSpace;
 use hwmodel::cpu::CoreId;
 
-/// Why a thread is not runnable.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BlockReason {
-    /// Waiting for an offloaded syscall's reply from Linux.
-    OffloadReply,
-    /// Waiting on a futex (thread join, MPI progress waits).
-    Futex,
-    /// In `nanosleep`.
-    Sleep,
-    /// Waiting for a network completion (CQ event).
-    Network,
-}
-
-/// Thread scheduling state.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ThreadState {
-    /// On a run queue.
-    Ready,
-    /// Currently on a core.
-    Running(CoreId),
-    /// Blocked.
-    Blocked(BlockReason),
-    /// Finished.
-    Exited,
-}
-
 /// One McKernel thread.
 #[derive(Debug)]
 pub struct Thread {
@@ -41,10 +15,8 @@ pub struct Thread {
     pub tid: Tid,
     /// Owning process.
     pub pid: Pid,
-    /// Scheduling state.
-    pub state: ThreadState,
     /// Core this thread is bound to (McKernel binds HPC threads 1:1;
-    /// the cooperative scheduler never migrates them).
+    /// only an elastic shrink migrates them).
     pub core: CoreId,
 }
 

@@ -1,33 +1,27 @@
-//! The cooperative, tick-less, round-robin scheduler.
+//! The cooperative, tick-less scheduler's per-core run queues.
 //!
 //! McKernel schedules "with a simple round-robin cooperative (tick-less)
-//! scheduler" (Sec. II). Three properties make the LWK noiseless and all
-//! three are structural here:
+//! scheduler" (Sec. II). What makes the LWK noiseless is structural:
 //!
-//! * **No timer tick** — there is no periodic event source at all; the
-//!   scheduler only acts when a thread yields, blocks, or is woken.
-//! * **Cooperative** — a running thread is never preempted.
-//! * **Per-core queues, no migration/balancing** — no cross-core locks, no
-//!   work stealing, no IPIs between LWK cores.
+//! * **No timer tick** — there is no periodic event source at all.
+//! * **Cooperative** — a running thread is never preempted, so the node
+//!   runtime runs each LWK compute quantum to completion on its core.
+//! * **Per-core queues, no balancing** — no cross-core locks, no work
+//!   stealing, no IPIs between LWK cores. Threads move only when an
+//!   elastic shrink migrates them off a core it hands back to Linux.
+//!
+//! Dispatch is not modelled as state here; the queues record which
+//! threads are runnable on which core, which is what core hotplug,
+//! migration and the pristine-LWK check read.
 
 use crate::abi::Tid;
-use hwmodel::addr::VirtAddr;
 use hwmodel::cpu::CoreId;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Per-core cooperative run queues, plus the native futex wait table
-/// used by the promoted `futex` fast path (keyed by the *virtual*
-/// address of the futex word — LWK threads of one process share the
-/// address space, so the VA is the identity).
+/// Per-core cooperative run queues.
 #[derive(Debug)]
 pub struct CoopScheduler {
     queues: BTreeMap<CoreId, VecDeque<Tid>>,
-    current: BTreeMap<CoreId, Option<Tid>>,
-    /// FIFO waiters per futex word. Waiters parked here are invisible to
-    /// the Linux side by design: a futex word shared with the proxy must
-    /// stay on the delegated path (that is exactly why the promoted path
-    /// only handles process-private futexes).
-    futexes: BTreeMap<VirtAddr, VecDeque<(CoreId, Tid)>>,
 }
 
 impl CoopScheduler {
@@ -35,14 +29,7 @@ impl CoopScheduler {
     pub fn new(cores: &[CoreId]) -> Self {
         CoopScheduler {
             queues: cores.iter().map(|&c| (c, VecDeque::new())).collect(),
-            current: cores.iter().map(|&c| (c, None)).collect(),
-            futexes: BTreeMap::new(),
         }
-    }
-
-    /// Cores managed by this scheduler.
-    pub fn cores(&self) -> impl Iterator<Item = CoreId> + '_ {
-        self.queues.keys().copied()
     }
 
     /// Whether `core` has a run queue here.
@@ -54,32 +41,24 @@ impl CoopScheduler {
     pub fn add_core(&mut self, core: CoreId) {
         assert!(!self.has_core(core), "{core} already scheduled");
         self.queues.insert(core, VecDeque::new());
-        self.current.insert(core, None);
     }
 
     /// Core hotplug (online shrink): remove `core`'s run queue. Refuses
-    /// while anything still runs, queues, or waits on the core — the
-    /// caller must migrate threads off first.
+    /// while any thread is still queued on the core — the caller must
+    /// migrate threads off first.
     pub fn remove_core(&mut self, core: CoreId) -> Result<(), &'static str> {
         if !self.has_core(core) {
             return Err("core not scheduled here");
         }
-        if self.current(core).is_some() {
-            return Err("a thread is running on the core");
-        }
         if self.queued(core) > 0 {
             return Err("runnable threads still queued on the core");
         }
-        if self.futexes.values().flatten().any(|&(c, _)| c == core) {
-            return Err("futex waiters still parked on the core");
-        }
         self.queues.remove(&core);
-        self.current.remove(&core);
         Ok(())
     }
 
-    /// Remove `tid` from `core`'s run queue (thread migration). Returns
-    /// whether it was queued there.
+    /// Remove `tid` from `core`'s run queue (thread migration or reap).
+    /// Returns whether it was queued there.
     pub fn dequeue(&mut self, core: CoreId, tid: Tid) -> bool {
         let q = self.queue_mut(core);
         match q.iter().position(|&t| t == tid) {
@@ -89,12 +68,6 @@ impl CoopScheduler {
             }
             None => false,
         }
-    }
-
-    /// Whether `tid` is parked on any futex word (such a thread cannot
-    /// be migrated — its wake is bound to the parking core).
-    pub fn is_futex_parked(&self, tid: Tid) -> bool {
-        self.futexes.values().flatten().any(|&(_, t)| t == tid)
     }
 
     fn queue_mut(&mut self, core: CoreId) -> &mut VecDeque<Tid> {
@@ -108,123 +81,15 @@ impl CoopScheduler {
         self.queue_mut(core).push_back(tid);
     }
 
-    /// Thread currently on `core`.
-    pub fn current(&self, core: CoreId) -> Option<Tid> {
-        *self
-            .current
-            .get(&core)
-            .unwrap_or_else(|| panic!("{core} not in LWK partition"))
-    }
-
-    /// Pick the next thread for an idle `core`. Returns `None` if the
-    /// queue is empty (the core then simply halts — no idle tick).
-    pub fn pick_next(&mut self, core: CoreId) -> Option<Tid> {
-        assert!(
-            self.current(core).is_none(),
-            "pick_next on busy core {core}"
-        );
-        let next = self.queue_mut(core).pop_front();
-        self.current.insert(core, next);
-        next
-    }
-
-    /// Voluntary yield: requeue the current thread at the tail and pick the
-    /// next. With a single thread on the core this is a no-op returning the
-    /// same thread.
-    pub fn yield_current(&mut self, core: CoreId) -> Option<Tid> {
-        if let Some(tid) = self.current(core) {
-            self.queue_mut(core).push_back(tid);
-            self.current.insert(core, None);
-        }
-        self.pick_next(core)
-    }
-
-    /// Current thread blocks (offload wait, futex, CQ wait). The core picks
-    /// the next runnable thread, if any.
-    pub fn block_current(&mut self, core: CoreId) -> Option<Tid> {
-        assert!(
-            self.current(core).is_some(),
-            "block_current with nothing running on {core}"
-        );
-        self.current.insert(core, None);
-        self.pick_next(core)
-    }
-
-    /// Current thread exits.
-    pub fn exit_current(&mut self, core: CoreId) -> Option<Tid> {
-        self.current.insert(core, None);
-        self.pick_next(core)
-    }
-
-    /// Wake `tid` onto `core`. Returns `true` if the core was idle and the
-    /// thread was dispatched immediately (the caller then charges a
-    /// dispatch, not an enqueue).
-    pub fn wake(&mut self, core: CoreId, tid: Tid) -> bool {
-        if self.current(core).is_none() && self.queue_mut(core).is_empty() {
-            self.current.insert(core, Some(tid));
-            true
-        } else {
-            self.enqueue(core, tid);
-            false
-        }
-    }
-
-    /// Runnable (queued, not running) count on a core.
+    /// Runnable count on a core.
     pub fn queued(&self, core: CoreId) -> usize {
         self.queues.get(&core).map(VecDeque::len).unwrap_or(0)
     }
 
-    /// Park the current thread of `core` on the futex word at `uaddr`
-    /// (`FUTEX_WAIT` after the value check passed). The core picks its
-    /// next runnable thread, which is returned.
-    pub fn futex_wait(&mut self, core: CoreId, uaddr: VirtAddr) -> Option<Tid> {
-        let tid = self
-            .current(core)
-            .unwrap_or_else(|| panic!("futex_wait with nothing running on {core}"));
-        self.futexes.entry(uaddr).or_default().push_back((core, tid));
-        self.block_current(core)
-    }
-
-    /// Wake up to `n` FIFO waiters parked on `uaddr` (`FUTEX_WAKE`).
-    /// Each is re-dispatched onto the core it blocked on. Returns the
-    /// woken (core, tid) pairs in wake order.
-    pub fn futex_wake(&mut self, uaddr: VirtAddr, n: usize) -> Vec<(CoreId, Tid)> {
-        let mut woken = Vec::new();
-        if let Some(q) = self.futexes.get_mut(&uaddr) {
-            for _ in 0..n {
-                match q.pop_front() {
-                    Some(pair) => woken.push(pair),
-                    None => break,
-                }
-            }
-        }
-        for &(core, tid) in &woken {
-            self.wake(core, tid);
-        }
-        if self.futexes.get(&uaddr).is_some_and(VecDeque::is_empty) {
-            self.futexes.remove(&uaddr);
-        }
-        woken
-    }
-
-    /// Waiters currently parked on `uaddr`.
-    pub fn futex_waiters(&self, uaddr: VirtAddr) -> usize {
-        self.futexes.get(&uaddr).map_or(0, VecDeque::len)
-    }
-
-    /// Whether any futex word has parked waiters (pristine-LWK check:
-    /// a reaped job must leave no thread stranded on a wait queue).
-    pub fn has_futex_waiters(&self) -> bool {
-        !self.futexes.is_empty()
-    }
-
-    /// Drop every parked waiter whose tid satisfies `dead` (process
-    /// teardown: SIGKILL must not leave tombstones in the wait table).
-    pub fn futex_reap(&mut self, dead: impl Fn(Tid) -> bool) {
-        for q in self.futexes.values_mut() {
-            q.retain(|&(_, t)| !dead(t));
-        }
-        self.futexes.retain(|_, q| !q.is_empty());
+    /// Whether every run queue is empty (pristine-LWK check: a reaped
+    /// job must leave no thread queued on any core).
+    pub fn is_empty(&self) -> bool {
+        self.queues.values().all(VecDeque::is_empty)
     }
 }
 
@@ -237,67 +102,15 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_order_is_fifo() {
-        let mut s = CoopScheduler::new(&cores());
-        let c = CoreId(10);
-        for t in [1, 2, 3] {
-            s.enqueue(c, Tid(t));
-        }
-        assert_eq!(s.pick_next(c), Some(Tid(1)));
-        assert_eq!(s.yield_current(c), Some(Tid(2)));
-        assert_eq!(s.yield_current(c), Some(Tid(3)));
-        assert_eq!(s.yield_current(c), Some(Tid(1)), "wraps around");
-    }
-
-    #[test]
-    fn single_thread_yield_keeps_running() {
-        let mut s = CoopScheduler::new(&cores());
-        let c = CoreId(11);
-        s.enqueue(c, Tid(9));
-        assert_eq!(s.pick_next(c), Some(Tid(9)));
-        assert_eq!(s.yield_current(c), Some(Tid(9)));
-        assert_eq!(s.current(c), Some(Tid(9)));
-    }
-
-    #[test]
-    fn block_and_wake_cycle() {
-        let mut s = CoopScheduler::new(&cores());
-        let c = CoreId(10);
-        s.enqueue(c, Tid(1));
-        s.enqueue(c, Tid(2));
-        s.pick_next(c);
-        // Tid(1) blocks on an offload; Tid(2) runs.
-        assert_eq!(s.block_current(c), Some(Tid(2)));
-        // Reply arrives; core busy, so Tid(1) queues.
-        assert!(!s.wake(c, Tid(1)));
-        assert_eq!(s.queued(c), 1);
-        // Tid(2) blocks; Tid(1) resumes.
-        assert_eq!(s.block_current(c), Some(Tid(1)));
-    }
-
-    #[test]
-    fn wake_onto_idle_core_dispatches_immediately() {
-        let mut s = CoopScheduler::new(&cores());
-        let c = CoreId(12);
-        assert!(s.wake(c, Tid(5)));
-        assert_eq!(s.current(c), Some(Tid(5)));
-    }
-
-    #[test]
-    fn idle_core_stays_idle() {
-        let mut s = CoopScheduler::new(&cores());
-        assert_eq!(s.pick_next(CoreId(10)), None);
-        assert_eq!(s.current(CoreId(10)), None);
-    }
-
-    #[test]
     fn cores_are_independent() {
         let mut s = CoopScheduler::new(&cores());
         s.enqueue(CoreId(10), Tid(1));
         s.enqueue(CoreId(11), Tid(2));
-        assert_eq!(s.pick_next(CoreId(10)), Some(Tid(1)));
-        assert_eq!(s.pick_next(CoreId(11)), Some(Tid(2)));
+        assert!(!s.dequeue(CoreId(10), Tid(2)), "queued on another core");
+        assert!(s.dequeue(CoreId(10), Tid(1)));
         assert_eq!(s.queued(CoreId(10)), 0);
+        assert_eq!(s.queued(CoreId(11)), 1);
+        assert!(!s.is_empty());
     }
 
     #[test]
@@ -305,55 +118,5 @@ mod tests {
     fn foreign_core_rejected() {
         let mut s = CoopScheduler::new(&cores());
         s.enqueue(CoreId(0), Tid(1)); // core 0 belongs to Linux
-    }
-
-    #[test]
-    fn exit_moves_on() {
-        let mut s = CoopScheduler::new(&cores());
-        let c = CoreId(10);
-        s.enqueue(c, Tid(1));
-        s.enqueue(c, Tid(2));
-        s.pick_next(c);
-        assert_eq!(s.exit_current(c), Some(Tid(2)));
-        assert_eq!(s.exit_current(c), None);
-    }
-
-    #[test]
-    fn futex_wait_parks_and_wake_redispatches_fifo() {
-        let mut s = CoopScheduler::new(&cores());
-        let (c1, c2) = (CoreId(10), CoreId(11));
-        s.enqueue(c1, Tid(1));
-        s.enqueue(c2, Tid(2));
-        s.pick_next(c1);
-        s.pick_next(c2);
-        let word = VirtAddr(0x7000_1000);
-        // Both threads park on the same word; their cores go idle.
-        assert_eq!(s.futex_wait(c1, word), None);
-        assert_eq!(s.futex_wait(c2, word), None);
-        assert_eq!(s.futex_waiters(word), 2);
-        assert!(s.has_futex_waiters());
-        // Wake 1: strictly FIFO, back onto the parking core.
-        assert_eq!(s.futex_wake(word, 1), vec![(c1, Tid(1))]);
-        assert_eq!(s.current(c1), Some(Tid(1)), "idle core dispatches");
-        assert_eq!(s.futex_waiters(word), 1);
-        // Wake everything (n larger than the queue is fine).
-        assert_eq!(s.futex_wake(word, 100), vec![(c2, Tid(2))]);
-        assert_eq!(s.futex_waiters(word), 0);
-        assert!(!s.has_futex_waiters(), "empty queues are pruned");
-        // Waking an unknown word wakes nobody.
-        assert!(s.futex_wake(VirtAddr(0xdead_0000), 5).is_empty());
-    }
-
-    #[test]
-    fn futex_reap_drops_dead_waiters() {
-        let mut s = CoopScheduler::new(&cores());
-        let c = CoreId(10);
-        s.enqueue(c, Tid(1));
-        s.pick_next(c);
-        let word = VirtAddr(0x7000_2000);
-        s.futex_wait(c, word);
-        s.futex_reap(|t| t == Tid(1));
-        assert!(!s.has_futex_waiters());
-        assert!(s.futex_wake(word, 1).is_empty(), "no tombstone wakeups");
     }
 }

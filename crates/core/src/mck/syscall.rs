@@ -48,15 +48,16 @@ pub fn disposition(s: Sysno) -> Disposition {
         | Uname | GetRandom => Disposition::Delegate,
         // Futex and clock reads are delegated by default in this model
         // (they live in the promotable subset below); the profiler can
-        // promote them to the in-LWK futex table / vDSO time page.
+        // promote them to the in-LWK futex word check / vDSO time page.
         Futex | ClockGettime => Disposition::Delegate,
     }
 }
 
 /// Whether a delegated syscall has an in-LWK fast-path implementation
 /// the profiler may promote it to: positional I/O on proxy-backed fds
-/// (shared-ring file cache), futex wait/wake (native wait queues in
-/// `mck::sched`), and clock reads (vDSO-style shared time page).
+/// (shared-ring file cache), futex wait/wake (the word check runs in
+/// the LWK; no thread parks), and clock reads (vDSO-style shared time
+/// page).
 pub fn promotable(s: Sysno) -> bool {
     matches!(
         s,

@@ -4,7 +4,7 @@
 //! receives, and fault-injected corruption — including sustained
 //! operation far past the wrap point and full-queue back-pressure.
 
-use hlwk_core::ihk::ikc::{message_checksum, IkcChannel, IkcMessage, MsgKind};
+use hlwk_core::ihk::ikc::{message_checksum, IkcChannel, MsgKind};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -133,26 +133,4 @@ proptest! {
         prop_assert_eq!(full_events, 0);
     }
 
-    /// The owned-message compatibility path (`send`/`recv`) agrees with
-    /// the in-place path: a message round-tripped through the ring is
-    /// bit-identical to the original, checksum included.
-    #[test]
-    fn owned_roundtrip_preserves_messages(lens in prop::collection::vec(0u8..=64, 1..40)) {
-        let mut ch = IkcChannel::new(lens.len());
-        let originals: Vec<IkcMessage> = lens
-            .iter()
-            .enumerate()
-            .map(|(id, &len)| IkcMessage::new(MsgKind::PfnReply, payload(id as u64, len).into()))
-            .collect();
-        for m in &originals {
-            ch.send(m.clone()).expect("sized to fit");
-        }
-        for want in &originals {
-            let got = ch.recv().expect("queued");
-            prop_assert_eq!(got.kind, want.kind);
-            prop_assert_eq!(&got.payload[..], &want.payload[..]);
-            prop_assert_eq!(got.checksum, want.checksum);
-            prop_assert!(got.verify());
-        }
-    }
 }

@@ -1,9 +1,9 @@
 //! Property tests for the IKC wire formats: decoders must be total
 //! (never panic, whatever bytes arrive off the channel), round trips
 //! must be lossless, and the message checksum must catch every injected
-//! single-bit corruption.
+//! single-bit corruption on the ring path the fault model corrupts.
 
-use hlwk_core::ihk::ikc::{ControlMsg, IkcMessage, MsgKind, PfnReply, PfnRequest};
+use hlwk_core::ihk::ikc::{ControlMsg, IkcChannel, MsgKind, WireMsg};
 use hlwk_core::mck::syscall::{SyscallReply, SyscallRequest};
 use proptest::prelude::*;
 
@@ -40,8 +40,6 @@ proptest! {
     fn decoders_are_total(bytes in wire_bytes()) {
         let _ = SyscallRequest::decode(&bytes);
         let _ = SyscallReply::decode(&bytes);
-        let _ = PfnRequest::decode(&bytes);
-        let _ = PfnReply::decode(&bytes);
         let _ = ControlMsg::decode(&bytes);
     }
 
@@ -56,12 +54,6 @@ proptest! {
         if bytes.len() != SyscallReply::WIRE_SIZE {
             prop_assert!(SyscallReply::decode(&bytes).is_none());
         }
-        if bytes.len() != 24 {
-            prop_assert!(PfnRequest::decode(&bytes).is_none());
-        }
-        if bytes.len() != 16 {
-            prop_assert!(PfnReply::decode(&bytes).is_none());
-        }
         if bytes.len() != 9 {
             prop_assert!(ControlMsg::decode(&bytes).is_none());
         }
@@ -73,15 +65,11 @@ proptest! {
         prop_assert_eq!(SyscallRequest::decode(&req.encode()), Some(req));
     }
 
-    /// encode -> decode is the identity for replies / PFN traffic.
+    /// encode -> decode is the identity for syscall replies.
     #[test]
     fn small_messages_round_trip(seq in 0u64..u64::MAX, val in 0u64..u64::MAX) {
         let rep = SyscallReply { seq, ret: val as i64 };
         prop_assert_eq!(SyscallReply::decode(&rep.encode()), Some(rep));
-        let preq = PfnRequest { seq, tracking: val, offset: seq ^ val };
-        prop_assert_eq!(PfnRequest::decode(&preq.encode()), Some(preq));
-        let prep = PfnReply { seq, phys: val };
-        prop_assert_eq!(PfnReply::decode(&prep.encode()), Some(prep));
     }
 
     /// encode -> decode is the identity for every control message.
@@ -98,24 +86,24 @@ proptest! {
     }
 
     /// encode -> corrupt -> verify: the CRC catches every injected
-    /// corruption, for every message kind, at every flip position.
+    /// corruption of a ring slot, for every kind the offload path sends,
+    /// at every flip position.
     #[test]
     fn corruption_is_always_detected(req in syscall_request(), flip in 0u64..u64::MAX) {
-        let messages = [
-            IkcMessage::syscall_request(&req),
-            IkcMessage::syscall_reply(&SyscallReply { seq: req.seq, ret: req.args[0] as i64 }),
-            IkcMessage::pfn_request(&PfnRequest {
-                seq: req.seq,
-                tracking: req.args[1],
-                offset: req.args[2],
-            }),
-            IkcMessage::pfn_reply(&PfnReply { seq: req.seq, phys: req.args[3] }),
-            IkcMessage::control(&ControlMsg::Nack { seq: req.seq }),
-        ];
-        for msg in messages {
-            prop_assert!(msg.verify(), "pristine message must verify");
-            let bad = msg.corrupted(flip);
-            prop_assert!(!bad.verify(), "corruption must be detected");
+        let rep = SyscallReply { seq: req.seq, ret: req.args[0] as i64 };
+        let nack = ControlMsg::Nack { seq: req.seq };
+        let mut ch = IkcChannel::new(1);
+        for kind in [MsgKind::SyscallRequest, MsgKind::SyscallReply, MsgKind::Control] {
+            let fill = |b: &mut Vec<u8>| match kind {
+                MsgKind::SyscallRequest => req.encode_into(b),
+                MsgKind::SyscallReply => rep.encode_into(b),
+                MsgKind::Control => nack.encode_into(b),
+            };
+            ch.send_with(kind, fill).unwrap();
+            prop_assert!(ch.recv_ref().unwrap().verify(), "pristine message must verify");
+            ch.send_with(kind, fill).unwrap();
+            ch.corrupt_newest(flip);
+            prop_assert!(!ch.recv_ref().unwrap().verify(), "corruption must be detected");
         }
     }
 
@@ -124,12 +112,13 @@ proptest! {
     #[test]
     fn kind_is_covered_by_the_checksum(seq in 0u64..u64::MAX) {
         let rep = SyscallReply { seq, ret: 0 };
-        let msg = IkcMessage::syscall_reply(&rep);
-        let forged = IkcMessage {
-            kind: MsgKind::PfnReply,
-            payload: msg.payload.clone(),
-            checksum: msg.checksum,
-        };
-        prop_assert!(!forged.verify());
+        let mut ch = IkcChannel::new(1);
+        ch.send_with(MsgKind::SyscallReply, |b| rep.encode_into(b)).unwrap();
+        let msg = ch.recv_ref().unwrap();
+        prop_assert!(msg.verify());
+        for kind in [MsgKind::SyscallRequest, MsgKind::Control] {
+            let forged = WireMsg { kind, ..msg };
+            prop_assert!(!forged.verify());
+        }
     }
 }

@@ -120,28 +120,6 @@ impl InterferenceModel {
         let membw = self.membw_pollution_gain * pol.cross_socket.clamp(0.0, 1.0);
         1.0 + mi * (tlb + llc + membw)
     }
-
-    /// Modeled relative TLB miss count (arbitrary units, for the perf
-    /// counter interface; the paper reports McKernel seeing ~1% fewer).
-    pub fn tlb_miss_index(&self, prof: MemProfile, backing: PageBacking) -> f64 {
-        let mult = match backing {
-            PageBacking::Small4k => 1.0,
-            PageBacking::Large2mContiguous => self.tlb_large_factor,
-        };
-        prof.mem_intensity * self.tlb_frac_4k * mult
-    }
-
-    /// Modeled relative LLC miss count (arbitrary units).
-    pub fn llc_miss_index(&self, prof: MemProfile, backing: PageBacking, pol: Pollution) -> f64 {
-        let mult = match backing {
-            PageBacking::Small4k => 1.0,
-            PageBacking::Large2mContiguous => self.llc_contig_factor,
-        };
-        prof.mem_intensity
-            * self.llc_frac
-            * mult
-            * (1.0 + self.llc_pollution_gain * pol.same_socket)
-    }
 }
 
 #[cfg(test)]
@@ -214,20 +192,6 @@ mod tests {
             },
         );
         assert!(resid / quiet - 1.0 < 0.04);
-    }
-
-    #[test]
-    fn miss_indices_reflect_backing() {
-        let m = InterferenceModel::default();
-        let p = MemProfile::memory_bound();
-        assert!(
-            m.tlb_miss_index(p, PageBacking::Large2mContiguous)
-                < m.tlb_miss_index(p, PageBacking::Small4k)
-        );
-        assert!(
-            m.llc_miss_index(p, PageBacking::Large2mContiguous, Pollution::NONE)
-                < m.llc_miss_index(p, PageBacking::Small4k, Pollution::NONE)
-        );
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! CFS-like fair scheduling arithmetic and runqueue.
+//! CFS scheduler tunables and timeslice arithmetic.
 //!
-//! Two things are consumed by the rest of the model:
-//!
-//! * the **vruntime runqueue** — a faithful-enough completely-fair queue
-//!   used to reason about pick order and wake preemption;
-//! * the **fair-share arithmetic** — with `n` other runnable tasks on a
-//!   core, a task progresses at rate `1/(n+1)` and pays context switches
-//!   every timeslice. This is what turns co-located Hadoop tasks into the
-//!   up-to-16x FWQ slowdowns of Fig. 5c.
+//! The fair-share contention model itself lives in
+//! [`crate::runtime::LinuxCoreRuntime::execute`]: with `n` other runnable
+//! tasks on a core, a task progresses at rate `1/(n+1)` and pays context
+//! switches every [`CfsParams::timeslice`]. This is what turns co-located
+//! Hadoop tasks into the up-to-16x FWQ slowdowns of Fig. 5c.
 
 use simcore::Cycles;
-use std::collections::BTreeSet;
 
 /// Scheduler tunables (RHEL 6-era defaults).
 #[derive(Clone, Copy, Debug)]
@@ -41,94 +37,6 @@ impl CfsParams {
         }
         (self.sched_latency / u64::from(nr)).max(self.min_granularity)
     }
-
-    /// Wall time for a task to complete `work` while sharing the core with
-    /// `competitors` equally weighted tasks, including context switches.
-    pub fn contended_duration(&self, work: Cycles, competitors: u32) -> Cycles {
-        if competitors == 0 {
-            return work;
-        }
-        let share = u64::from(competitors) + 1;
-        let slice = self.timeslice(competitors + 1);
-        // Number of times our task gets (re)scheduled.
-        let rounds = (work.raw() + slice.raw() - 1) / slice.raw().max(1);
-        work * share + self.ctx_switch * (2 * rounds)
-    }
-}
-
-/// One entity in the runqueue.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct Entity {
-    vruntime: u64,
-    task: u64,
-}
-
-/// A per-core CFS runqueue (equal weights).
-#[derive(Debug, Default)]
-pub struct CfsQueue {
-    queue: BTreeSet<Entity>,
-    min_vruntime: u64,
-    current: Option<Entity>,
-}
-
-impl CfsQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        CfsQueue::default()
-    }
-
-    /// Runnable count (queued + current).
-    pub fn nr_running(&self) -> u32 {
-        self.queue.len() as u32 + u32::from(self.current.is_some())
-    }
-
-    /// Add a task. A fresh/woken task starts at `min_vruntime` so it gets
-    /// scheduled soon but cannot starve others.
-    pub fn enqueue(&mut self, task: u64) {
-        self.queue.insert(Entity {
-            vruntime: self.min_vruntime,
-            task,
-        });
-    }
-
-    /// Pick the leftmost (minimum vruntime) task to run.
-    pub fn pick_next(&mut self) -> Option<u64> {
-        if let Some(cur) = self.current.take() {
-            self.queue.insert(cur);
-        }
-        let next = self.queue.iter().next().copied()?;
-        self.queue.remove(&next);
-        self.min_vruntime = self.min_vruntime.max(next.vruntime);
-        self.current = Some(next);
-        Some(next.task)
-    }
-
-    /// Charge the current task for `ran` of CPU.
-    pub fn account_current(&mut self, ran: Cycles) {
-        if let Some(cur) = &mut self.current {
-            cur.vruntime += ran.raw();
-        }
-    }
-
-    /// Remove the current task from the queue (it blocked or exited).
-    pub fn dequeue_current(&mut self) -> Option<u64> {
-        self.current.take().map(|e| e.task)
-    }
-
-    /// Would a newly woken task preempt the current one? (Woken tasks start
-    /// at `min_vruntime`; preemption when current has run a full wakeup
-    /// granularity past it.)
-    pub fn wakeup_preempts(&self, params: &CfsParams) -> bool {
-        match &self.current {
-            Some(cur) => cur.vruntime > self.min_vruntime + params.min_granularity.raw(),
-            None => true,
-        }
-    }
-
-    /// Currently running task.
-    pub fn current(&self) -> Option<u64> {
-        self.current.map(|e| e.task)
-    }
 }
 
 #[cfg(test)]
@@ -142,85 +50,5 @@ mod tests {
         assert_eq!(p.timeslice(2), Cycles::from_ms(10));
         assert_eq!(p.timeslice(5), Cycles::from_ms(4));
         assert_eq!(p.timeslice(100), Cycles::from_ms(4), "min granularity");
-    }
-
-    #[test]
-    fn contended_duration_matches_fair_share() {
-        let p = CfsParams::default();
-        let work = Cycles::from_ms(40);
-        assert_eq!(p.contended_duration(work, 0), work);
-        let with_one = p.contended_duration(work, 1);
-        assert!(with_one >= work * 2, "at least 2x with one competitor");
-        assert!(
-            with_one < work * 2 + Cycles::from_ms(1),
-            "ctx switches are small relative to slices"
-        );
-        // 15 competitors: the Fig. 5c worst case, ~16x.
-        let with_15 = p.contended_duration(work, 15);
-        let ratio = with_15.raw() as f64 / work.raw() as f64;
-        assert!((15.9..17.5).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn fair_pick_order_alternates() {
-        let p = CfsParams::default();
-        let mut q = CfsQueue::new();
-        q.enqueue(1);
-        q.enqueue(2);
-        let mut history = Vec::new();
-        for _ in 0..6 {
-            let t = q.pick_next().unwrap();
-            history.push(t);
-            q.account_current(p.timeslice(q.nr_running()));
-        }
-        // Equal weights: strict alternation after the queue settles.
-        assert_eq!(history[0..2].iter().sum::<u64>(), 3, "both run early");
-        assert_ne!(history[2], history[3]);
-        assert_ne!(history[3], history[4]);
-    }
-
-    #[test]
-    fn long_runner_yields_to_woken_task() {
-        let p = CfsParams::default();
-        let mut q = CfsQueue::new();
-        q.enqueue(1);
-        q.pick_next();
-        q.account_current(Cycles::from_ms(50));
-        assert!(q.wakeup_preempts(&p), "task 1 far ahead of min_vruntime");
-        q.enqueue(2);
-        // After accounting, the woken task must be picked next.
-        assert_eq!(q.pick_next(), Some(2));
-    }
-
-    #[test]
-    fn fresh_current_not_preempted() {
-        let p = CfsParams::default();
-        let mut q = CfsQueue::new();
-        q.enqueue(1);
-        q.pick_next();
-        q.account_current(Cycles::from_us(100));
-        assert!(!q.wakeup_preempts(&p));
-    }
-
-    #[test]
-    fn dequeue_current_blocks_task() {
-        let mut q = CfsQueue::new();
-        q.enqueue(1);
-        q.enqueue(2);
-        q.pick_next();
-        let blocked = q.dequeue_current().unwrap();
-        assert_eq!(q.nr_running(), 1);
-        let next = q.pick_next().unwrap();
-        assert_ne!(blocked, next);
-        assert!(q.pick_next().is_some(), "survivor keeps running");
-    }
-
-    #[test]
-    fn empty_queue_idles() {
-        let mut q = CfsQueue::new();
-        assert_eq!(q.pick_next(), None);
-        assert_eq!(q.nr_running(), 0);
-        let p = CfsParams::default();
-        assert!(q.wakeup_preempts(&p), "idle core runs a woken task at once");
     }
 }

@@ -6,7 +6,6 @@
 //! which is why offload latency depends on how busy the proxy's core is.
 
 use crate::cfs::CfsParams;
-use crate::cpuset::CpusetConfig;
 use crate::daemons::DaemonSource;
 use crate::occupancy::CoreOccupancy;
 use crate::runtime::{ExecOutcome, LinuxCoreRuntime};
@@ -67,8 +66,6 @@ pub struct LinuxKernel {
     runtimes: HashMap<CoreId, LinuxCoreRuntime>,
     /// Competing-load timeline (Hadoop tasks register here).
     pub occupancy: CoreOccupancy,
-    /// cgroup cpusets + isolcpus view.
-    pub cpusets: CpusetConfig,
     /// VFS with fd tables for proxies.
     pub vfs: Vfs,
     /// The IHK delegator kernel module.
@@ -130,7 +127,6 @@ impl LinuxKernel {
             cores,
             runtimes,
             occupancy: CoreOccupancy::new(),
-            cpusets: CpusetConfig::new(),
             vfs: Vfs::new(devices),
             delegator: Delegator::new(),
             proxies: HashMap::new(),

@@ -7,16 +7,20 @@
 //! * Gigabit Ethernet — used by the in-situ (Hadoop) workload, keeping the
 //!   two traffic classes physically separate as in the paper (Sec. IV-A).
 //!
-//! Three layers:
+//! Layers:
 //!
 //! * [`loggp`] — the LogGP-style cost model (latency, CPU overheads,
 //!   per-message gap, per-byte time);
-//! * [`verbs`] — functional InfiniBand verbs objects: contexts, memory
-//!   regions with rkeys/lkeys, queue pairs, completion queues, and the
-//!   mmap'ed doorbell (UAR) page that the device-file-mapping flow of the
-//!   core crate installs;
 //! * [`fabric`] — a full-bisection switch connecting node NICs with
-//!   per-port serialization; computes message timing.
+//!   per-port serialization; computes message timing;
+//! * [`plink`] — per-node link ends and the shareable fault-schedule
+//!   view;
+//! * [`reliable`] — the IB-RC-style retransmit layer over lossy links.
+//!
+//! The HCA's user-space data path is not modelled as verbs objects: a
+//! node's only verbs state is the doorbell (UAR) page that the core
+//! crate's device-file-mapping flow installs
+//! (`cluster::node::NodeRuntime::doorbell_phys`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,10 +29,8 @@ pub mod fabric;
 pub mod loggp;
 pub mod plink;
 pub mod reliable;
-pub mod verbs;
 
 pub use fabric::Fabric;
 pub use plink::{FaultView, LinkEnd};
 pub use loggp::LinkParams;
 pub use reliable::{CrashTrigger, LinkError, ReliableFabric, ReliableStats, RetransmitPolicy};
-pub use verbs::{Cq, IbContext, Mr, Qp};

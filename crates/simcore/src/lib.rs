@@ -5,9 +5,9 @@
 //! * [`time`] — simulated time as CPU [`time::Cycles`] at a configurable
 //!   core frequency (the paper's testbed runs 2.8 GHz Xeon E5-2680v2 parts,
 //!   which is the default).
-//! * [`par`] — a bounded work-stealing task pool with deterministic
-//!   index-ordered result collection, for running experiment grids
-//!   across host cores without changing their output.
+//! * [`par`] — a bounded task pool (one shared claim counter) with
+//!   deterministic index-ordered result collection, for running
+//!   experiment grids across host cores without changing their output.
 //! * [`rng`] — deterministic, stream-splittable random number generation so
 //!   that every experiment run is exactly reproducible from its seed.
 //! * [`fault`] — seeded fault injection (message drop/delay/corrupt,

@@ -1,5 +1,4 @@
-//! Bounded, deterministic work-stealing task pool for host-side
-//! parallelism.
+//! Bounded, deterministic task pool for host-side parallelism.
 //!
 //! Every figure of the evaluation is a grid of independent simulation
 //! cells (collective × OS variant × message size × node count × run),
@@ -10,11 +9,10 @@
 //! * the pool is **bounded** — at most [`pool_size`] worker threads
 //!   (defaults to `std::thread::available_parallelism`, overridable with
 //!   the `HLWK_THREADS` environment variable), never one thread per task;
-//! * work is **stolen, never shared**: each worker owns a contiguous
-//!   index range packed into an atomic; when a worker drains its range it
-//!   steals the back half of the largest remaining victim range, so load
-//!   imbalance (cells vary in cost by orders of magnitude) cannot idle a
-//!   core;
+//! * work is **claimed from one shared counter**: every worker
+//!   `fetch_add`s the next unclaimed index, so load imbalance (cells vary
+//!   in cost by orders of magnitude) cannot idle a core while work is
+//!   left;
 //! * results are collected **by task index**, not by completion order —
 //!   the deterministic-reduction rule. Whatever the interleaving, task
 //!   `i`'s output lands in slot `i`, so `HLWK_THREADS=1` and
@@ -24,7 +22,7 @@
 //! randomness from the index via [`crate::rng::StreamRng`]); this is the
 //! same contract the repetition runner has always imposed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads the pool uses: the `HLWK_THREADS`
 /// environment variable if set to a positive integer, otherwise the
@@ -40,47 +38,6 @@ pub fn pool_size() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Pack a half-open index range `[lo, hi)` into one atomic word so claim
-/// and steal are single CAS operations.
-#[inline]
-fn pack(lo: u32, hi: u32) -> u64 {
-    (u64::from(lo) << 32) | u64::from(hi)
-}
-
-#[inline]
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-/// Claim the front index of a range; `None` if the range is empty.
-fn claim_front(range: &AtomicU64) -> Option<usize> {
-    range
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-            let (lo, hi) = unpack(v);
-            (lo < hi).then(|| pack(lo + 1, hi))
-        })
-        .ok()
-        .map(|v| unpack(v).0 as usize)
-}
-
-/// Steal the back half of a victim's range; `None` if it holds fewer
-/// than two tasks (a singleton is cheaper to claim than to re-park).
-fn steal_back_half(victim: &AtomicU64) -> Option<(u32, u32)> {
-    let mut stolen = (0, 0);
-    victim
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-            let (lo, hi) = unpack(v);
-            if hi - lo < 2 {
-                return None;
-            }
-            let mid = hi - (hi - lo) / 2;
-            stolen = (mid, hi);
-            Some(pack(lo, mid))
-        })
-        .ok()
-        .map(|_| stolen)
 }
 
 /// Run `f(0)..f(n-1)` on the pool and collect the results in index
@@ -101,61 +58,26 @@ pub fn parallel_map_threads<T: Send, F: Fn(usize) -> T + Sync>(
     if n == 0 {
         return Vec::new();
     }
-    assert!(n < u32::MAX as usize, "task grid too large");
     let workers = threads.max(1).min(n);
     if workers == 1 {
         return (0..n).map(f).collect();
     }
 
-    // Split [0, n) into one contiguous range per worker.
-    let ranges: Vec<AtomicU64> = (0..workers)
-        .map(|w| {
-            let lo = (n * w / workers) as u32;
-            let hi = (n * (w + 1) / workers) as u32;
-            AtomicU64::new(pack(lo, hi))
-        })
-        .collect();
-
+    let next = AtomicUsize::new(0);
     let mut buckets: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let ranges = &ranges;
-                let f = &f;
+            .map(|_| {
+                let (next, f) = (&next, &f);
                 s.spawn(move || {
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
-                        // Drain our own range from the front.
-                        while let Some(i) = claim_front(&ranges[w]) {
-                            local.push((i, f(i)));
+                        // Relaxed: the counter only hands out indices;
+                        // results reach the caller through the joins.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return local;
                         }
-                        // Empty: steal the back half of the largest
-                        // victim range, adopt it, and keep going.
-                        let victim = (0..ranges.len())
-                            .filter(|&v| v != w)
-                            .max_by_key(|&v| {
-                                let (lo, hi) = unpack(ranges[v].load(Ordering::Acquire));
-                                hi.saturating_sub(lo)
-                            });
-                        let stolen = victim.and_then(|v| steal_back_half(&ranges[v]));
-                        match stolen {
-                            Some((lo, hi)) => {
-                                ranges[w].store(pack(lo, hi), Ordering::Release);
-                            }
-                            None => {
-                                // Nothing worth stealing; claim stray
-                                // singletons directly, then retire.
-                                let mut claimed_any = false;
-                                for r in ranges.iter() {
-                                    if let Some(i) = claim_front(r) {
-                                        local.push((i, f(i)));
-                                        claimed_any = true;
-                                    }
-                                }
-                                if !claimed_any {
-                                    return local;
-                                }
-                            }
-                        }
+                        local.push((i, f(i)));
                     }
                 })
             })
@@ -213,8 +135,8 @@ mod tests {
 
     #[test]
     fn imbalanced_tasks_all_complete() {
-        // Front-loaded cost: stealing must cover the expensive head while
-        // the cheap tail drains.
+        // Front-loaded cost: idle workers must keep claiming the cheap
+        // tail while the expensive head runs.
         let out = parallel_map_threads(4, 64, |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
@@ -227,12 +149,5 @@ mod tests {
     #[test]
     fn pool_size_is_positive() {
         assert!(pool_size() >= 1);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        for (lo, hi) in [(0, 0), (0, 1), (5, 900), (u32::MAX - 1, u32::MAX)] {
-            assert_eq!(unpack(pack(lo, hi)), (lo, hi));
-        }
     }
 }

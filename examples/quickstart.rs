@@ -27,7 +27,7 @@ fn main() {
     println!("LWK booted on cores {:?}", cfg.lwk_cores());
     println!("proxy process pid {:?} on {}", node.proxy_pid, cfg.proxy_core());
     println!("uverbs fd (lives in Linux)   = {}", node.uverbs_fd);
-    println!("doorbell page physical addr  = {:?}", node.ib.doorbell_phys);
+    println!("doorbell page physical addr  = {:?}", node.doorbell_phys);
 
     // 2. A performance-sensitive syscall stays on the LWK...
     let t0 = Cycles::from_ms(1);

@@ -2,7 +2,9 @@
 # Tier-1 gate: build, test, lint, figure conformance. Run from the repo
 # root.
 #
-#   scripts/ci.sh                 # build + test + clippy + the figure
+#   scripts/ci.sh                 # build + test + clippy + a locked
+#                                 # `cargo check` of the benchmark
+#                                 # harness + the figure
 #                                 # table (every binary that prints
 #                                 # simulated output against its golden
 #                                 # results/reduced/<bin>.txt at 1
@@ -39,6 +41,12 @@ trap 'rm -rf "$scratch"' EXIT
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+# The benchmark harness builds against the crates with its committed
+# lock file: this fails when a crate edit breaks the harness or would
+# make cargo rewrite perfbench/harness/Cargo.lock.
+cargo check --release --offline --locked \
+    --manifest-path perfbench/harness/Cargo.toml \
+    --target-dir target/perfbench-check
 
 # Figure conformance: every binary that prints simulated output must
 # print its committed golden at 1 thread, and at 4 threads with the

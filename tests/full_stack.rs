@@ -102,7 +102,7 @@ fn doorbell_page_is_the_real_bar_and_survives_reuse() {
         .device_of_class(DeviceClass::InfinibandHca)
         .unwrap()
         .bars[0];
-    let db = node.ib.doorbell_phys.expect("mapped during setup");
+    let db = node.doorbell_phys.expect("mapped during setup");
     assert!(bar.contains(db));
     // The LWK page table maps it as device memory.
     let proc = node.mck.as_ref().unwrap().process(node.app_pid).unwrap();
