@@ -121,7 +121,7 @@ fn run_cell(os: OsVariant, policy: RecoveryPolicy, scenario: Scenario) -> Result
     let mut cfg = bench::paper_config(os)
         .with_nodes(NODES)
         .with_seed(domain_seed())
-        .with_domains(scenario.nodes_per_rack(), 2);
+        .with_domains(scenario.nodes_per_rack());
     cfg.horizon_secs = 60;
     let est = app.thread_quantum(NODES as usize) + Cycles::from_ms(1);
     let kill_at = start + est.scale(f64::from(app.iterations) * KILL_FRAC);

@@ -1,5 +1,5 @@
 //! Memory-subsystem microbenchmarks — the tracked perf baseline for the
-//! flat O(1) buddy + NUMA/PCP frame engine.
+//! flat O(1) buddy + per-CPU-cached frame engine.
 //!
 //! Like `fig_offload_hotpath`, this measures **host wall-clock** cost of
 //! the structures the memory path hammers, not modeled time:
@@ -140,7 +140,7 @@ fn bench_frag_flat(n: u64) -> f64 {
 /// `ncpus`. Returns (ns per populated page, PCP hit rate %).
 fn bench_fault_storm(n: u64, ncpus: usize) -> (f64, f64) {
     const STORM_BYTES: u64 = 16 << 20;
-    let mut alloc = FrameAllocator::single(PhysAddr(POOL_BASE), 64 << 20, ncpus);
+    let mut alloc = FrameAllocator::new(PhysAddr(POOL_BASE), 64 << 20, ncpus);
     let costs = CostModel::default();
     let ns = measure_per_op(n, || {
         let mut aspace = AddressSpace::new(true);

@@ -72,8 +72,6 @@ pub struct ClusterConfig {
     /// Failure-domain layout: nodes per rack (ToR switch / PDU scope).
     /// Pure metadata until domain faults or events are armed.
     pub nodes_per_rack: u32,
-    /// Failure-domain layout: racks per pod (aggregation switch scope).
-    pub racks_per_pod: u32,
     /// Correlated domain-fault injection (off by default: no per-domain
     /// RNG streams are derived and nothing is injected).
     pub domain_faults: DomainFaultConfig,
@@ -109,7 +107,6 @@ impl ClusterConfig {
             link_faults: LinkFaultConfig::off(),
             node_crash: None,
             nodes_per_rack: 16,
-            racks_per_pod: 2,
             domain_faults: DomainFaultConfig::off(),
             domain_events: Vec::new(),
             bypass: BypassConfig::default(),
@@ -152,11 +149,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Set the failure-domain layout (nodes per rack, racks per pod).
-    pub fn with_domains(mut self, nodes_per_rack: u32, racks_per_pod: u32) -> Self {
-        assert!(nodes_per_rack >= 1 && racks_per_pod >= 1);
+    /// Set the failure-domain layout (nodes per rack).
+    pub fn with_domains(mut self, nodes_per_rack: u32) -> Self {
+        assert!(nodes_per_rack >= 1);
         self.nodes_per_rack = nodes_per_rack;
-        self.racks_per_pod = racks_per_pod;
         self
     }
 
@@ -174,11 +170,7 @@ impl ClusterConfig {
 
     /// The failure-domain layout over this config's node count.
     pub fn topology(&self) -> DomainTopology {
-        DomainTopology::new(
-            self.nodes as usize,
-            self.nodes_per_rack as usize,
-            self.racks_per_pod as usize,
-        )
+        DomainTopology::new(self.nodes as usize, self.nodes_per_rack as usize)
     }
 
     /// Application cores (8 OpenMP threads on NUMA 1).

@@ -27,7 +27,6 @@ pub mod config;
 pub mod experiment;
 pub mod host;
 pub mod node;
-pub mod pipeline;
 pub mod recovery;
 pub mod sim;
 pub mod tenancy;

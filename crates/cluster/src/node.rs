@@ -1374,6 +1374,45 @@ mod tests {
     }
 
     #[test]
+    fn shrink_with_an_offload_in_flight_is_core_busy_and_moves_nothing() {
+        let mut n = build(OsVariant::McKernel, false);
+        let width0 = n.lwk_online_width();
+        let os_idx = n.os_idx.expect("LWK instance");
+        let snapshot = |n: &NodeRuntime| {
+            let mck = n.mck.as_ref().unwrap();
+            let queues: Vec<Vec<Tid>> =
+                mck.online_cores().iter().map(|&c| mck.threads_on(c)).collect();
+            let ihk = n.ihk.as_ref().unwrap();
+            let part = ihk.instance(os_idx).unwrap().partition.cores.clone();
+            (queues, part, ihk.linux_cores())
+        };
+        let before = snapshot(&n);
+        let top = *n.mck.as_ref().unwrap().online_cores().last().unwrap();
+
+        // Park one offload in the delegator's in-flight table, as if the
+        // proxy had not answered it yet.
+        let seq = 1 << 40;
+        let req = SyscallRequest {
+            seq,
+            pid: n.app_pid.0,
+            tid: 0,
+            sysno: Sysno::Getpid.nr(),
+            args: [0; 6],
+        };
+        n.linux.delegator.on_syscall_request(n.proxy_pid.unwrap(), req);
+        assert_eq!(n.linux.delegator.in_flight(), 1);
+        assert_eq!(n.shrink_lwk_core(), Err(PartitionError::CoreBusy(top)));
+        assert_eq!(n.lwk_online_width(), width0);
+        assert_eq!(snapshot(&n), before, "refused shrink moved no thread or core");
+
+        // Drained: the same shrink goes through and leaves nothing behind.
+        n.linux.delegator.complete(seq, 0).expect("parked request");
+        assert_eq!(n.shrink_lwk_core(), Ok(top));
+        n.audit_released_core(top).unwrap();
+        assert_eq!(n.lwk_online_width(), width0 - 1);
+    }
+
+    #[test]
     fn mckernel_node_boots_and_sets_up_the_whole_stack() {
         let n = build(OsVariant::McKernel, false);
         assert!(n.mck.is_some());

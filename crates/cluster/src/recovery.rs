@@ -728,7 +728,7 @@ mod tests {
         let mut cfg = ClusterConfig::paper(os)
             .with_nodes(nodes)
             .with_seed(99)
-            .with_domains(nodes_per_rack, 2);
+            .with_domains(nodes_per_rack);
         cfg.horizon_secs = 30;
         if let Some(ev) = event {
             cfg = cfg.with_domain_event(ev);
@@ -746,7 +746,7 @@ mod tests {
 
     #[test]
     fn buddy_placement_maps_into_the_right_domain() {
-        let topo = DomainTopology::new(8, 4, 2);
+        let topo = DomainTopology::new(8, 4);
         for n in 0..8 {
             let same = BuddyPlacement::SameRack.buddy_of(&topo, n);
             assert_eq!(topo.rack_of(same), topo.rack_of(n), "same-rack stays home");

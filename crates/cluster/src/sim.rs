@@ -26,7 +26,7 @@ pub struct Cluster {
     /// separate exactly as in the paper), wrapped in the reliable-delivery
     /// layer. With link faults disabled it is an exact passthrough.
     pub fabric: ReliableFabric,
-    /// Failure-domain layout (node → rack → pod).
+    /// Failure-domain layout (node → rack).
     pub topo: DomainTopology,
     /// The correlated-fault schedule, if domain faults were enabled.
     /// Its events are already applied to the fabric at build time.
@@ -224,6 +224,35 @@ mod tests {
         cfg.insitu = insitu;
         cfg.horizon_secs = 20;
         Cluster::build(cfg)
+    }
+
+    #[test]
+    fn shrink_all_with_one_busy_node_shrinks_no_node() {
+        use hlwk_core::abi::Sysno;
+        use hlwk_core::mck::syscall::SyscallRequest;
+        let mut c = small(OsVariant::McKernel, 2, false);
+        let width0 = c.lwk_width();
+        let busy = &mut c.host.nodes[1];
+        let top = *busy.mck.as_ref().unwrap().online_cores().last().unwrap();
+        let req = SyscallRequest {
+            seq: 1 << 40,
+            pid: busy.app_pid.0,
+            tid: 0,
+            sysno: Sysno::Getpid.nr(),
+            args: [0; 6],
+        };
+        let proxy = busy.proxy_pid.expect("proxy spawned");
+        busy.linux.delegator.on_syscall_request(proxy, req);
+
+        assert_eq!(c.shrink_lwk_all(), Err(PartitionError::CoreBusy(top)));
+        for n in &c.host.nodes {
+            assert_eq!(n.lwk_online_width(), width0, "no node shrank");
+            assert!(n.ihk.as_ref().unwrap().is_reserved(top));
+        }
+
+        c.host.nodes[1].linux.delegator.complete(req.seq, 0).expect("parked request");
+        assert_eq!(c.shrink_lwk_all(), Ok(vec![top, top]));
+        assert_eq!(c.lwk_width(), width0 - 1);
     }
 
     #[test]

@@ -88,7 +88,7 @@ proptest! {
             let mut cfg = ClusterConfig::paper(OsVariant::McKernel)
                 .with_nodes(NODES)
                 .with_seed(0xBAD + seed)
-                .with_domains(NODES_PER_RACK, 2);
+                .with_domains(NODES_PER_RACK);
             cfg.horizon_secs = 30;
             let mut in_flight = Vec::new();
             for &raw in &faults {

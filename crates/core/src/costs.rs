@@ -39,9 +39,6 @@ pub struct CostModel {
     pub tlb_shootdown_page: Cycles,
     /// Per-4KiB-page cost of zeroing/copying during fault service.
     pub page_touch: Cycles,
-    /// Extra first-touch cost when a frame lands on a remote NUMA domain
-    /// (local arena exhausted, placement spilled across the socket).
-    pub remote_numa_touch: Cycles,
     /// One MPK-style protection-domain switch (a WRPKRU-class register
     /// write plus its serializing cost). Charged on every fast-path
     /// entry/exit when intra-kernel protection domains are enabled, so
@@ -64,7 +61,6 @@ impl Default for CostModel {
             devmap_setup: Cycles::from_us(9),
             tlb_shootdown_page: Cycles::from_ns(900),
             page_touch: Cycles::from_ns(300),
-            remote_numa_touch: Cycles::from_ns(220),
             domain_switch: Cycles::from_ns(25),
         }
     }

@@ -137,9 +137,9 @@ impl IhkManager {
 
     /// Online shrink: return `cores` of a live instance to Linux. Each
     /// must belong to the instance ([`PartitionError::NotReserved`]
-    /// otherwise) and must have been drained — a core still marked busy
-    /// fails the whole shrink with [`PartitionError::CoreBusy`] and
-    /// releases nothing. The partition must keep at least one core.
+    /// otherwise). The caller drains the cores first; the node runtime
+    /// refuses a shrink with in-flight offloads before it gets here. The
+    /// partition must keep at least one core.
     pub fn shrink_os(&mut self, index: u32, cores: &[CoreId]) -> Result<(), PartitionError> {
         let inst = self
             .instances
@@ -158,18 +158,6 @@ impl IhkManager {
         self.cpus.release(cores)?;
         inst.partition.cores.retain(|c| !cores.contains(c));
         Ok(())
-    }
-
-    /// Set or clear the live-offload busy mark on a reserved core (the
-    /// node runtime pins cores for the duration of an offload round
-    /// trip; a busy core cannot be shrunk out of the partition).
-    pub fn set_core_busy(&mut self, core: CoreId, busy: bool) -> Result<(), PartitionError> {
-        if busy {
-            self.cpus.mark_busy(core)
-        } else {
-            self.cpus.clear_busy(core);
-            Ok(())
-        }
     }
 }
 
@@ -332,13 +320,6 @@ mod tests {
             ihk.shrink_os(idx, &[CoreId(2)]),
             Err(PartitionError::NotReserved)
         );
-        // A busy core blocks the shrink until drained.
-        ihk.set_core_busy(CoreId(18), true).unwrap();
-        assert_eq!(
-            ihk.shrink_os(idx, &[CoreId(18)]),
-            Err(PartitionError::CoreBusy(CoreId(18)))
-        );
-        ihk.set_core_busy(CoreId(18), false).unwrap();
         ihk.shrink_os(idx, &[CoreId(18)]).unwrap();
     }
 

@@ -27,12 +27,12 @@ pub enum PartitionError {
     },
     /// Release of something not reserved.
     NotReserved,
-    /// Release of a core that still holds live offload state (an
-    /// in-flight delegated syscall). The caller must drain the core —
-    /// complete or fail the offload, shoot down its software TLB,
-    /// reclaim its delegator slab entries — and clear the busy mark
-    /// before the release can succeed. Online resizing depends on this
-    /// being a typed error rather than a silent success.
+    /// An elastic shrink refused to release a core because offloads are
+    /// still in flight in the node's delegator
+    /// (`NodeRuntime::shrink_lwk_core`, `Cluster::shrink_lwk_all`). The
+    /// caller completes or fails them and retries; nothing was released.
+    /// Online resizing depends on this being a typed error rather than a
+    /// silent success.
     CoreBusy(CoreId),
 }
 
@@ -51,9 +51,6 @@ pub struct Partition {
 #[derive(Debug, Default)]
 pub struct CpuRegistry {
     reserved: BTreeSet<CoreId>,
-    /// Reserved cores with live offload state: releasing one is a typed
-    /// [`PartitionError::CoreBusy`] until the owner drains and clears it.
-    busy: BTreeSet<CoreId>,
     total_cores: u16,
 }
 
@@ -62,7 +59,6 @@ impl CpuRegistry {
     pub fn new(total_cores: u16) -> Self {
         CpuRegistry {
             reserved: BTreeSet::new(),
-            busy: BTreeSet::new(),
             total_cores,
         }
     }
@@ -78,43 +74,17 @@ impl CpuRegistry {
         Ok(())
     }
 
-    /// Release cores back to Linux; all-or-nothing. A core still marked
-    /// busy (live offload state) fails the whole release with
-    /// [`PartitionError::CoreBusy`] — nothing is released.
+    /// Release cores back to Linux; all-or-nothing.
     pub fn release(&mut self, cores: &[CoreId]) -> Result<(), PartitionError> {
         for &c in cores {
             if !self.reserved.contains(&c) {
                 return Err(PartitionError::NotReserved);
-            }
-            if self.busy.contains(&c) {
-                return Err(PartitionError::CoreBusy(c));
             }
         }
         for c in cores {
             self.reserved.remove(c);
         }
         Ok(())
-    }
-
-    /// Mark a reserved core as holding live offload state. Errors with
-    /// [`PartitionError::NotReserved`] for a core Linux still owns
-    /// (Linux cores have no offload state to pin).
-    pub fn mark_busy(&mut self, core: CoreId) -> Result<(), PartitionError> {
-        if !self.reserved.contains(&core) {
-            return Err(PartitionError::NotReserved);
-        }
-        self.busy.insert(core);
-        Ok(())
-    }
-
-    /// Clear a core's busy mark (offload drained). Idempotent.
-    pub fn clear_busy(&mut self, core: CoreId) {
-        self.busy.remove(&core);
-    }
-
-    /// Whether a core currently holds live offload state.
-    pub fn is_busy(&self, core: CoreId) -> bool {
-        self.busy.contains(&core)
     }
 
     /// Whether a core is currently reserved away from Linux.
@@ -200,38 +170,6 @@ mod tests {
         assert_eq!(err, PartitionError::CpuUnavailable(CoreId(5)));
         // All-or-nothing: CoreId(4) must not have been taken.
         assert!(!r.is_reserved(CoreId(4)));
-    }
-
-    #[test]
-    fn busy_core_release_is_typed_error() {
-        let mut r = CpuRegistry::new(20);
-        let lwk: Vec<CoreId> = (10..19).map(CoreId).collect();
-        r.reserve(&lwk).unwrap();
-        r.mark_busy(CoreId(18)).unwrap();
-        assert!(r.is_busy(CoreId(18)));
-        // The busy core fails the release with the typed error...
-        assert_eq!(
-            r.release(&[CoreId(18)]),
-            Err(PartitionError::CoreBusy(CoreId(18)))
-        );
-        // ...and all-or-nothing: a mixed release frees neither core.
-        assert_eq!(
-            r.release(&[CoreId(17), CoreId(18)]),
-            Err(PartitionError::CoreBusy(CoreId(18)))
-        );
-        assert!(r.is_reserved(CoreId(17)));
-        // Drained: the release goes through.
-        r.clear_busy(CoreId(18));
-        r.release(&[CoreId(17), CoreId(18)]).unwrap();
-        assert!(!r.is_reserved(CoreId(18)));
-    }
-
-    #[test]
-    fn busy_mark_needs_a_reservation() {
-        let mut r = CpuRegistry::new(20);
-        assert_eq!(r.mark_busy(CoreId(3)), Err(PartitionError::NotReserved));
-        r.clear_busy(CoreId(3)); // idempotent no-op on a Linux core
-        assert!(!r.is_busy(CoreId(3)));
     }
 
     #[test]

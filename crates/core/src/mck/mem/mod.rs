@@ -110,10 +110,9 @@ pub enum FaultOutcome {
 }
 
 /// Service an LWK page fault at `va` on behalf of `cpu` (partition-
-/// relative index of the faulting core; drives first-touch NUMA
-/// placement and the PCP cache used).
+/// relative index of the faulting core; picks the PCP cache used).
 ///
-/// Anonymous memory is backed from the per-domain buddy arenas; when the
+/// Anonymous memory is backed from the partition's buddy; when the
 /// VMA allows it, a full 2 MiB naturally aligned window is installed at
 /// once (the McKernel policy that produces its TLB advantage). The 4 KiB
 /// path uses fault-around: up to [`FAULT_AROUND_PAGES`] consecutive PTEs
@@ -183,14 +182,10 @@ pub fn handle_fault_with_window(
                             .pt
                             .map_2m(VirtAddr(win), pa, flags)
                             .expect("fault path checked translate above");
-                        let mut cost = costs.lwk_page_fault + costs.page_touch * 4;
-                        if alloc.domain_of(pa) != Some(alloc.cpu_domain(cpu)) {
-                            cost += costs.remote_numa_touch;
-                        }
                         return FaultOutcome::Mapped {
                             phys: pa,
                             size: PageSize::Size2m,
-                            cost,
+                            cost: costs.lwk_page_fault + costs.page_touch * 4,
                             pages: 1,
                         };
                     }
@@ -216,8 +211,7 @@ pub fn handle_fault_with_window(
 /// exhaustion (a partial run is fine as long as the faulting page
 /// itself mapped).
 ///
-/// Cost: one trap (`lwk_page_fault`) + `page_touch` per installed page +
-/// `remote_numa_touch` per frame placed off the faulting CPU's domain —
+/// Cost: one trap (`lwk_page_fault`) + `page_touch` per installed page —
 /// so a single-page window costs exactly what one-at-a-time faulting
 /// does, and wider windows amortize the trap.
 #[allow(clippy::too_many_arguments)]
@@ -235,10 +229,8 @@ fn fault_around_4k(
     let next_2m = VirtAddr(page.raw() / PAGE_SIZE_2M * PAGE_SIZE_2M + PAGE_SIZE_2M);
     let limit = vma_end.min(next_2m);
     let max_pages = ((limit - page) >> 12).min(window.max(1));
-    let home = alloc.cpu_domain(cpu);
     let mut first_pa = PhysAddr(0);
     let mut installed = 0u64;
-    let mut remote = 0u64;
     for i in 0..max_pages {
         let p_va = page + i * PAGE_SIZE;
         // Neighbour already mapped: the run ends (raw walk — no TLB fill
@@ -255,9 +247,6 @@ fn fault_around_4k(
                 if i == 0 {
                     first_pa = pa;
                 }
-                if alloc.domain_of(pa) != Some(home) {
-                    remote += 1;
-                }
                 installed += 1;
             }
             Err(AllocError::OutOfMemory) if i == 0 => return FaultOutcome::SegFault,
@@ -267,9 +256,7 @@ fn fault_around_4k(
     FaultOutcome::Mapped {
         phys: first_pa,
         size: PageSize::Size4k,
-        cost: costs.lwk_page_fault
-            + costs.page_touch * installed
-            + costs.remote_numa_touch * remote,
+        cost: costs.lwk_page_fault + costs.page_touch * installed,
         pages: installed,
     }
 }
@@ -360,7 +347,7 @@ mod tests {
     fn setup() -> (AddressSpace, FrameAllocator, CostModel) {
         (
             AddressSpace::new(true),
-            FrameAllocator::single(PhysAddr(64 << 20), 32 << 20, 4),
+            FrameAllocator::new(PhysAddr(64 << 20), 32 << 20, 4),
             CostModel::default(),
         )
     }
@@ -533,14 +520,14 @@ mod tests {
         // Fragment physical memory: keep odd order-0 allocations so no 2M
         // block remains.
         let mut held = Vec::new();
-        while let Ok(p) = alloc.alloc(ORDER_2M) {
+        while let Ok(p) = alloc.alloc_on(0, ORDER_2M) {
             held.push(p);
         }
         // Release one 2M block, then split it with a 4K allocation so
         // max contiguity is below 2M.
         let p = held.pop().unwrap();
         alloc.free(p).unwrap();
-        let _pin = alloc.alloc(0).unwrap();
+        let _pin = alloc.alloc_on(0, 0).unwrap();
         let va = a
             .vm
             .mmap(4 << 20, VmaKind::Anon { large_ok: true }, true, None)
@@ -618,38 +605,5 @@ mod tests {
             o => panic!("{o:?}"),
         }
         assert_eq!(alloc.allocation_count(), 1);
-    }
-
-    #[test]
-    fn remote_spill_is_charged() {
-        let mut a = AddressSpace::new(true);
-        let costs = CostModel::default();
-        // Two domains; CPU 0 homes to a tiny domain 0 that we exhaust.
-        let mut alloc = FrameAllocator::new(
-            &[
-                (PhysAddr(64 << 20), 4 << 20, hwmodel::cpu::NumaId(0)),
-                (PhysAddr(128 << 20), 8 << 20, hwmodel::cpu::NumaId(1)),
-            ],
-            &[hwmodel::cpu::NumaId(0)],
-        );
-        // Drain domain 0 completely (direct order beyond PCP).
-        let h0 = alloc.alloc_bytes_on(0, 4 << 20).unwrap();
-        assert!(h0.iter().all(|&(p, _)| p.raw() < 128 << 20));
-        let va = a
-            .vm
-            .mmap(2 << 20, VmaKind::Anon { large_ok: true }, true, None)
-            .unwrap();
-        match handle_fault(&mut a, &mut alloc, &costs, 0, va) {
-            FaultOutcome::Mapped { size, cost, phys, .. } => {
-                assert_eq!(size, PageSize::Size2m);
-                assert!(phys.raw() >= 128 << 20, "spilled to domain 1");
-                assert_eq!(
-                    cost,
-                    costs.lwk_page_fault + costs.page_touch * 4 + costs.remote_numa_touch
-                );
-            }
-            o => panic!("{o:?}"),
-        }
-        assert!(alloc.stats.alloc_spill >= 1);
     }
 }

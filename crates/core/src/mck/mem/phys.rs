@@ -7,13 +7,13 @@
 //!   through a flat per-frame metadata table plus a buddy-pair bitmap.
 //!   Alloc, free and coalescing are all O(1) with zero heap activity on
 //!   the hot path (the metadata arrays are allocated once at boot).
-//! * [`FrameAllocator`] — the kernel-facing engine: one buddy arena per
-//!   NUMA domain with first-touch placement keyed off the faulting CPU,
-//!   deterministic spill to remote domains, and per-CPU page-frame caches
-//!   (PCP lists, Linux-style) for order-0 and 2 MiB blocks so
-//!   steady-state faults never touch the shared buddy.
+//! * [`FrameAllocator`] — the kernel-facing engine: one buddy over the
+//!   partition (IHK reserves it from one NUMA domain) fronted by per-CPU
+//!   page-frame caches (PCP lists, Linux-style) for order-0 and 2 MiB
+//!   blocks. A cache miss refills a batch, so steady-state faults rarely
+//!   touch the shared buddy; frees go straight back to the buddy.
 //!
-//! Three properties matter for the paper:
+//! Two properties matter for the paper:
 //!
 //! * **Contiguity**: the buddy structure hands out naturally aligned,
 //!   physically contiguous blocks, letting anonymous mappings be backed by
@@ -22,10 +22,7 @@
 //! * **Determinism**: the allocation policy is a pure function of the
 //!   operation history. Free lists are LIFO; blocks split low-half-first;
 //!   never-touched memory is carved from an ascending *virgin watermark*;
-//!   PCP refill/drain happen in fixed batches. Replays are bit-identical.
-//! * **Locality**: frames come from the faulting CPU's NUMA domain when
-//!   possible; spill to a remote domain is deterministic (ascending wrap
-//!   from the local domain) and reported so the cost model can charge it.
+//!   PCP refills happen in fixed batches. Replays are bit-identical.
 //!
 //! The metadata arrays are zero-initialized (`calloc`-backed) and the
 //! virgin watermark defers free-list seeding, so resident metadata stays
@@ -33,7 +30,6 @@
 //! few megabytes pays for a few metadata pages, not for 4M frame entries.
 
 use hwmodel::addr::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
-use hwmodel::cpu::NumaId;
 
 /// Maximum buddy order: 2^10 pages = 4 MiB blocks.
 pub const MAX_ORDER: u8 = 10;
@@ -365,11 +361,6 @@ impl BuddyAllocator {
         self.live as usize
     }
 
-    /// Whether `addr` falls inside the managed range.
-    pub fn contains(&self, addr: PhysAddr) -> bool {
-        addr >= self.base && addr.raw() < self.base.raw() + self.len
-    }
-
     /// Internal consistency check (used by tests and debug assertions):
     /// free lists disjoint from allocations, page accounting exact,
     /// buddy-pair bitmap consistent with the lists.
@@ -477,18 +468,13 @@ impl BuddyAllocator {
     }
 }
 
-/// PCP (per-CPU page-frame cache) batching policy. Small = order-0,
-/// large = 2 MiB. Refill pulls `*_BATCH` blocks from the owning arena in
-/// one trip; a free that would push the cache past `*_HIGH` first drains
-/// the *oldest* `*_BATCH` entries back to the buddy. All constants are
-/// compile-time policy: replays are deterministic.
+/// PCP (per-CPU page-frame cache) refill policy. Small = order-0,
+/// large = 2 MiB. A miss pulls `*_BATCH` blocks from the buddy in one
+/// trip; a cache only empties by hits or by a drain (core offline,
+/// teardown audit). Compile-time policy: replays are deterministic.
 pub const PCP_SMALL_BATCH: usize = 16;
-/// High watermark for the order-0 cache (drain trigger).
-pub const PCP_SMALL_HIGH: usize = 32;
 /// Refill batch for the 2 MiB cache.
 pub const PCP_LARGE_BATCH: usize = 2;
-/// High watermark for the 2 MiB cache.
-pub const PCP_LARGE_HIGH: usize = 4;
 
 /// Allocator-side mechanism counters, cumulative since boot.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -497,19 +483,6 @@ pub struct MemStats {
     pub pcp_hit: u64,
     /// PCP refill trips to the shared buddy (each pulls a batch).
     pub pcp_refill: u64,
-    /// PCP drain trips back to the shared buddy.
-    pub pcp_drain: u64,
-    /// Blocks handed out from the faulting CPU's own domain.
-    pub alloc_local: u64,
-    /// Blocks that spilled to a remote domain (local arena dry).
-    pub alloc_spill: u64,
-}
-
-/// One NUMA domain's share of the partition.
-#[derive(Debug)]
-struct Arena {
-    domain: NumaId,
-    buddy: BuddyAllocator,
 }
 
 /// Per-CPU frame cache: LIFO stacks of cache-parked block addresses.
@@ -519,14 +492,11 @@ struct PcpCache {
     large: Vec<PhysAddr>,
 }
 
-/// The LWK physical-memory engine: per-NUMA-domain buddy arenas fronted
-/// by per-CPU frame caches. See the module docs for the policy.
+/// The LWK physical-memory engine: the partition's buddy fronted by
+/// per-CPU frame caches. See the module docs for the policy.
 #[derive(Debug)]
 pub struct FrameAllocator {
-    arenas: Vec<Arena>,
-    /// CPU index (partition-relative) -> arena index. CPUs beyond the
-    /// table use arena 0.
-    cpu_arena: Vec<u32>,
+    buddy: BuddyAllocator,
     pcp: Vec<PcpCache>,
     /// Bytes currently parked in PCP caches (free from the kernel's
     /// point of view).
@@ -536,280 +506,86 @@ pub struct FrameAllocator {
 }
 
 impl FrameAllocator {
-    /// Single-domain engine over `[base, base+len)` for `ncpus` CPUs —
-    /// the default partition shape (IHK reserves from one domain).
-    pub fn single(base: PhysAddr, len: u64, ncpus: usize) -> Self {
-        FrameAllocator::new(&[(base, len, NumaId(0))], &vec![NumaId(0); ncpus.max(1)])
-    }
-
-    /// Multi-domain engine: one arena per extent `(base, len, domain)`,
-    /// and `cpu_domain[i]` naming CPU `i`'s home domain. Extents must be
-    /// 4 MiB aligned and non-overlapping; a CPU whose domain has no
-    /// arena homes to arena 0.
-    pub fn new(extents: &[(PhysAddr, u64, NumaId)], cpu_domain: &[NumaId]) -> Self {
-        assert!(!extents.is_empty(), "need at least one extent");
-        let arenas: Vec<Arena> = extents
-            .iter()
-            .map(|&(base, len, domain)| Arena {
-                domain,
-                buddy: BuddyAllocator::new(base, len),
-            })
-            .collect();
-        let cpu_arena = cpu_domain
-            .iter()
-            .map(|d| {
-                arenas
-                    .iter()
-                    .position(|a| a.domain == *d)
-                    .unwrap_or(0) as u32
-            })
-            .collect();
-        let pcp = (0..cpu_domain.len().max(1))
-            .map(|_| PcpCache::default())
-            .collect();
+    /// Engine over `[base, base+len)` (4 MiB aligned) for `ncpus` CPUs.
+    pub fn new(base: PhysAddr, len: u64, ncpus: usize) -> Self {
         FrameAllocator {
-            arenas,
-            cpu_arena,
-            pcp,
+            buddy: BuddyAllocator::new(base, len),
+            pcp: (0..ncpus.max(1)).map(|_| PcpCache::default()).collect(),
             cached_bytes: 0,
             stats: MemStats::default(),
         }
     }
 
-    /// Number of CPUs with a cache.
-    pub fn ncpus(&self) -> usize {
-        self.pcp.len()
-    }
-
-    /// First arena's base (the partition base in the single-domain case).
+    /// Partition base.
     pub fn base(&self) -> PhysAddr {
-        self.arenas[0].buddy.base()
+        self.buddy.base()
     }
 
-    /// Total managed bytes across arenas.
+    /// Managed bytes.
     pub fn len_bytes(&self) -> u64 {
-        self.arenas.iter().map(|a| a.buddy.len_bytes()).sum()
+        self.buddy.len_bytes()
     }
 
-    /// Free bytes: arena free lists + virgin zones + PCP-parked blocks
+    /// Free bytes: buddy free lists + virgin zone + PCP-parked blocks
     /// (parked frames are free, just cached close to a CPU).
     pub fn free_bytes(&self) -> u64 {
-        self.arenas.iter().map(|a| a.buddy.free_bytes()).sum::<u64>() + self.cached_bytes
-    }
-
-    /// Home NUMA domain of `cpu`.
-    pub fn cpu_domain(&self, cpu: usize) -> NumaId {
-        let idx = self.arena_idx_of_cpu(cpu);
-        self.arenas[idx].domain
-    }
-
-    /// NUMA domain owning `addr`, if any arena contains it.
-    pub fn domain_of(&self, addr: PhysAddr) -> Option<NumaId> {
-        self.arenas
-            .iter()
-            .find(|a| a.buddy.contains(addr))
-            .map(|a| a.domain)
-    }
-
-    #[inline]
-    fn arena_idx_of_cpu(&self, cpu: usize) -> usize {
-        self.cpu_arena.get(cpu).copied().unwrap_or(0) as usize
-    }
-
-    #[inline]
-    fn arena_of_addr(&mut self, addr: PhysAddr) -> Option<&mut BuddyAllocator> {
-        self.arenas
-            .iter_mut()
-            .map(|a| &mut a.buddy)
-            .find(|b| b.contains(addr))
-    }
-
-    /// First-touch arena allocation with deterministic spill: try the
-    /// CPU's home arena, then the others in ascending wrap order.
-    fn arena_alloc(&mut self, cpu: usize, order: u8) -> Result<PhysAddr, AllocError> {
-        let home = self.arena_idx_of_cpu(cpu);
-        let n = self.arenas.len();
-        for i in 0..n {
-            let idx = (home + i) % n;
-            if let Ok(p) = self.arenas[idx].buddy.alloc(order) {
-                if i == 0 {
-                    self.stats.alloc_local += 1;
-                } else {
-                    self.stats.alloc_spill += 1;
-                }
-                return Ok(p);
-            }
-        }
-        Err(AllocError::OutOfMemory)
+        self.buddy.free_bytes() + self.cached_bytes
     }
 
     /// Allocate a block of `1 << order` pages for `cpu`. Order-0 and
     /// 2 MiB requests go through the CPU's PCP cache; everything else
-    /// hits the arenas directly.
+    /// hits the buddy directly.
     pub fn alloc_on(&mut self, cpu: usize, order: u8) -> Result<PhysAddr, AllocError> {
-        let (batch, is_small) = match order {
-            0 => (PCP_SMALL_BATCH, true),
-            ORDER_2M => (PCP_LARGE_BATCH, false),
-            _ => return self.arena_alloc(cpu, order),
+        let batch = match order {
+            0 => PCP_SMALL_BATCH,
+            ORDER_2M => PCP_LARGE_BATCH,
+            _ => return self.buddy.alloc(order),
         };
         let ci = cpu.min(self.pcp.len() - 1);
-        let cached = if is_small {
-            self.pcp[ci].small.pop()
+        let cache = &mut self.pcp[ci];
+        let list = if order == 0 {
+            &mut cache.small
         } else {
-            self.pcp[ci].large.pop()
+            &mut cache.large
         };
-        if let Some(pa) = cached {
+        if let Some(pa) = list.pop() {
             self.stats.pcp_hit += 1;
             self.cached_bytes -= PAGE_SIZE << order;
-            self.arena_of_addr(pa)
-                .expect("cached frame belongs to an arena")
-                .uncache_block(pa)
-                .expect("cached frame uncaches");
+            self.buddy.uncache_block(pa).expect("cached frame uncaches");
             return Ok(pa);
         }
         // Miss: refill a batch (minus one — the caller takes the first).
         self.stats.pcp_refill += 1;
-        let first = self.arena_alloc(cpu, order)?;
+        let first = self.buddy.alloc(order)?;
         for _ in 1..batch {
-            match self.arena_alloc(cpu, order) {
-                Ok(pa) => {
-                    self.arena_of_addr(pa)
-                        .expect("allocated frame belongs to an arena")
-                        .cache_block(pa)
-                        .expect("fresh block caches");
-                    self.cached_bytes += PAGE_SIZE << order;
-                    let c = &mut self.pcp[ci];
-                    if is_small {
-                        c.small.push(pa);
-                    } else {
-                        c.large.push(pa);
-                    }
-                }
-                Err(_) => break, // partial refill is fine
-            }
+            // A partial refill is fine.
+            let Ok(pa) = self.buddy.alloc(order) else {
+                break;
+            };
+            self.buddy.cache_block(pa).expect("fresh block caches");
+            self.cached_bytes += PAGE_SIZE << order;
+            list.push(pa);
         }
         Ok(first)
     }
 
-    /// Allocate on CPU 0 (kernel-internal allocations with no faulting
-    /// CPU context: shm segments, boot-time structures).
-    pub fn alloc(&mut self, order: u8) -> Result<PhysAddr, AllocError> {
-        self.alloc_on(0, order)
-    }
-
-    /// Free a block into `cpu`'s cache when it is PCP-eligible, draining
-    /// the oldest batch first if the cache is at its high watermark.
-    pub fn free_on(&mut self, cpu: usize, addr: PhysAddr) -> Result<(), AllocError> {
-        let order = {
-            let Some(b) = self.arena_of_addr(addr) else {
-                return Err(AllocError::BadFree(addr));
-            };
-            match b.allocated_order(addr) {
-                Some(o) if o == 0 || o == ORDER_2M => o,
-                // Not PCP-eligible (or not allocated: let free() report).
-                _ => return b.free(addr),
-            }
-        };
-        let ci = cpu.min(self.pcp.len() - 1);
-        let (high, batch, is_small) = if order == 0 {
-            (PCP_SMALL_HIGH, PCP_SMALL_BATCH, true)
-        } else {
-            (PCP_LARGE_HIGH, PCP_LARGE_BATCH, false)
-        };
-        let len = if is_small {
-            self.pcp[ci].small.len()
-        } else {
-            self.pcp[ci].large.len()
-        };
-        if len >= high {
-            self.stats.pcp_drain += 1;
-            let drained: Vec<PhysAddr> = if is_small {
-                self.pcp[ci].small.drain(..batch).collect()
-            } else {
-                self.pcp[ci].large.drain(..batch).collect()
-            };
-            for pa in drained {
-                self.cached_bytes -= PAGE_SIZE << order;
-                let b = self
-                    .arena_of_addr(pa)
-                    .expect("cached frame belongs to an arena");
-                b.uncache_block(pa).expect("was cached");
-                b.free(pa).expect("uncached block frees");
-            }
-        }
-        self.arena_of_addr(addr)
-            .expect("checked above")
-            .cache_block(addr)?;
-        self.cached_bytes += PAGE_SIZE << order;
-        let c = &mut self.pcp[ci];
-        if is_small {
-            c.small.push(addr);
-        } else {
-            c.large.push(addr);
-        }
-        Ok(())
-    }
-
-    /// Free straight to the owning arena, bypassing the caches — the
-    /// bulk-teardown path (munmap, process reap, shm destroy), where
+    /// Free a block straight to the buddy (munmap, process reap), where
     /// coalescing back to large blocks matters more than cache warmth.
     pub fn free(&mut self, addr: PhysAddr) -> Result<(), AllocError> {
-        match self.arena_of_addr(addr) {
-            Some(b) => b.free(addr),
-            None => Err(AllocError::BadFree(addr)),
-        }
+        self.buddy.free(addr)
     }
 
-    /// Extents covering `bytes` (multi-extent beyond 4 MiB), first-touch
-    /// on `cpu` with deterministic spill and all-or-nothing rollback.
-    pub fn alloc_bytes_on(
-        &mut self,
-        cpu: usize,
-        bytes: u64,
-    ) -> Result<Vec<(PhysAddr, u8)>, AllocError> {
-        assert!(bytes > 0);
-        let mut remaining = (bytes + PAGE_SIZE - 1) >> PAGE_SHIFT;
-        let mut out = Vec::new();
-        while remaining > 0 {
-            let order = (63 - remaining.leading_zeros() as u8).min(MAX_ORDER);
-            match self.arena_alloc(cpu, order) {
-                Ok(p) => {
-                    out.push((p, order));
-                    remaining -= 1u64 << order;
-                }
-                Err(e) => {
-                    for (p, _) in out {
-                        self.free(p).expect("just allocated");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Order of the live allocation starting at `addr`, if any.
-    pub fn allocated_order(&self, addr: PhysAddr) -> Option<u8> {
-        self.arenas
-            .iter()
-            .find(|a| a.buddy.contains(addr))
-            .and_then(|a| a.buddy.allocated_order(addr))
-    }
-
-    /// Live allocations across arenas (PCP-parked blocks excluded).
+    /// Live allocations (PCP-parked blocks excluded).
     pub fn allocation_count(&self) -> usize {
-        self.arenas.iter().map(|a| a.buddy.allocation_count()).sum()
+        self.buddy.allocation_count()
     }
 
-    /// Largest free order across arenas (virgin zones included).
+    /// Largest free order (virgin zone included).
     pub fn largest_free_order(&self) -> Option<u8> {
-        self.arenas
-            .iter()
-            .filter_map(|a| a.buddy.largest_free_order())
-            .max()
+        self.buddy.largest_free_order()
     }
 
-    /// Return every PCP-parked block to its arena (tests, teardown
+    /// Return every PCP-parked block to the buddy (tests, teardown
     /// audits: full coalescing only happens once the caches are empty).
     pub fn drain_all(&mut self) {
         for ci in 0..self.pcp.len() {
@@ -817,19 +593,16 @@ impl FrameAllocator {
         }
     }
 
-    /// Return one CPU's parked blocks to the arenas (core going offline:
+    /// Return one CPU's parked blocks to the buddy (core going offline:
     /// a released core must not keep frames parked in its cache).
     pub fn drain_cpu(&mut self, cpu: usize) {
-        if !self.pcp.is_empty() {
-            self.drain_index(cpu % self.pcp.len());
-        }
+        self.drain_index(cpu % self.pcp.len());
     }
 
     /// Blocks currently parked in one CPU's cache — the release audit.
     pub fn pcp_cached_on(&self, cpu: usize) -> usize {
-        self.pcp
-            .get(cpu % self.pcp.len().max(1))
-            .map_or(0, |c| c.small.len() + c.large.len())
+        let c = &self.pcp[cpu % self.pcp.len()];
+        c.small.len() + c.large.len()
     }
 
     fn drain_index(&mut self, ci: usize) {
@@ -838,21 +611,15 @@ impl FrameAllocator {
         for (list, order) in [(small, 0u8), (large, ORDER_2M)] {
             for pa in list {
                 self.cached_bytes -= PAGE_SIZE << order;
-                let b = self
-                    .arena_of_addr(pa)
-                    .expect("cached frame belongs to an arena");
-                b.uncache_block(pa).expect("was cached");
-                b.free(pa).expect("uncached block frees");
+                self.buddy.uncache_block(pa).expect("was cached");
+                self.buddy.free(pa).expect("uncached block frees");
             }
         }
     }
 
-    /// Run every arena's invariant sweep (caches stay parked).
+    /// Run the buddy's invariant sweep (caches stay parked).
     pub fn check_invariants(&self) -> Result<(), String> {
-        for a in &self.arenas {
-            a.buddy.check_invariants()?;
-        }
-        Ok(())
+        self.buddy.check_invariants()
     }
 }
 
@@ -1036,50 +803,14 @@ mod tests {
         a.check_invariants().unwrap();
     }
 
-    fn mk_numa() -> FrameAllocator {
-        // Two 8 MiB domains, 4 CPUs: 0-1 on domain 0, 2-3 on domain 1.
-        FrameAllocator::new(
-            &[
-                (PhysAddr(16 << 20), 8 << 20, NumaId(0)),
-                (PhysAddr(64 << 20), 8 << 20, NumaId(1)),
-            ],
-            &[NumaId(0), NumaId(0), NumaId(1), NumaId(1)],
-        )
+    fn mk_frames() -> FrameAllocator {
+        // 16 MiB at 16 MiB, 4 CPUs.
+        FrameAllocator::new(PhysAddr(16 << 20), 16 << 20, 4)
     }
 
     #[test]
-    fn first_touch_places_locally() {
-        let mut f = mk_numa();
-        let p0 = f.alloc_on(0, 3).unwrap();
-        let p2 = f.alloc_on(2, 3).unwrap();
-        assert_eq!(f.domain_of(p0), Some(NumaId(0)));
-        assert_eq!(f.domain_of(p2), Some(NumaId(1)));
-        assert_eq!(f.stats.alloc_local, 2);
-        assert_eq!(f.stats.alloc_spill, 0);
-    }
-
-    #[test]
-    fn spill_is_deterministic_and_counted() {
-        let mut f = mk_numa();
-        // Exhaust domain 0 with direct (non-PCP) allocations.
-        let mut held = Vec::new();
-        while let Ok(p) = f.alloc_on(0, MAX_ORDER - 1) {
-            if f.domain_of(p) == Some(NumaId(1)) {
-                held.push(p);
-                break;
-            }
-            held.push(p);
-        }
-        assert!(f.stats.alloc_spill >= 1, "domain 0 dry -> spill to 1");
-        for p in held {
-            f.free(p).unwrap();
-        }
-        f.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn pcp_hits_after_refill_and_drains_at_watermark() {
-        let mut f = mk_numa();
+    fn pcp_hits_after_refill() {
+        let mut f = mk_frames();
         // First order-0 alloc refills the batch; the rest hit.
         let mut pages = Vec::new();
         for _ in 0..PCP_SMALL_BATCH {
@@ -1087,58 +818,43 @@ mod tests {
         }
         assert_eq!(f.stats.pcp_refill, 1);
         assert_eq!(f.stats.pcp_hit as usize, PCP_SMALL_BATCH - 1);
-        // Frees park in the cache; accounting still sees them as free.
-        let free_before = f.free_bytes();
-        for p in &pages {
-            f.free_on(1, *p).unwrap();
+        assert_eq!(f.pcp_cached_on(1), 0, "batch consumed");
+        for p in pages {
+            f.free(p).unwrap();
         }
-        assert_eq!(
-            f.free_bytes(),
-            free_before + (pages.len() as u64) * PAGE_SIZE
-        );
-        assert_eq!(f.allocation_count(), 0);
-        // Push past the high watermark: a drain trip fires.
-        let mut more = Vec::new();
-        for _ in 0..PCP_SMALL_HIGH + 1 {
-            more.push(f.alloc_on(1, 0).unwrap());
-        }
-        for p in &more {
-            f.free_on(1, *p).unwrap();
-        }
-        assert!(f.stats.pcp_drain >= 1);
-        f.drain_all();
         assert_eq!(f.free_bytes(), f.len_bytes());
         f.check_invariants().unwrap();
     }
 
     #[test]
-    fn pcp_double_free_rejected() {
-        let mut f = mk_numa();
-        let p = f.alloc_on(0, 0).unwrap();
-        f.free_on(0, p).unwrap();
-        assert_eq!(f.free_on(0, p), Err(AllocError::BadFree(p)));
-        assert_eq!(f.free(p), Err(AllocError::BadFree(p)));
-    }
-
-    #[test]
     fn large_blocks_cache_separately() {
-        let mut f = mk_numa();
+        let mut f = mk_frames();
+        // A 2 MiB miss parks the rest of its batch (the buddy half of
+        // the first block) in the large cache; a parked block is not live.
         let p = f.alloc_on(0, ORDER_2M).unwrap();
         assert!(p.is_2m_aligned());
-        f.free_on(0, p).unwrap();
-        // Comes straight back out of the large cache.
+        assert_eq!(f.pcp_cached_on(0), PCP_LARGE_BATCH - 1);
+        let parked = p + (PAGE_SIZE << ORDER_2M);
+        assert_eq!(f.free(parked), Err(AllocError::BadFree(parked)));
+        // An order-0 refill leaves the large cache alone...
+        let small = f.alloc_on(0, 0).unwrap();
+        assert_eq!(f.stats.pcp_refill, 2);
+        // ...so the next 2 MiB request hits it.
         let q = f.alloc_on(0, ORDER_2M).unwrap();
-        assert_eq!(p, q, "LIFO cache returns the parked block");
-        assert!(f.stats.pcp_hit >= 1);
-        f.free(q).unwrap();
+        assert_eq!(q, parked);
+        assert_eq!(f.stats.pcp_hit, 1);
+        for b in [p, small, q] {
+            f.free(b).unwrap();
+        }
         f.drain_all();
         assert_eq!(f.free_bytes(), f.len_bytes());
+        assert_eq!(f.largest_free_order(), Some(MAX_ORDER));
     }
 
     #[test]
     fn replay_is_bit_identical() {
         let run = || {
-            let mut f = mk_numa();
+            let mut f = mk_frames();
             let mut trace = Vec::new();
             let mut held: Vec<PhysAddr> = Vec::new();
             for i in 0..500u64 {
@@ -1158,7 +874,7 @@ mod tests {
                     _ => {
                         if !held.is_empty() {
                             let p = held.swap_remove((i as usize * 31) % held.len());
-                            f.free_on((i % 4) as usize, p).unwrap();
+                            f.free(p).unwrap();
                             trace.push(u64::MAX - p.raw());
                         }
                     }

@@ -2,27 +2,24 @@
 //!
 //! A from-scratch LWK (Sec. II): own memory management, processes and
 //! multi-threading under a cooperative tick-less round-robin scheduler,
-//! signaling and inter-process mappings — everything else is delegated
-//! to Linux through IKC.
+//! and signaling — everything else is delegated to Linux through IKC.
 
 pub mod domains;
 pub mod mem;
 pub mod process;
 pub mod sched;
-pub mod shm;
 pub mod signal;
 pub mod syscall;
 
 use crate::abi::{Errno, Pid, Sysno, Tid};
 use crate::costs::CostModel;
 use hwmodel::addr::{PhysAddr, VirtAddr};
-use hwmodel::cpu::{CoreId, NumaId};
+use hwmodel::cpu::CoreId;
 use mem::phys::FrameAllocator;
 use mem::vm::VmaKind;
 use mem::FaultOutcome;
 use process::{Process, Thread};
 use sched::CoopScheduler;
-use shm::{ShmId, ShmRegistry};
 use signal::SignalState;
 use simcore::Cycles;
 use std::collections::{BTreeSet, HashMap};
@@ -85,8 +82,8 @@ pub struct McKernel {
     /// stable for the TLB sets and frame caches; they just stop
     /// scheduling until `online_core` brings them back.
     offline: BTreeSet<CoreId>,
-    /// Physical frame engine over the IHK-reserved range: per-NUMA buddy
-    /// arenas fronted by per-CPU frame caches.
+    /// Physical frame engine over the IHK-reserved range: one buddy
+    /// fronted by per-CPU frame caches.
     pub alloc: FrameAllocator,
     /// Cooperative scheduler.
     pub sched: CoopScheduler,
@@ -96,7 +93,6 @@ pub struct McKernel {
     next_pid: u32,
     next_tid: u32,
     next_seq: u64,
-    shm: ShmRegistry,
     /// Syscalls delegated to Linux through IKC.
     pub syscalls_offloaded: u64,
     /// Syscalls served inside the LWK.
@@ -119,33 +115,14 @@ pub struct McKernel {
 }
 
 impl McKernel {
-    /// Boot the LWK over `cores` and one reserved physical range (the
-    /// default single-domain partition: all CPUs home to domain 0).
+    /// Boot the LWK over `cores` and the one physical range IHK reserved
+    /// for it (from one NUMA domain): one buddy, a frame cache per core.
     pub fn boot(cores: Vec<CoreId>, mem_base: PhysAddr, mem_len: u64, costs: CostModel) -> Self {
-        let ncpus = cores.len();
-        McKernel::boot_numa(
-            cores,
-            &[(mem_base, mem_len, NumaId(0))],
-            &vec![NumaId(0); ncpus],
-            costs,
-        )
-    }
-
-    /// Boot the LWK with an explicit NUMA layout: one buddy arena per
-    /// reserved extent, and `cpu_domain[i]` naming core `i`'s home
-    /// domain (first-touch placement and deterministic spill follow).
-    pub fn boot_numa(
-        cores: Vec<CoreId>,
-        extents: &[(PhysAddr, u64, NumaId)],
-        cpu_domain: &[NumaId],
-        costs: CostModel,
-    ) -> Self {
         assert!(!cores.is_empty(), "LWK needs at least one core");
-        assert_eq!(cores.len(), cpu_domain.len(), "one home domain per core");
         let sched = CoopScheduler::new(&cores);
         McKernel {
             costs,
-            alloc: FrameAllocator::new(extents, cpu_domain),
+            alloc: FrameAllocator::new(mem_base, mem_len, cores.len()),
             sched,
             cores,
             offline: BTreeSet::new(),
@@ -155,7 +132,6 @@ impl McKernel {
             next_pid: 1000,
             next_tid: 1000,
             next_seq: 1,
-            shm: ShmRegistry::new(),
             syscalls_offloaded: 0,
             syscalls_local: 0,
             devmap_faults: 0,
@@ -495,9 +471,9 @@ impl McKernel {
         self.page_fault_on(pid, 0, va)
     }
 
-    /// Page fault entry for `cpu` (partition-relative core index; drives
-    /// first-touch NUMA placement and the per-CPU frame cache). Split
-    /// borrow over process map and allocator.
+    /// Page fault entry for `cpu` (partition-relative core index; picks
+    /// the per-CPU frame cache). Split borrow over process map and
+    /// allocator.
     pub fn page_fault_on(&mut self, pid: Pid, cpu: usize, va: VirtAddr) -> FaultOutcome {
         let proc = self.procs.get_mut(&pid).expect("fault on unknown pid");
         mem::handle_fault(&mut proc.aspace, &mut self.alloc, &self.costs, cpu, va)
@@ -559,42 +535,6 @@ impl McKernel {
     ) -> Result<mem::UnmapStats, Errno> {
         let proc = self.procs.get_mut(&pid).ok_or(Errno::ENOENT)?;
         mem::unmap_range(&mut proc.aspace, &mut self.alloc, &self.costs, start, len)
-    }
-
-    /// Create an inter-process shared segment (Sec. II: "it also allows
-    /// inter-process memory mappings") and attach it to `pid`.
-    pub fn shm_create_attach(
-        &mut self,
-        pid: Pid,
-        len: u64,
-    ) -> Result<(ShmId, VirtAddr), Errno> {
-        let id = self.shm.create(&mut self.alloc, len)?;
-        let proc = self.procs.get_mut(&pid).ok_or(Errno::ENOENT)?;
-        let va = self.shm.attach(id, &mut proc.aspace)?;
-        Ok((id, va))
-    }
-
-    /// Attach an existing segment to another process.
-    pub fn shm_attach(&mut self, pid: Pid, id: ShmId) -> Result<VirtAddr, Errno> {
-        let proc = self.procs.get_mut(&pid).ok_or(Errno::ENOENT)?;
-        self.shm.attach(id, &mut proc.aspace)
-    }
-
-    /// Detach a segment from a process.
-    pub fn shm_detach(&mut self, pid: Pid, id: ShmId, va: VirtAddr) -> Result<(), Errno> {
-        let proc = self.procs.get_mut(&pid).ok_or(Errno::ENOENT)?;
-        self.shm.detach(id, &mut proc.aspace, va)
-    }
-
-    /// Destroy a fully detached segment.
-    pub fn shm_destroy(&mut self, id: ShmId) -> Result<(), Errno> {
-        self.shm.destroy(id, &mut self.alloc)
-    }
-
-    /// Segment accessor — a *Linux-side* consumer resolves physical
-    /// addresses through this (the simulation → in-situ hand-off path).
-    pub fn shm_segment(&self, id: ShmId) -> Option<&shm::ShmSegment> {
-        self.shm.segment(id)
     }
 
     /// Tear down a process: free every mapped frame, drop threads.

@@ -189,54 +189,40 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// FrameAllocator: NUMA arenas + per-CPU caches against a reference model.
+// FrameAllocator: the buddy + per-CPU refill caches against a reference
+// model.
 // ---------------------------------------------------------------------------
 
 use hlwk_core::mck::mem::phys::{FrameAllocator, ORDER_2M};
-use hwmodel::cpu::NumaId;
 
 #[derive(Clone, Debug)]
 enum FaOp {
     /// Allocate `order` on `cpu` (orders limited to the interesting mix:
     /// PCP-cached 0 and 2M plus a direct mid order).
     Alloc { cpu: u8, order_sel: u8 },
-    /// Free the nth live block through `cpu`'s cache path.
-    FreeNth { cpu: u8, n: usize },
-    /// Free the nth live block via the direct (teardown) path.
-    FreeDirectNth { n: usize },
+    /// Free the nth live block (straight to the buddy).
+    FreeNth { n: usize },
 }
 
 fn fa_ops() -> impl Strategy<Value = Vec<FaOp>> {
     prop::collection::vec(
         prop_oneof![
             (0u8..4, 0u8..3).prop_map(|(cpu, order_sel)| FaOp::Alloc { cpu, order_sel }),
-            (0u8..4, 0usize..64).prop_map(|(cpu, n)| FaOp::FreeNth { cpu, n }),
-            (0usize..64).prop_map(|n| FaOp::FreeDirectNth { n }),
+            (0usize..64).prop_map(|n| FaOp::FreeNth { n }),
         ],
         1..250,
     )
 }
 
-fn mk_fa() -> FrameAllocator {
-    // Two NUMA domains, non-adjacent physical ranges, 4 CPUs split 2/2.
-    FrameAllocator::new(
-        &[
-            (PhysAddr(64 << 20), 4 << 20, NumaId(0)),
-            (PhysAddr(256 << 20), 4 << 20, NumaId(1)),
-        ],
-        &[NumaId(0), NumaId(0), NumaId(1), NumaId(1)],
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// The NUMA/PCP frame engine agrees with a flat reference model under
-    /// random alloc/free interleavings across CPUs and both free paths:
-    /// exact free-byte accounting, natural alignment, no overlap, and full
-    /// coalescing back to pristine after free-all + cache drain.
+    /// The PCP frame engine agrees with a flat reference model under
+    /// random alloc/free interleavings across CPUs: exact free-byte
+    /// accounting, natural alignment, no overlap, and full coalescing
+    /// back to pristine after free-all + cache drain.
     #[test]
     fn frame_allocator_matches_reference_model(ops in fa_ops()) {
-        let mut f = mk_fa();
+        let mut f = FrameAllocator::new(PhysAddr(POOL_BASE), POOL_LEN, 4);
         let total = f.len_bytes();
         // Reference model: the set of live blocks (addr, order).
         let mut live: Vec<(PhysAddr, u8)> = Vec::new();
@@ -245,30 +231,23 @@ proptest! {
                 FaOp::Alloc { cpu, order_sel } => {
                     let order = [0u8, 3, ORDER_2M][order_sel as usize];
                     if let Ok(p) = f.alloc_on(cpu as usize, order) {
-                        // Natural alignment within the owning arena.
-                        let base = if p.raw() < 256 << 20 { 64u64 << 20 } else { 256 << 20 };
-                        prop_assert_eq!((p.raw() - base) % (PAGE_SIZE << order), 0);
+                        // Natural alignment, inside the pool.
+                        prop_assert_eq!((p.raw() - POOL_BASE) % (PAGE_SIZE << order), 0);
+                        prop_assert!(p.raw() + (PAGE_SIZE << order) <= POOL_BASE + POOL_LEN);
                         // No overlap with any live block.
                         for &(q, qo) in &live {
                             let (ps, pe) = (p.raw(), p.raw() + (PAGE_SIZE << order));
                             let (qs, qe) = (q.raw(), q.raw() + (PAGE_SIZE << qo));
                             prop_assert!(pe <= qs || qe <= ps, "overlap");
                         }
-                        // The frame engine knows where it put the block.
-                        prop_assert!(f.domain_of(p).is_some());
                         live.push((p, order));
                     }
                 }
-                FaOp::FreeNth { cpu, n } => {
+                FaOp::FreeNth { n } => {
                     if !live.is_empty() {
                         let (p, _) = live.swap_remove(n % live.len());
-                        f.free_on(cpu as usize, p).expect("live block frees");
-                    }
-                }
-                FaOp::FreeDirectNth { n } => {
-                    if !live.is_empty() {
-                        let (p, _) = live.swap_remove(n % live.len());
-                        f.free(p).expect("live block frees directly");
+                        f.free(p).expect("live block frees");
+                        prop_assert_eq!(f.free(p), Err(AllocError::BadFree(p)));
                     }
                 }
             }
@@ -282,7 +261,7 @@ proptest! {
                 })?;
             }
         }
-        // Free-all + drain: full coalescing back to pristine arenas.
+        // Free-all + drain: full coalescing back to a pristine buddy.
         for (p, _) in live {
             f.free(p).unwrap();
         }
@@ -319,8 +298,8 @@ proptest! {
         let costs = CostModel::default();
         let mut wide = AddressSpace::new(true);
         let mut one = AddressSpace::new(true);
-        let mut fa_wide = FrameAllocator::single(PhysAddr(64 << 20), 8 << 20, 2);
-        let mut fa_one = FrameAllocator::single(PhysAddr(64 << 20), 8 << 20, 2);
+        let mut fa_wide = FrameAllocator::new(PhysAddr(64 << 20), 8 << 20, 2);
+        let mut fa_one = FrameAllocator::new(PhysAddr(64 << 20), 8 << 20, 2);
         let len = npages * PAGE_SIZE;
         let va_w = wide.vm.mmap(len, VmaKind::Anon { large_ok: false }, true, None).unwrap();
         let va_o = one.vm.mmap(len, VmaKind::Anon { large_ok: false }, true, None).unwrap();

@@ -4,7 +4,7 @@
 //!
 //! Block id (recursive doubling) = contributing rank.
 
-use super::{allgather, tree, ceil_log2, Ctx};
+use super::{allgather, barrier, tree, ceil_log2, Ctx};
 use crate::failure::RankFailure;
 use crate::host::HostModel;
 use simcore::Cycles;
@@ -79,50 +79,16 @@ pub fn allreduce_rabenseifner<H: HostModel>(
     bytes: u64,
     start: &[Cycles],
 ) -> Result<Vec<Cycles>, RankFailure> {
-    assert!(p.is_power_of_two());
-    assert_eq!(start.len(), p);
-    let mut clocks = start.to_vec();
-    if p == 1 {
-        return Ok(clocks);
-    }
-    // Allreduce repacks through MPI-internal buffers: registration churn
-    // (the paper's Fig. 7 large-message artifact).
+    // Allreduce repacks through MPI-internal buffers in both phases:
+    // registration churn (the paper's Fig. 7 large-message artifact).
     let saved_churn = ctx.churn;
     ctx.churn = ctx.internal_churn();
-    // Reduce-scatter by recursive halving: exchanged chunk halves each
-    // round; combine charged for the received half.
-    let rounds = ceil_log2(p);
-    let mut chunk = bytes / 2;
-    for k in 0..rounds {
-        // Recursive halving pairs across shrinking distances: the same
-        // butterfly as recursive doubling, walked top round first.
-        let round_bit = (rounds - 1 - k) as u8;
-        let round = clocks.clone();
-        for r in 0..p {
-            let partner = reduce_partner(r, round_bit);
-            if r > partner {
-                continue;
-            }
-            let res = ctx
-                .xfer_at(r, partner, chunk, round[r], round[partner], &mut clocks, Vec::new)
-                .and_then(|_| {
-                    ctx.xfer_at(partner, r, chunk, round[partner], round[r], &mut clocks, Vec::new)
-                });
-            if let Err(e) = res {
-                ctx.churn = saved_churn;
-                return Err(e);
-            }
-            let combine = ctx.reduce_cost(chunk);
-            clocks[r] = ctx.cpu(r, clocks[r], combine);
-            clocks[partner] = ctx.cpu(partner, clocks[partner], combine);
-        }
-        chunk = (chunk / 2).max(1);
-    }
-    // Allgather the owned chunks (each rank owns bytes/p) by recursive
-    // doubling with growing windows.
-    let ag = allgather::allgather_rd(ctx, p, (bytes / p as u64).max(1), &clocks);
+    let done = barrier::reduce_scatter(ctx, p, bytes, start).and_then(|owned| {
+        // Each rank now owns bytes/p of the reduced vector.
+        allgather::allgather_rd(ctx, p, (bytes / p as u64).max(1), &owned)
+    });
     ctx.churn = saved_churn;
-    ag
+    done
 }
 
 #[cfg(test)]

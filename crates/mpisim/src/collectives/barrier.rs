@@ -1,7 +1,8 @@
 //! Barrier (dissemination algorithm) and reduce-scatter — the two
 //! building blocks MVAPICH composes many of its other operations from.
-//! Not plotted in the paper's Fig. 6, but the OSU suite measures both and
-//! Rabenseifner allreduce is literally reduce-scatter + allgather.
+//! Not plotted in the paper's Fig. 6, but the OSU suite measures both, and
+//! [`super::allreduce::allreduce_rabenseifner`] is this reduce-scatter
+//! followed by a recursive-doubling allgather.
 
 use super::{ceil_log2, Ctx};
 use crate::failure::RankFailure;

@@ -16,7 +16,7 @@ use simcore::{Cycles, StreamRng};
 const P: usize = 8;
 
 fn topo() -> DomainTopology {
-    DomainTopology::new(P, 4, 2)
+    DomainTopology::new(P, 4)
 }
 
 /// A cluster of `P` ranks with rack 1 (nodes 4..8) fail-stopped at

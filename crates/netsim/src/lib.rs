@@ -1,11 +1,10 @@
 //! # netsim — the interconnect substrate
 //!
-//! Models the testbed's two networks:
-//!
-//! * Mellanox Connect-IB FDR (56 Gb/s) InfiniBand — used exclusively by
-//!   the HPC workload;
-//! * Gigabit Ethernet — used by the in-situ (Hadoop) workload, keeping the
-//!   two traffic classes physically separate as in the paper (Sec. IV-A).
+//! Models the testbed's Mellanox Connect-IB FDR (56 Gb/s) InfiniBand,
+//! which the HPC workload uses exclusively. The in-situ (Hadoop)
+//! workload's Gigabit Ethernet is a separate network in the paper
+//! (Sec. IV-A), so it enters only as Linux-side interrupt noise
+//! (`linuxsim::daemons::DaemonSource::eth_irq`), not as a link model.
 //!
 //! Layers:
 //!

@@ -1,8 +1,8 @@
 //! LogGP-style link cost model.
 //!
 //! `T(msg) = o_send + L + G * bytes + o_recv`, with a per-message gap `g`
-//! limiting NIC injection rate. Parameters ship for the two testbed
-//! networks; the numbers are era-plausible and the figure benches only
+//! limiting NIC injection rate. Parameters ship for the testbed's FDR
+//! InfiniBand; the numbers are era-plausible and the figure benches only
 //! depend on their relative shape.
 
 use simcore::Cycles;
@@ -33,18 +33,6 @@ impl LinkParams {
             gap_msg: Cycles::from_ns(100),
             // 5.8 GB/s -> 1024 B / 5.8e9 B/s = 176.6 ns/KiB = ~494 cycles.
             cycles_per_kib: 494,
-        }
-    }
-
-    /// Gigabit Ethernet through the TCP stack: ~40 us latency, ~110 MB/s.
-    pub fn gige_ethernet() -> Self {
-        LinkParams {
-            latency: Cycles::from_us(30),
-            send_overhead: Cycles::from_us(5),
-            recv_overhead: Cycles::from_us(5),
-            gap_msg: Cycles::from_us(2),
-            // 110 MB/s -> 9.3 us/KiB -> ~26,000 cycles.
-            cycles_per_kib: 26_000,
         }
     }
 
@@ -116,22 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn ethernet_is_much_slower() {
-        let ib = LinkParams::fdr_infiniband();
-        let eth = LinkParams::gige_ethernet();
-        assert!(eth.message_time(8).raw() > 10 * ib.message_time(8).raw());
-        assert!(eth.byte_time(1 << 20).raw() > 30 * ib.byte_time(1 << 20).raw());
-    }
-
-    #[test]
     fn lookahead_lower_bounds_every_message() {
-        for p in [LinkParams::fdr_infiniband(), LinkParams::gige_ethernet()] {
-            let la = p.lookahead();
-            assert!(la >= Cycles(1), "windows need a positive width");
-            for bytes in [0u64, 8, 4096, 1 << 20] {
-                assert!(p.message_time(bytes) >= la);
-                assert!(p.send_overhead + p.wire_time(bytes) >= la);
-            }
+        let ib = LinkParams::fdr_infiniband();
+        let la = ib.lookahead();
+        assert!(la >= Cycles(1), "windows need a positive width");
+        for bytes in [0u64, 8, 4096, 1 << 20] {
+            assert!(ib.message_time(bytes) >= la);
+            assert!(ib.send_overhead + ib.wire_time(bytes) >= la);
         }
     }
 

@@ -744,7 +744,7 @@ mod tests {
 
     #[test]
     fn domain_failstop_kills_whole_rack_at_once() {
-        let topo = DomainTopology::new(8, 4, 2);
+        let topo = DomainTopology::new(8, 4);
         let mut rel = ReliableFabric::new(8, params());
         let at = Cycles::from_ms(1);
         rel.apply_domain_event(
@@ -764,7 +764,7 @@ mod tests {
 
     #[test]
     fn domain_blackout_flaps_every_port_in_subtree() {
-        let topo = DomainTopology::new(8, 4, 2);
+        let topo = DomainTopology::new(8, 4);
         let mut rel = ReliableFabric::new(8, params());
         let at = Cycles::from_ms(2);
         let dur = Cycles::from_us(40);
@@ -799,7 +799,7 @@ mod tests {
         // too (forced downs are visible through the plan log).
         let mut blk = ReliableFabric::new(8, p);
         assert_eq!(blk.lookahead(), p.lookahead());
-        let topo = DomainTopology::new(8, 4, 2);
+        let topo = DomainTopology::new(8, 4);
         blk.apply_domain_event(
             &topo,
             &DomainEvent {

@@ -218,15 +218,6 @@ impl FaultPlan {
         self.active = active;
     }
 
-    /// Run `f` with injection suspended, restoring the previous state.
-    pub fn while_suspended<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let was = self.active;
-        self.active = false;
-        let r = f(self);
-        self.active = was;
-        r
-    }
-
     /// Decide the fate of one message on leg `leg` for offload `seq`.
     ///
     /// Draw order is fixed (drop, corrupt, delay) so the schedule is a
@@ -450,35 +441,26 @@ impl LinkFaultConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical failure domains (node → rack → pod)
+// Hierarchical failure domains (node → rack)
 // ---------------------------------------------------------------------------
 
 /// Hierarchical failure-domain layout. Nodes pack into racks (sharing a
-/// ToR switch and a PDU) and racks pack into pods (sharing an
-/// aggregation switch and a power feed): one fault at any level takes
-/// out the *whole subtree* at once, which is how real clusters die —
-/// in correlated bursts, not independent single-node events.
+/// ToR switch and a PDU): one rack fault takes out the *whole rack* at
+/// once, which is how real clusters die — in correlated bursts, not
+/// independent single-node events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DomainTopology {
     /// Total node count.
     pub nodes: usize,
     /// Nodes per rack (last rack may be partial).
     pub nodes_per_rack: usize,
-    /// Racks per pod (last pod may be partial).
-    pub racks_per_pod: usize,
 }
 
 impl DomainTopology {
     /// A layout with the given packing. Panics on zero sizes.
-    pub fn new(nodes: usize, nodes_per_rack: usize, racks_per_pod: usize) -> Self {
-        assert!(nodes >= 1 && nodes_per_rack >= 1 && racks_per_pod >= 1);
-        DomainTopology { nodes, nodes_per_rack, racks_per_pod }
-    }
-
-    /// Degenerate layout: every node in one rack in one pod (no
-    /// correlated structure — the pre-domain behaviour).
-    pub fn flat(nodes: usize) -> Self {
-        DomainTopology::new(nodes, nodes.max(1), 1)
+    pub fn new(nodes: usize, nodes_per_rack: usize) -> Self {
+        assert!(nodes >= 1 && nodes_per_rack >= 1);
+        DomainTopology { nodes, nodes_per_rack }
     }
 
     /// Number of racks.
@@ -486,19 +468,9 @@ impl DomainTopology {
         self.nodes.div_ceil(self.nodes_per_rack)
     }
 
-    /// Number of pods.
-    pub fn num_pods(&self) -> usize {
-        self.num_racks().div_ceil(self.racks_per_pod)
-    }
-
     /// The rack holding `node`.
     pub fn rack_of(&self, node: usize) -> usize {
         node / self.nodes_per_rack
-    }
-
-    /// The pod holding `node`.
-    pub fn pod_of(&self, node: usize) -> usize {
-        self.rack_of(node) / self.racks_per_pod
     }
 
     /// The next rack in ring order (a *different* failure domain
@@ -516,35 +488,19 @@ impl DomainTopology {
                 let lo = r * self.nodes_per_rack;
                 lo..((r + 1) * self.nodes_per_rack).min(self.nodes)
             }
-            DomainScope::Pod(p) => {
-                let lo = p * self.racks_per_pod * self.nodes_per_rack;
-                let hi = (p + 1) * self.racks_per_pod * self.nodes_per_rack;
-                lo..hi.min(self.nodes)
-            }
         };
         range.collect()
     }
 }
 
-/// Which subtree of the fault hierarchy an event hits.
+/// Which subtree of the fault hierarchy an event hits. The derived
+/// order ranks every node before every rack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DomainScope {
     /// A single node (the PR 5 fail-stop, as a degenerate domain).
     Node(usize),
     /// A whole rack (ToR switch / PDU failure).
     Rack(usize),
-    /// A whole pod (aggregation switch / power-feed failure).
-    Pod(usize),
-}
-
-impl DomainScope {
-    fn level(&self) -> u8 {
-        match self {
-            DomainScope::Node(_) => 0,
-            DomainScope::Rack(_) => 1,
-            DomainScope::Pod(_) => 2,
-        }
-    }
 }
 
 /// What a domain event does to its subtree.
@@ -582,8 +538,6 @@ pub struct DomainFaultConfig {
     pub node_fail_per_hour: f64,
     /// Fail-stop arrivals per rack per hour.
     pub rack_fail_per_hour: f64,
-    /// Fail-stop arrivals per pod per hour.
-    pub pod_fail_per_hour: f64,
     /// Transient whole-rack blackout arrivals per rack per hour.
     pub rack_blackout_per_hour: f64,
     /// Mean blackout duration, nanoseconds (exponential).
@@ -605,7 +559,6 @@ impl DomainFaultConfig {
             enabled: false,
             node_fail_per_hour: 0.0,
             rack_fail_per_hour: 0.0,
-            pod_fail_per_hour: 0.0,
             rack_blackout_per_hour: 0.0,
             blackout_mean_ns: 2_000_000.0,
             horizon_secs: 600,
@@ -623,13 +576,6 @@ impl DomainFaultConfig {
     pub fn with_rack_fails(mut self, per_hour: f64) -> Self {
         self.enabled = true;
         self.rack_fail_per_hour = per_hour;
-        self
-    }
-
-    /// Set per-pod fail-stop arrivals (builder style).
-    pub fn with_pod_fails(mut self, per_hour: f64) -> Self {
-        self.enabled = true;
-        self.pod_fail_per_hour = per_hour;
         self
     }
 
@@ -721,16 +667,6 @@ impl DomainFaultPlan {
                 }
             }
         }
-        for p in 0..topo.num_pods() {
-            let mut s = rng.stream("domfault.pod", p as u64);
-            if let Some(at) = first_arrival(&mut s, cfg.pod_fail_per_hour) {
-                plan.events.push(DomainEvent {
-                    at,
-                    scope: DomainScope::Pod(p),
-                    kind: DomainEventKind::FailStop,
-                });
-            }
-        }
         plan.sort_events();
         plan
     }
@@ -741,8 +677,7 @@ impl DomainFaultPlan {
     }
 
     fn sort_events(&mut self) {
-        self.events
-            .sort_by_key(|e| (e.at, e.scope.level(), e.scope));
+        self.events.sort_by_key(|e| (e.at, e.scope));
     }
 
     /// Add a deterministic event (RNG-free), keeping the schedule
@@ -762,7 +697,8 @@ impl DomainFaultPlan {
         &self.topo
     }
 
-    /// The full schedule, sorted by (time, level, scope).
+    /// The full schedule, sorted by (time, scope): at one instant node
+    /// events precede rack events.
     pub fn events(&self) -> &[DomainEvent] {
         &self.events
     }
@@ -794,7 +730,6 @@ impl DomainFaultPlan {
             let (lvl, idx) = match e.scope {
                 DomainScope::Node(n) => (0u64, n as u64),
                 DomainScope::Rack(r) => (1, r as u64),
-                DomainScope::Pod(p) => (2, p as u64),
             };
             eat(lvl);
             eat(idx);
@@ -1045,11 +980,11 @@ mod tests {
         let mut a = plan(cfg);
         let mut b = plan(cfg);
         // a: suspended draws then active draws. b: active draws only.
-        a.while_suspended(|p| {
-            for s in 0..100 {
-                assert_eq!(p.draw_msg_fault("req", s, Cycles::ZERO), MsgFault::None);
-            }
-        });
+        a.set_active(false);
+        for s in 0..100 {
+            assert_eq!(a.draw_msg_fault("req", s, Cycles::ZERO), MsgFault::None);
+        }
+        a.set_active(true);
         for s in 0..50 {
             assert_eq!(
                 a.draw_msg_fault("req", s, Cycles::ZERO),
@@ -1198,7 +1133,7 @@ mod tests {
         // A disabled DomainFaultPlan derives no streams and generates no
         // events — its schedule is seed-independent, and deterministic
         // injection stays RNG-free.
-        let topo = DomainTopology::new(8, 2, 2);
+        let topo = DomainTopology::new(8, 2);
         let a = DomainFaultPlan::new(DomainFaultConfig::off(), topo, &StreamRng::root(1));
         let b = DomainFaultPlan::new(DomainFaultConfig::off(), topo, &StreamRng::root(2));
         assert!(a.events().is_empty());
@@ -1214,17 +1149,12 @@ mod tests {
 
     #[test]
     fn domain_topology_maps_subtrees() {
-        let topo = DomainTopology::new(10, 4, 2);
+        let topo = DomainTopology::new(10, 4);
         assert_eq!(topo.num_racks(), 3);
-        assert_eq!(topo.num_pods(), 2);
         assert_eq!(topo.rack_of(5), 1);
-        assert_eq!(topo.pod_of(5), 0);
-        assert_eq!(topo.pod_of(9), 1);
         assert_eq!(topo.nodes_in(DomainScope::Node(3)), vec![3]);
         assert_eq!(topo.nodes_in(DomainScope::Rack(1)), vec![4, 5, 6, 7]);
         assert_eq!(topo.nodes_in(DomainScope::Rack(2)), vec![8, 9], "partial rack");
-        assert_eq!(topo.nodes_in(DomainScope::Pod(0)), vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(topo.nodes_in(DomainScope::Pod(1)), vec![8, 9]);
         assert_eq!(topo.partner_rack(0), 1);
         assert_eq!(topo.partner_rack(2), 0, "ring wraps");
         // partner_rack is a different domain whenever one exists.
@@ -1235,11 +1165,10 @@ mod tests {
 
     #[test]
     fn domain_plan_same_seed_same_schedule() {
-        let topo = DomainTopology::new(16, 4, 2);
+        let topo = DomainTopology::new(16, 4);
         let cfg = DomainFaultConfig::off()
             .with_node_fails(40.0)
             .with_rack_fails(10.0)
-            .with_pod_fails(2.0)
             .with_rack_blackouts(30.0, 500_000.0);
         let a = DomainFaultPlan::new(cfg, topo, &StreamRng::root(0xD0));
         let b = DomainFaultPlan::new(cfg, topo, &StreamRng::root(0xD0));
@@ -1256,7 +1185,7 @@ mod tests {
     fn domain_streams_are_independent_per_level() {
         // Enabling rack blackouts must not shift the node fail-stop
         // schedule: each domain instance draws from its own stream.
-        let topo = DomainTopology::new(16, 4, 2);
+        let topo = DomainTopology::new(16, 4);
         let root = StreamRng::root(0xD0);
         let just_nodes =
             DomainFaultPlan::new(DomainFaultConfig::off().with_node_fails(60.0), topo, &root);

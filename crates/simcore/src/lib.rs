@@ -18,8 +18,7 @@
 //!
 //! There is no event engine. Time is closed form: each layer advances its
 //! own clocks (per-rank virtual clocks, fabric port timelines, noise per
-//! compute quantum, the proxy FIFO) in [`time::Cycles`]. See `DESIGN.md`
-//! D1.
+//! compute quantum) in [`time::Cycles`]. See `DESIGN.md` D1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

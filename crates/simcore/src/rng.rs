@@ -167,29 +167,12 @@ impl StreamRng {
         -mean * self.uniform_open().ln()
     }
 
-    /// Normally distributed value (Box–Muller) with given mean and standard
-    /// deviation. Used for service-time jitter around modeled costs.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = self.uniform_open();
-        let u2 = self.uniform();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
     /// Bounded Pareto draw (heavy-tailed; used for rare long noise events
     /// like kswapd scans and JVM GC pauses). `alpha` is the tail index.
     pub fn pareto(&mut self, scale: f64, alpha: f64, cap: f64) -> f64 {
         debug_assert!(scale > 0.0 && alpha > 0.0 && cap >= scale);
         let u = self.uniform_open();
         (scale / u.powf(1.0 / alpha)).min(cap)
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.range_u64(0, i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -275,17 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments() {
-        let mut r = StreamRng::root(13);
-        let n = 20_000;
-        let draws: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        let var = draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
-    }
-
-    #[test]
     fn pareto_bounds_respected() {
         let mut r = StreamRng::root(17);
         for _ in 0..10_000 {
@@ -299,16 +271,5 @@ mod tests {
         let mut r = StreamRng::root(19);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = StreamRng::root(23);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "astronomically unlikely to be identity");
     }
 }
