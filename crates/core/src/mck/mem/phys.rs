@@ -5,8 +5,9 @@
 //! * [`BuddyAllocator`] — a flat, index-based binary buddy over one
 //!   physically contiguous range: per-order intrusive free lists threaded
 //!   through a flat per-frame metadata table plus a buddy-pair bitmap.
-//!   Alloc, free and coalescing are all O(1) with zero heap activity on
-//!   the hot path (the metadata arrays are allocated once at boot).
+//!   Alloc, free and coalescing are all O(1) with no search; the only
+//!   heap activity is the metadata growing by one max-order block when
+//!   the virgin watermark advances.
 //! * [`FrameAllocator`] — the kernel-facing engine: one buddy over the
 //!   partition (IHK reserves it from one NUMA domain) fronted by per-CPU
 //!   page-frame caches (PCP lists, Linux-style) for order-0 and 2 MiB
@@ -24,10 +25,13 @@
 //!   never-touched memory is carved from an ascending *virgin watermark*;
 //!   PCP refills happen in fixed batches. Replays are bit-identical.
 //!
-//! The metadata arrays are zero-initialized (`calloc`-backed) and the
-//! virgin watermark defers free-list seeding, so resident metadata stays
-//! proportional to *touched* memory — a 16 GiB partition that faults a
-//! few megabytes pays for a few metadata pages, not for 4M frame entries.
+//! The metadata arrays cover only the frames below the virgin watermark
+//! and grow by one max-order block each time it advances, so host memory
+//! follows the memory the model touches: a 16 GiB partition that faults a
+//! few megabytes holds metadata for a few 4 MiB blocks, not for 4 Mi
+//! frames. (A zeroed array sized to the partition is not free: once
+//! glibc's mmap threshold has risen, it comes from recycled heap chunks
+//! and is memset whole.)
 
 use hwmodel::addr::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 
@@ -38,6 +42,10 @@ pub const MAX_ORDER: u8 = 10;
 pub const ORDER_2M: u8 = 9;
 
 const NUM_ORDERS: usize = MAX_ORDER as usize + 1;
+
+/// Frames in one max-order block: the unit the watermark and the
+/// metadata grow by.
+const BLOCK_FRAMES: u64 = 1 << MAX_ORDER;
 
 /// Free-list sentinel ("no frame").
 const NIL: u32 = u32::MAX;
@@ -70,10 +78,13 @@ pub enum AllocError {
 /// * `pair_bits` holds one bit per buddy pair per order, toggled whenever
 ///   either buddy enters or leaves that order's free list. While freeing
 ///   a block (itself not on a list), the bit is `1` iff its buddy is free
-///   at the same order — the O(1) coalesce test.
+///   at the same order — the O(1) coalesce test. Each max-order block
+///   owns 1024 consecutive bits, one per frame, in binary-tree order:
+///   order `o`'s pairs start at bit `512 >> o` of them.
 /// * `virgin` is the offset of the first never-used frame; everything at
 ///   or above it is free by definition and is carved in max-order blocks
-///   as the free lists run dry.
+///   as the free lists run dry. All four arrays cover exactly the frames
+///   below it, so a carve appends one block to each.
 #[derive(Debug)]
 pub struct BuddyAllocator {
     base: PhysAddr,
@@ -85,10 +96,9 @@ pub struct BuddyAllocator {
     prev: Vec<u32>,
     /// state << 4 | order, per frame.
     tag: Vec<u8>,
-    /// Buddy-pair bitmaps for orders `0..MAX_ORDER`, concatenated.
+    /// Buddy-pair bits for orders `0..MAX_ORDER`, 1024 per max-order
+    /// block (see `pair_bit`).
     pair_bits: Vec<u64>,
-    /// Word offset of each order's bitmap inside `pair_bits`.
-    bit_base: [usize; MAX_ORDER as usize],
     /// Free-list heads per order.
     heads: [u32; NUM_ORDERS],
     /// First never-touched page offset (ascending watermark).
@@ -109,24 +119,15 @@ impl BuddyAllocator {
         assert_eq!(base.raw() % block, 0, "base must be 4MiB aligned");
         let pages = len >> PAGE_SHIFT;
         assert!(pages < u64::from(NIL), "partition too large for u32 links");
-        let mut bit_base = [0usize; MAX_ORDER as usize];
-        let mut words = 0usize;
-        for (o, slot) in bit_base.iter_mut().enumerate() {
-            *slot = words;
-            let pairs = (pages >> (o + 1)) as usize;
-            words += pairs.div_ceil(64).max(1);
-        }
         BuddyAllocator {
             base,
             len,
             pages,
-            // Zeroed primitive vecs are calloc-backed: untouched frames
-            // cost address space, not resident memory.
-            next: vec![0u32; pages as usize],
-            prev: vec![0u32; pages as usize],
-            tag: vec![0u8; pages as usize],
-            pair_bits: vec![0u64; words],
-            bit_base,
+            // Empty: metadata arrives with the first carve.
+            next: Vec::new(),
+            prev: Vec::new(),
+            tag: Vec::new(),
+            pair_bits: Vec::new(),
             heads: [NIL; NUM_ORDERS],
             virgin: 0,
             free_pages: pages,
@@ -159,6 +160,18 @@ impl BuddyAllocator {
         (0..=MAX_ORDER).rev().find(|&o| self.heads[o as usize] != NIL)
     }
 
+    /// Frame offset of `addr` if it lies below the watermark, the only
+    /// frames with metadata (nothing above it is allocated or cached).
+    /// Each entry point that takes an address checks here once, so the
+    /// accessors below index directly.
+    #[inline]
+    fn touched_frame(&self, addr: PhysAddr) -> Result<u64, AllocError> {
+        match addr.raw().checked_sub(self.base.raw()) {
+            Some(bytes) if bytes >> PAGE_SHIFT < self.virgin => Ok(bytes >> PAGE_SHIFT),
+            _ => Err(AllocError::BadFree(addr)),
+        }
+    }
+
     #[inline]
     fn state_of(&self, off: u64) -> u8 {
         self.tag[off as usize] >> 4
@@ -179,9 +192,8 @@ impl BuddyAllocator {
     #[inline]
     fn toggle_pair(&mut self, order: u8, off: u64) {
         if order < MAX_ORDER {
-            let pair = off >> (order + 1);
-            let w = self.bit_base[order as usize] + (pair >> 6) as usize;
-            self.pair_bits[w] ^= 1u64 << (pair & 63);
+            let (w, mask) = pair_bit(order, off);
+            self.pair_bits[w] ^= mask;
         }
     }
 
@@ -193,9 +205,8 @@ impl BuddyAllocator {
         if order >= MAX_ORDER {
             return false;
         }
-        let pair = off >> (order + 1);
-        let w = self.bit_base[order as usize] + (pair >> 6) as usize;
-        self.pair_bits[w] >> (pair & 63) & 1 == 1
+        let (w, mask) = pair_bit(order, off);
+        self.pair_bits[w] & mask != 0
     }
 
     /// Push `off` onto `order`'s free list (LIFO) and flag it free.
@@ -245,14 +256,8 @@ impl BuddyAllocator {
             self.unlink_free(o, off);
             off
         } else {
-            // Lists dry: carve a pristine max-order block.
-            if self.pages - self.virgin < 1 << MAX_ORDER {
-                return Err(AllocError::OutOfMemory);
-            }
-            let off = self.virgin;
-            self.virgin += 1 << MAX_ORDER;
             o = MAX_ORDER;
-            off
+            self.carve()?
         };
         // Split down to the requested order, freeing the upper halves.
         while o > order {
@@ -265,41 +270,31 @@ impl BuddyAllocator {
         Ok(self.base + (off << PAGE_SHIFT))
     }
 
-    /// Allocate extents covering `bytes`: a greedy binary decomposition
-    /// (largest blocks first, each naturally aligned, capped at
-    /// `MAX_ORDER`), so requests beyond 4 MiB are backed by multiple
-    /// max-order extents instead of failing. All-or-nothing: on
-    /// exhaustion every extent is rolled back.
-    pub fn alloc_bytes(&mut self, bytes: u64) -> Result<Vec<(PhysAddr, u8)>, AllocError> {
-        assert!(bytes > 0);
-        let mut remaining = (bytes + PAGE_SIZE - 1) >> PAGE_SHIFT;
-        let mut out = Vec::new();
-        while remaining > 0 {
-            let order = (63 - remaining.leading_zeros() as u8).min(MAX_ORDER);
-            match self.alloc(order) {
-                Ok(p) => {
-                    out.push((p, order));
-                    remaining -= 1u64 << order;
-                }
-                Err(e) => {
-                    for (p, _) in out {
-                        self.free(p).expect("just allocated");
-                    }
-                    return Err(e);
-                }
-            }
+    /// Lists dry: carve a pristine max-order block off the watermark and
+    /// extend the metadata over it (zeroed: all `S_TAIL`, no pair bit
+    /// set). Out of line, so the list path of `alloc` stays small: inline,
+    /// the growth made alloc/free churn about 8% slower.
+    #[cold]
+    #[inline(never)]
+    fn carve(&mut self) -> Result<u64, AllocError> {
+        if self.pages - self.virgin < BLOCK_FRAMES {
+            return Err(AllocError::OutOfMemory);
         }
-        Ok(out)
+        let off = self.virgin;
+        self.virgin += BLOCK_FRAMES;
+        let frames = self.virgin as usize;
+        self.next.resize(frames, 0);
+        self.prev.resize(frames, 0);
+        self.tag.resize(frames, 0);
+        self.pair_bits.resize(frames / 64, 0);
+        Ok(off)
     }
 
     /// Free a previously allocated block (identified by its start
     /// address). O(1): the buddy-pair bitmap answers the coalesce
     /// question without any search.
     pub fn free(&mut self, addr: PhysAddr) -> Result<(), AllocError> {
-        if addr < self.base || addr.raw() >= self.base.raw() + self.len {
-            return Err(AllocError::BadFree(addr));
-        }
-        let mut off = (addr - self.base) >> PAGE_SHIFT;
+        let mut off = self.touched_frame(addr)?;
         if self.state_of(off) != S_ALLOC {
             return Err(AllocError::BadFree(addr));
         }
@@ -323,8 +318,8 @@ impl BuddyAllocator {
     /// `S_CACHED` and stops counting as a live allocation (a second
     /// `free` of the same address is still rejected). Returns the order.
     pub(crate) fn cache_block(&mut self, addr: PhysAddr) -> Result<u8, AllocError> {
-        let off = (addr - self.base) >> PAGE_SHIFT;
-        if addr < self.base || off >= self.pages || self.state_of(off) != S_ALLOC {
+        let off = self.touched_frame(addr)?;
+        if self.state_of(off) != S_ALLOC {
             return Err(AllocError::BadFree(addr));
         }
         let order = self.order_of(off);
@@ -336,8 +331,8 @@ impl BuddyAllocator {
 
     /// Take a cache-parked block back out as a live allocation.
     pub(crate) fn uncache_block(&mut self, addr: PhysAddr) -> Result<u8, AllocError> {
-        let off = (addr - self.base) >> PAGE_SHIFT;
-        if addr < self.base || off >= self.pages || self.state_of(off) != S_CACHED {
+        let off = self.touched_frame(addr)?;
+        if self.state_of(off) != S_CACHED {
             return Err(AllocError::BadFree(addr));
         }
         let order = self.order_of(off);
@@ -347,25 +342,29 @@ impl BuddyAllocator {
         Ok(order)
     }
 
-    /// Order of the allocated block starting at `addr`, if any.
-    pub fn allocated_order(&self, addr: PhysAddr) -> Option<u8> {
-        if addr < self.base || addr.raw() >= self.base.raw() + self.len {
-            return None;
-        }
-        let off = (addr - self.base) >> PAGE_SHIFT;
-        (self.state_of(off) == S_ALLOC).then(|| self.order_of(off))
-    }
-
     /// Number of live allocations (cache-parked blocks excluded).
     pub fn allocation_count(&self) -> usize {
         self.live as usize
     }
 
     /// Internal consistency check (used by tests and debug assertions):
-    /// free lists disjoint from allocations, page accounting exact,
-    /// buddy-pair bitmap consistent with the lists.
+    /// metadata sized to the watermark, free lists disjoint from
+    /// allocations, page accounting exact, buddy-pair bitmap consistent
+    /// with the lists.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut covered = vec![false; self.virgin as usize];
+        let frames = self.virgin as usize;
+        let lens = [
+            self.next.len(),
+            self.prev.len(),
+            self.tag.len(),
+            self.pair_bits.len() * 64,
+        ];
+        if lens != [frames; 4] {
+            return Err(format!(
+                "metadata covers {lens:?} frames, watermark at {frames}"
+            ));
+        }
+        let mut covered = vec![false; frames];
         let mut free_counted = 0u64;
         let mut live = 0u64;
         let mut cached = 0u64;
@@ -451,13 +450,12 @@ impl BuddyAllocator {
             while off < self.virgin {
                 let left = self.state_of(off) == S_FREE && self.order_of(off) == o;
                 let right_off = off + (1 << o);
-                let right = right_off < self.pages
+                let right = right_off < self.virgin
                     && self.state_of(right_off) == S_FREE
                     && self.order_of(right_off) == o;
                 let expect = left ^ right;
-                let pair = off >> (o + 1);
-                let w = self.bit_base[o as usize] + (pair >> 6) as usize;
-                let got = self.pair_bits[w] >> (pair & 63) & 1 == 1;
+                let (w, mask) = pair_bit(o, off);
+                let got = self.pair_bits[w] & mask != 0;
                 if got != expect {
                     return Err(format!("pair bit wrong at off {off} order {o}"));
                 }
@@ -466,6 +464,18 @@ impl BuddyAllocator {
         }
         Ok(())
     }
+}
+
+/// Word index and mask of the buddy-pair bit of frame `off` at `order`
+/// (`order < MAX_ORDER`). A max-order block owns 1024 bits, numbered
+/// like an implicit binary tree: the pair holding frame `f` at order `o`
+/// is bit `(1024 + f % 1024) >> (o + 1)` of its block. Order `o`'s
+/// `512 >> o` pairs start at bit `512 >> o`, and bit 0 is unused.
+#[inline]
+fn pair_bit(order: u8, off: u64) -> (usize, u64) {
+    let block = off & !(BLOCK_FRAMES - 1);
+    let bit = block | ((off & (BLOCK_FRAMES - 1)) | BLOCK_FRAMES) >> (order + 1);
+    ((bit >> 6) as usize, 1 << (bit & 63))
 }
 
 /// PCP (per-CPU page-frame cache) refill policy. Small = order-0,
@@ -693,61 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn alloc_bytes_decomposes_exactly() {
-        let mut a = mk();
-        let e1 = a.alloc_bytes(1).unwrap();
-        assert_eq!(e1.len(), 1);
-        assert_eq!(e1[0].1, 0);
-        let e2 = a.alloc_bytes(PAGE_SIZE + 1).unwrap();
-        assert_eq!(e2.len(), 1);
-        assert_eq!(e2[0].1, 1);
-        let e3 = a.alloc_bytes(2 << 20).unwrap();
-        assert_eq!(e3.len(), 1);
-        assert_eq!(e3[0].1, ORDER_2M);
-        assert!(e3[0].0.is_2m_aligned());
-        // 3 pages: order-1 + order-0, no rounding waste.
-        let e4 = a.alloc_bytes(3 * PAGE_SIZE).unwrap();
-        assert_eq!(e4.iter().map(|&(_, o)| o).collect::<Vec<_>>(), vec![1, 0]);
-        a.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn alloc_bytes_backs_large_requests_with_multiple_extents() {
-        let mut a = mk();
-        // 8 MiB: two max-order extents — the old allocator refused this.
-        let e = a.alloc_bytes(8 << 20).unwrap();
-        assert_eq!(e.iter().map(|&(_, o)| o).collect::<Vec<_>>(), vec![
-            MAX_ORDER, MAX_ORDER
-        ]);
-        // 16 MiB total: 8 remain.
-        let e2 = a.alloc_bytes(8 << 20).unwrap();
-        assert_eq!(e2.len(), 2);
-        assert_eq!(a.free_bytes(), 0);
-        // Larger than the pool: all-or-nothing rollback.
-        assert_eq!(a.alloc_bytes(4 << 20), Err(AllocError::OutOfMemory));
-        for (p, _) in e.into_iter().chain(e2) {
-            a.free(p).unwrap();
-        }
-        assert_eq!(a.free_bytes(), 16 << 20);
-        a.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn alloc_bytes_rolls_back_on_exhaustion() {
-        let mut a = mk();
-        let held = a.alloc_bytes(14 << 20).unwrap();
-        let free0 = a.free_bytes();
-        let live0 = a.allocation_count();
-        assert_eq!(a.alloc_bytes(4 << 20), Err(AllocError::OutOfMemory));
-        assert_eq!(a.free_bytes(), free0, "partial extents rolled back");
-        assert_eq!(a.allocation_count(), live0);
-        for (p, _) in held {
-            a.free(p).unwrap();
-        }
-        a.check_invariants().unwrap();
-    }
-
-    #[test]
     fn exhaustion_then_recovery() {
         let mut a = mk();
         let b1 = a.alloc(MAX_ORDER).unwrap();
@@ -761,15 +716,6 @@ mod tests {
             a.free(p).unwrap();
         }
         a.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn allocated_order_lookup() {
-        let mut a = mk();
-        let p = a.alloc(4).unwrap();
-        assert_eq!(a.allocated_order(p), Some(4));
-        assert_eq!(a.allocated_order(p + PAGE_SIZE), None);
-        assert_eq!(a.allocation_count(), 1);
     }
 
     #[test]
@@ -801,6 +747,41 @@ mod tests {
         assert_eq!(a.free_bytes(), 16 << 20);
         assert_eq!(a.largest_free_order(), Some(MAX_ORDER));
         a.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn metadata_follows_the_watermark() {
+        // A McKernel node's 16 GiB partition.
+        let mut a = BuddyAllocator::new(PhysAddr(1 << 32), 16 << 30);
+        let covered = |a: &BuddyAllocator| {
+            [
+                a.next.len(),
+                a.prev.len(),
+                a.tag.len(),
+                a.pair_bits.len() * 64,
+            ]
+        };
+        assert_eq!(covered(&a), [0; 4], "new allocates no metadata");
+        let p = a.alloc(0).unwrap();
+        let block = BLOCK_FRAMES as usize;
+        assert_eq!(covered(&a), [block; 4], "one carve covers one block");
+        // In range but above the watermark: no metadata, so no block.
+        let above = a.base() + (BLOCK_FRAMES << PAGE_SHIFT);
+        let last = a.base() + (a.len_bytes() - PAGE_SIZE);
+        for q in [above, last] {
+            assert_eq!(a.free(q), Err(AllocError::BadFree(q)));
+            assert_eq!(a.cache_block(q), Err(AllocError::BadFree(q)));
+            assert_eq!(a.uncache_block(q), Err(AllocError::BadFree(q)));
+        }
+        a.check_invariants().unwrap();
+        a.free(p).unwrap();
+        a.check_invariants().unwrap();
+        assert_eq!(a.free_bytes(), 16 << 30);
+        assert_eq!(a.largest_free_order(), Some(MAX_ORDER));
+        // The split halves coalesced: the whole block is on the max-order
+        // list, and taking it carves nothing new.
+        assert_eq!(a.alloc(MAX_ORDER), Ok(a.base()));
+        assert_eq!(covered(&a), [block; 4]);
     }
 
     fn mk_frames() -> FrameAllocator {

@@ -11,6 +11,8 @@
 //! the proxy read and write **the application's bytes** through
 //! [`UnifiedAddressSpace::read`]/[`write`](UnifiedAddressSpace::write),
 //! which go va → (LWK page table) → physical frame → `PhysMemory`.
+//! [`touch`](UnifiedAddressSpace::touch) resolves the same pages without
+//! copying, for a buffer whose bytes nothing in the model reads.
 
 use crate::costs::CostModel;
 use crate::mck::mem::pagetable::PageTable;
@@ -19,6 +21,7 @@ use hwmodel::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use hwmodel::memory::PhysMemory;
 use simcore::Cycles;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Faults the pseudo mapping can raise.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,6 +117,30 @@ impl UnifiedAddressSpace {
         Ok((page_phys + va.page_offset(), costs.unified_fault))
     }
 
+    /// Resolve `[va, va+len)` page by page in address order, handing `f`
+    /// each page's physical address and the byte range of the span it
+    /// covers. Returns total fault cost; stops at the first fault.
+    fn walk(
+        &mut self,
+        va: VirtAddr,
+        len: usize,
+        lwk_pt: &PageTable,
+        costs: &CostModel,
+        mut f: impl FnMut(PhysAddr, Range<usize>),
+    ) -> Result<Cycles, UasFault> {
+        let mut cost = Cycles::ZERO;
+        let mut done = 0usize;
+        while done < len {
+            let cur = va + done as u64;
+            let (pa, c) = self.resolve(cur, lwk_pt, costs)?;
+            cost += c;
+            let n = (len - done).min((PAGE_SIZE - cur.page_offset()) as usize);
+            f(pa, done..done + n);
+            done += n;
+        }
+        Ok(cost)
+    }
+
     /// Proxy-side read of application memory (pointer-argument
     /// dereference during an offloaded syscall). Returns total fault cost.
     pub fn read(
@@ -124,17 +151,20 @@ impl UnifiedAddressSpace {
         mem: &PhysMemory,
         costs: &CostModel,
     ) -> Result<Cycles, UasFault> {
-        let mut cost = Cycles::ZERO;
-        let mut done = 0usize;
-        while done < out.len() {
-            let cur = va + done as u64;
-            let (pa, c) = self.resolve(cur, lwk_pt, costs)?;
-            cost += c;
-            let n = (out.len() - done).min((PAGE_SIZE - cur.page_offset()) as usize);
-            mem.read(pa, &mut out[done..done + n]);
-            done += n;
-        }
-        Ok(cost)
+        self.walk(va, out.len(), lwk_pt, costs, |pa, r| mem.read(pa, &mut out[r]))
+    }
+
+    /// [`read`](Self::read) of `len` bytes without the bytes: the same
+    /// pages resolve in the same order, so the pseudo mapping, the
+    /// counters, the cost and any fault are exactly `read`'s.
+    pub fn touch(
+        &mut self,
+        va: VirtAddr,
+        len: usize,
+        lwk_pt: &PageTable,
+        costs: &CostModel,
+    ) -> Result<Cycles, UasFault> {
+        self.walk(va, len, lwk_pt, costs, |_, _| {})
     }
 
     /// Proxy-side write into application memory (e.g. `read()` results).
@@ -146,17 +176,7 @@ impl UnifiedAddressSpace {
         mem: &mut PhysMemory,
         costs: &CostModel,
     ) -> Result<Cycles, UasFault> {
-        let mut cost = Cycles::ZERO;
-        let mut done = 0usize;
-        while done < data.len() {
-            let cur = va + done as u64;
-            let (pa, c) = self.resolve(cur, lwk_pt, costs)?;
-            cost += c;
-            let n = (data.len() - done).min((PAGE_SIZE - cur.page_offset()) as usize);
-            mem.write(pa, &data[done..done + n]);
-            done += n;
-        }
-        Ok(cost)
+        self.walk(va, data.len(), lwk_pt, costs, |pa, r| mem.write(pa, &data[r]))
     }
 
     /// Batch-prefault every page of `[start, start+len)` in one sweep —
@@ -316,6 +336,10 @@ mod tests {
             uas.resolve(va, &pt, &costs),
             Err(UasFault::ExcludedRange(va))
         );
+        assert_eq!(
+            uas.touch(va, 16, &pt, &costs),
+            Err(UasFault::ExcludedRange(va))
+        );
     }
 
     #[test]
@@ -340,6 +364,10 @@ mod tests {
         assert_eq!(
             uas.resolve(VirtAddr(USER_END + 0x1000), &pt, &costs),
             Err(UasFault::OutOfRange(VirtAddr(USER_END + 0x1000)))
+        );
+        assert_eq!(
+            uas.touch(VirtAddr(0x100), 16, &pt, &costs),
+            Err(UasFault::OutOfRange(VirtAddr(0x100)))
         );
     }
 

@@ -119,7 +119,7 @@ proptest! {
 enum UasOp {
     MapPage { slot: u16 },
     WriteApp { slot: u16, val: u8 },
-    ProxyRead { slot: u16 },
+    ProxyRead { slot: u16, off: u64, pages: u64 },
     RemapPage { slot: u16 },
 }
 
@@ -128,7 +128,8 @@ fn uas_ops() -> impl Strategy<Value = Vec<UasOp>> {
         prop_oneof![
             (0u16..24).prop_map(|slot| UasOp::MapPage { slot }),
             (0u16..24, 1u8..255).prop_map(|(slot, val)| UasOp::WriteApp { slot, val }),
-            (0u16..24).prop_map(|slot| UasOp::ProxyRead { slot }),
+            (0u16..24, 0..PAGE_SIZE, 1u64..=3)
+                .prop_map(|(slot, off, pages)| UasOp::ProxyRead { slot, off, pages }),
             (0u16..24).prop_map(|slot| UasOp::RemapPage { slot }),
         ],
         1..150,
@@ -140,12 +141,14 @@ proptest! {
     /// The unified-address-space coherence property: whatever the app's
     /// memory holds, a proxy read through the pseudo mapping returns it —
     /// across arbitrary interleavings of mapping, writing, reading, and
-    /// remapping (with invalidation).
+    /// remapping (with invalidation). A shadow pseudo mapping that only
+    /// `touch`es each span stays in lock step with the reading one.
     #[test]
     fn proxy_always_sees_app_bytes(ops in uas_ops()) {
         let mut pt = PageTable::new();
         let mut mem = PhysMemory::new(64 << 20, 1);
         let mut uas = UnifiedAddressSpace::new();
+        let mut shadow = UnifiedAddressSpace::new();
         let costs = CostModel::default();
         // Model: slot -> expected byte (if mapped).
         let mut expected: BTreeMap<u16, u8> = BTreeMap::new();
@@ -170,15 +173,27 @@ proptest! {
                         expected.insert(slot, val);
                     }
                 }
-                UasOp::ProxyRead { slot } => {
-                    let mut buf = [0xEEu8; 1];
-                    let r = uas.read(va_of(slot), &mut buf, &pt, &mem, &costs);
-                    match expected.get(&slot) {
-                        Some(&want) => {
-                            prop_assert!(r.is_ok());
-                            prop_assert_eq!(buf[0], want, "slot {} stale", slot);
+                UasOp::ProxyRead { slot, off, pages } => {
+                    // `pages` pages' worth of bytes from `off` into `slot`.
+                    let start = va_of(slot) + off;
+                    let mut buf = vec![0xEEu8; (pages * PAGE_SIZE) as usize];
+                    let r = uas.read(start, &mut buf, &pt, &mem, &costs);
+                    let t = shadow.touch(start, buf.len(), &pt, &costs);
+                    prop_assert_eq!(t, r, "touch diverges from read");
+                    prop_assert_eq!(shadow.stats(), uas.stats());
+                    let last = slot + ((off + pages * PAGE_SIZE - 1) / PAGE_SIZE) as u16;
+                    if (slot..=last).all(|s| expected.contains_key(&s)) {
+                        prop_assert!(r.is_ok());
+                        // Each frame holds the app's byte at offset 0 and
+                        // zeroes elsewhere.
+                        for (i, &b) in buf.iter().enumerate() {
+                            let va = start.raw() + i as u64;
+                            let s = ((va - va_of(0).raw()) / PAGE_SIZE) as u16;
+                            let want = if va % PAGE_SIZE == 0 { expected[&s] } else { 0 };
+                            prop_assert_eq!(b, want, "slot {} stale at {:#x}", s, va);
                         }
-                        None => prop_assert!(r.is_err(), "unmapped slot must fault"),
+                    } else {
+                        prop_assert!(r.is_err(), "unmapped slot must fault");
                     }
                 }
                 UasOp::RemapPage { slot } => {
@@ -190,6 +205,7 @@ proptest! {
                         next_frame += PAGE_SIZE;
                         pt.map_4k(va_of(slot), pa, PteFlags::rw()).expect("fresh");
                         uas.invalidate_range(va_of(slot), PAGE_SIZE);
+                        shadow.invalidate_range(va_of(slot), PAGE_SIZE);
                         e.insert(pa);
                         expected.insert(slot, 0); // new frame reads zero
                     }
