@@ -15,12 +15,12 @@ use linuxsim::tick::TickSource;
 use simcore::{Cycles, StreamRng, Summary};
 use workloads::fwq;
 
-fn measure(rt: Option<&LinuxCoreRuntime>, occ: &CoreOccupancy) -> Summary {
+fn measure(mut rt: Option<&mut LinuxCoreRuntime>, occ: &CoreOccupancy) -> Summary {
     let samples = fwq::run_for(
         fwq::DEFAULT_QUANTUM,
         Cycles::from_secs(5),
         Cycles(1),
-        |at, w| match rt {
+        |at, w| match rt.as_deref_mut() {
             Some(rt) => rt.execute(at, w, occ).finish,
             None => noiseless_execute(at, w).finish,
         },
@@ -36,7 +36,7 @@ fn main() {
     let mut occ = CoreOccupancy::new();
     occ.seal();
 
-    let configs: Vec<(&str, Option<LinuxCoreRuntime>)> = vec![
+    let mut configs: Vec<(&str, Option<LinuxCoreRuntime>)> = vec![
         (
             "ticks + daemons (Linux)",
             Some(LinuxCoreRuntime::with_rng(
@@ -71,8 +71,8 @@ fn main() {
         "{:<34} {:>10} {:>10} {:>10} {:>10}",
         "configuration", "mean(cy)", "max(cy)", "p99(cy)", "slowdown"
     );
-    for (label, rt) in &configs {
-        let s = measure(rt.as_ref(), &occ);
+    for (label, rt) in &mut configs {
+        let s = measure(rt.as_mut(), &occ);
         println!(
             "{:<34} {:>10.0} {:>10.0} {:>10.0} {:>9.1}x",
             label,

@@ -284,7 +284,12 @@ fn fig6_cell(coll: Collective, os: OsVariant, run: usize) -> f64 {
 fn fig6_wall_ms(threads: usize) -> (f64, Vec<f64>) {
     let colls = Collective::all();
     let oses = [OsVariant::LinuxCgroup, OsVariant::McKernel];
-    let runs = 2usize;
+    // Enough seeded runs per (collective, OS) that the serial grid takes
+    // a few hundred milliseconds, so thread start-up cannot sink a trial:
+    // on a 2-vCPU host a 2-run grid read under the fresh floor in 3 of 22
+    // best-of-3 trials, this one at worst 1.32x. Host speed phases are
+    // not averaged out; the ratio still spreads about 1.3-2.3x.
+    let runs = 48usize;
     let cells: Vec<(Collective, OsVariant, usize)> = colls
         .iter()
         .flat_map(|&coll| {

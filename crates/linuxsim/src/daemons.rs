@@ -36,6 +36,17 @@ fn poisson_limit(rate_per_sec: f64, activity: f64) -> f64 {
     (-lambda).exp()
 }
 
+/// The part of one daemon epoch's draws that every window query shares:
+/// the epoch's stream after its Poisson count draw, and the count. It
+/// depends only on (daemon, epoch), so a caller may keep the last one
+/// across queries as the memo it hands [`DaemonSource::arrivals`].
+#[derive(Debug)]
+pub(crate) struct EpochHead {
+    epoch: u64,
+    count: u64,
+    rng: StreamRng,
+}
+
 /// A daemon/IRQ noise source on one core.
 #[derive(Debug, Clone)]
 pub struct DaemonSource {
@@ -162,31 +173,46 @@ impl DaemonSource {
         }
     }
 
-    /// Hand `f` each arrival of `epoch` that lands in `[from, to)` and
-    /// inside the gating windows, in draw order. The source's one draw
-    /// routine. An arrival that is filtered out skips its cost draw, so
-    /// what `f` sees of an epoch depends on both ends of the window
-    /// whenever they fall inside it.
-    pub(crate) fn epoch_arrivals(
-        &self,
-        epoch: u64,
-        from: Cycles,
-        to: Cycles,
-        mut f: impl FnMut(Interruption),
-    ) {
-        let mut r = self.epochs.at(epoch);
+    /// The head of `epoch`: its stream after the Poisson count draw, and
+    /// the count. No window changes it.
+    fn epoch_head(&self, epoch: u64) -> EpochHead {
+        let mut rng = self.epochs.at(epoch);
         // Poisson arrival count (Knuth; lambda is small per epoch).
         let mut count = 0u64;
         let mut p = 1.0;
         loop {
-            p *= r.uniform();
+            p *= rng.uniform();
             if p <= self.limit {
                 break;
             }
             count += 1;
         }
-        let base = epoch * EPOCH.raw();
-        for _ in 0..count {
+        EpochHead { epoch, count, rng }
+    }
+
+    /// Hand `f` each arrival of `epoch` that lands in `[from, to)` and
+    /// inside the gating windows, in draw order. The source's one draw
+    /// routine. `memo` holds the head of the epoch last asked about and
+    /// is redrawn only for another epoch; the arrivals are drawn from a
+    /// copy of its stream, so a head serves any number of windows. An
+    /// arrival that is filtered out skips its cost draw, so what `f` sees
+    /// of an epoch depends on both ends of the window whenever they fall
+    /// inside it.
+    pub(crate) fn arrivals(
+        &self,
+        memo: &mut Option<EpochHead>,
+        epoch: u64,
+        from: Cycles,
+        to: Cycles,
+        mut f: impl FnMut(Interruption),
+    ) {
+        if memo.as_ref().is_some_and(|h| h.epoch != epoch) {
+            *memo = None;
+        }
+        let head = memo.get_or_insert_with(|| self.epoch_head(epoch));
+        let mut r = head.rng.clone();
+        let base = head.epoch * EPOCH.raw();
+        for _ in 0..head.count {
             let at = Cycles(base + r.range_u64(0, EPOCH.raw()));
             if at < from || at >= to || !self.in_windows(at) {
                 continue;
@@ -204,7 +230,7 @@ impl DaemonSource {
     pub fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
         let mut out = Vec::new();
         for epoch in epochs_in(from, to) {
-            self.epoch_arrivals(epoch, from, to, |i| out.push(i));
+            self.arrivals(&mut None, epoch, from, to, |i| out.push(i));
         }
         out.sort_by_key(|i| i.at);
         out

@@ -63,7 +63,8 @@ pub struct ServiceResult {
 #[derive(Debug)]
 pub struct LinuxKernel {
     cores: Vec<CoreId>,
-    runtimes: HashMap<CoreId, LinuxCoreRuntime>,
+    /// One noise runtime per core, in `cores` order.
+    runtimes: Vec<LinuxCoreRuntime>,
     /// Competing-load timeline (Hadoop tasks register here).
     pub occupancy: CoreOccupancy,
     /// VFS with fd tables for proxies.
@@ -95,7 +96,7 @@ impl LinuxKernel {
         rng: StreamRng,
     ) -> Self {
         assert!(!cores.is_empty(), "Linux needs at least one core");
-        let mut runtimes = HashMap::new();
+        let mut runtimes = Vec::with_capacity(cores.len());
         for &core in &cores {
             let core_rng = rng.stream("core", u64::from(core.0));
             let daemons: Vec<DaemonSource> = if noise.isolcpus.contains(&core) {
@@ -113,15 +114,12 @@ impl LinuxKernel {
             })
             .map(|d| d.with_activity(noise.daemon_activity))
             .collect();
-            runtimes.insert(
+            runtimes.push(LinuxCoreRuntime::with_rng(
                 core,
-                LinuxCoreRuntime::with_rng(
-                    core,
-                    Some(TickSource::hz1000(core_rng.stream("tick", 0))),
-                    daemons,
-                    core_rng.stream("exec", 0),
-                ),
-            );
+                Some(TickSource::hz1000(core_rng.stream("tick", 0))),
+                daemons,
+                core_rng.stream("exec", 0),
+            ));
         }
         LinuxKernel {
             cores,
@@ -145,23 +143,27 @@ impl LinuxKernel {
         &self.cores
     }
 
+    /// Where `core`'s runtime sits in `runtimes`.
+    fn position(&self, core: CoreId) -> usize {
+        self.cores
+            .iter()
+            .position(|&c| c == core)
+            .unwrap_or_else(|| panic!("{core} is not a Linux core"))
+    }
+
     /// Attach an extra noise source to one core (phase-gated IRQ/flush
     /// pressure from co-located I/O work — this is what still reaches
     /// `isolcpus` cores).
     pub fn add_core_daemon(&mut self, core: CoreId, d: DaemonSource) {
-        self.runtimes
-            .get_mut(&core)
-            .unwrap_or_else(|| panic!("{core} is not a Linux core"))
-            .push_daemon(d);
+        let i = self.position(core);
+        self.runtimes[i].push_daemon(d);
     }
 
     /// Execute an application quantum on a Linux core (Linux-hosted HPC
     /// runs and FWQ probes go through this).
-    pub fn execute_on(&self, core: CoreId, start: Cycles, work: Cycles) -> ExecOutcome {
-        self.runtimes
-            .get(&core)
-            .unwrap_or_else(|| panic!("{core} is not a Linux core"))
-            .execute(start, work, &self.occupancy)
+    pub fn execute_on(&mut self, core: CoreId, start: Cycles, work: Cycles) -> ExecOutcome {
+        let i = self.position(core);
+        self.runtimes[i].execute(start, work, &self.occupancy)
     }
 
     /// Spawn the proxy process for application `app_pid`, pinned to `core`

@@ -98,26 +98,6 @@ impl CoreOccupancy {
         }
     }
 
-    /// Total competitor-weighted busy cycles on `core` in `[from, to)` —
-    /// used to derive cache-pollution pressure for the interference model.
-    pub fn load_integral(&self, core: CoreId, from: Cycles, to: Cycles) -> u64 {
-        let Some(loads) = self.loads.get(&core) else {
-            return 0;
-        };
-        loads
-            .iter()
-            .map(|l| {
-                let s = l.start.max(from.raw());
-                let e = l.end.min(to.raw());
-                if e > s {
-                    (e - s) * u64::from(l.tasks)
-                } else {
-                    0
-                }
-            })
-            .sum()
-    }
-
     /// Whether any load was registered on `core`.
     pub fn has_load(&self, core: CoreId) -> bool {
         self.loads.get(&core).is_some_and(|v| !v.is_empty())
@@ -178,18 +158,6 @@ mod tests {
         assert_eq!(o.competitors_at(c(2), Cycles(50)), 0);
         assert!(o.has_load(c(1)));
         assert!(!o.has_load(c(2)));
-    }
-
-    #[test]
-    fn load_integral_weights_tasks() {
-        let mut o = CoreOccupancy::new();
-        o.add_load(c(0), Cycles(0), Cycles(100), 2);
-        o.add_load(c(0), Cycles(50), Cycles(150), 1);
-        o.seal();
-        // [0,100)x2 = 200, [50,150)x1 = 100 → total 300 over [0,150).
-        assert_eq!(o.load_integral(c(0), Cycles(0), Cycles(150)), 300);
-        // Clipped window.
-        assert_eq!(o.load_integral(c(0), Cycles(90), Cycles(110)), 2 * 10 + 20);
     }
 
     #[test]

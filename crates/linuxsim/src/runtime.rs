@@ -9,7 +9,7 @@
 //! of the paper.
 
 use crate::cfs::CfsParams;
-use crate::daemons::{self, DaemonSource};
+use crate::daemons::{self, DaemonSource, EpochHead};
 use crate::occupancy::CoreOccupancy;
 use crate::tick::{Interruption, TickSource};
 use hwmodel::cpu::CoreId;
@@ -43,7 +43,9 @@ pub struct LinuxCoreRuntime {
     /// Which core this is.
     pub core: CoreId,
     tick: Option<TickSource>,
-    daemons: Vec<DaemonSource>,
+    /// Each daemon with the head of the epoch it was last asked about
+    /// (see [`LinuxCoreRuntime::noise_over`]).
+    daemons: Vec<(DaemonSource, Option<EpochHead>)>,
     params: CfsParams,
     /// The short-quantum slice-expiry draw at `start` reads
     /// `slices.at(start)`.
@@ -51,22 +53,10 @@ pub struct LinuxCoreRuntime {
 }
 
 impl LinuxCoreRuntime {
-    /// Runtime with explicit sources. `tick = None` models a core with the
-    /// tick fully suppressed (used by the A4 scheduler ablation; real RHEL6
-    /// cannot do this — that is McKernel's trick).
-    pub fn new(core: CoreId, tick: Option<TickSource>, daemons: Vec<DaemonSource>) -> Self {
-        LinuxCoreRuntime {
-            core,
-            tick,
-            daemons,
-            params: CfsParams::default(),
-            slices: StreamRng::root(0x10e)
-                .stream("core", u64::from(core.0))
-                .family("slice"),
-        }
-    }
-
-    /// Same, with an explicit randomness stream (decorrelates nodes).
+    /// Runtime with explicit sources; `rng` decorrelates its slice draws
+    /// from other cores'. `tick = None` models a core with the tick fully
+    /// suppressed (used by the A4 scheduler ablation; real RHEL6 cannot
+    /// do this — that is McKernel's trick).
     pub fn with_rng(
         core: CoreId,
         tick: Option<TickSource>,
@@ -76,26 +66,21 @@ impl LinuxCoreRuntime {
         LinuxCoreRuntime {
             core,
             tick,
-            daemons,
+            daemons: daemons.into_iter().map(|d| (d, None)).collect(),
             params: CfsParams::default(),
             slices: rng.family("slice"),
         }
     }
 
-    /// Scheduler parameters (shared with wake-latency estimation).
-    pub fn params(&self) -> &CfsParams {
-        &self.params
-    }
-
     /// Attach an additional noise source (e.g. phase-gated IRQ pressure
     /// from a co-located job).
     pub fn push_daemon(&mut self, d: DaemonSource) {
-        self.daemons.push(d);
+        self.daemons.push((d, None));
     }
 
     /// Run `work` cycles starting at `start`, against the competing load in
     /// `occ`. See module docs.
-    pub fn execute(&self, start: Cycles, work: Cycles, occ: &CoreOccupancy) -> ExecOutcome {
+    pub fn execute(&mut self, start: Cycles, work: Cycles, occ: &CoreOccupancy) -> ExecOutcome {
         // Short work executes within the task's own timeslice: it only
         // pays contention when the slice expires mid-quantum, as a short
         // stochastic stall (co-runners are woken, run briefly, yield).
@@ -186,7 +171,15 @@ impl LinuxCoreRuntime {
     /// holds that end. That epoch's draws depend on where the window cuts
     /// it (see [`crate::daemons`]), and stolen time can shrink between
     /// passes, so the window moves either way.
-    fn noise_over(&self, start: Cycles, busy_end: Cycles) -> (Cycles, u32, Cycles) {
+    ///
+    /// Only an epoch's arrival loop depends on the window. Its head, the
+    /// stream after the Poisson count draw plus the count, depends only
+    /// on (daemon, epoch), so each daemon keeps the last head it drew
+    /// and redraws it only for another epoch. A 4,000-cycle FWQ quantum
+    /// is 1/7000 of an epoch, so consecutive quanta, the passes of one
+    /// fixpoint and the first epoch a longer quantum folds mostly ask
+    /// for the head already held.
+    fn noise_over(&mut self, start: Cycles, busy_end: Cycles) -> (Cycles, u32, Cycles) {
         let mut folds = Folds::default();
         let mut tally = Tally::default();
         let mut window_end = busy_end;
@@ -202,8 +195,9 @@ impl LinuxCoreRuntime {
     }
 
     /// The interruptions in `[start, to)`, from the prefix tallies in
-    /// `folds` (extended as needed) and a fresh draw of the end epoch.
-    fn window_tally(&self, start: Cycles, to: Cycles, folds: &mut Folds) -> Tally {
+    /// `folds` (extended as needed) and a fresh draw of the end epoch's
+    /// arrivals.
+    fn window_tally(&mut self, start: Cycles, to: Cycles, folds: &mut Folds) -> Tally {
         let mut total = Tally::default();
         if let Some(tick) = &self.tick {
             let ks = tick.ticks_in(start, to);
@@ -219,12 +213,12 @@ impl LinuxCoreRuntime {
         // Every epoch before the last ends inside the window, so only
         // `start` clips it.
         total = total.plus(prefix(&mut folds.epochs, last - es.start, |j, t| {
-            for d in &self.daemons {
-                d.epoch_arrivals(es.start + j, start, Cycles::MAX, |i| t.add(i));
+            for (d, memo) in &mut self.daemons {
+                d.arrivals(memo, es.start + j, start, Cycles::MAX, |i| t.add(i));
             }
         }));
-        for d in &self.daemons {
-            d.epoch_arrivals(last, start, to, |i| total.add(i));
+        for (d, memo) in &mut self.daemons {
+            d.arrivals(memo, last, start, to, |i| total.add(i));
         }
         total
     }
@@ -268,6 +262,7 @@ struct Folds {
 /// `0..j`.
 fn prefix(folded: &mut Vec<Tally>, n: u64, mut fold: impl FnMut(u64, &mut Tally)) -> Tally {
     let n = n as usize;
+    folded.reserve(n.saturating_sub(folded.len()));
     while folded.len() < n {
         let mut t = folded.last().copied().unwrap_or_default();
         fold(folded.len() as u64, &mut t);
@@ -301,7 +296,7 @@ mod tests {
             if let Some(t) = &self.tick {
                 all.extend(t.interruptions_in(from, to));
             }
-            for d in &self.daemons {
+            for (d, _) in &self.daemons {
                 all.extend(d.interruptions_in(from, to));
             }
             all
@@ -348,7 +343,12 @@ mod tests {
                     .into_iter()
                     .map(|d| d.with_activity(activity));
                 let tick = (shape != 1).then(|| TickSource::hz1000(core_rng.stream("tick", 0)));
-                let mut rt = LinuxCoreRuntime::new(CoreId(0), tick, daemons.collect());
+                let mut rt = LinuxCoreRuntime::with_rng(
+                    CoreId(0),
+                    tick,
+                    daemons.collect(),
+                    core_rng.stream("exec", 0),
+                );
                 if shape == 2 {
                     // Phase-gated IRQ pressure, as a co-located job adds.
                     let phases: Vec<(Cycles, Cycles)> = (0..40)
@@ -389,20 +389,66 @@ mod tests {
             "{multi} of {windows} windows saw several interruptions"
         );
         assert!(shrank > 0, "no window's stolen time shrank between passes");
+
+        // The FWQ regime, on a tickless core at activity 400 (about 140
+        // daemon arrivals per 10 ms epoch), so every interruption is a
+        // daemon's. First back-to-back 4,000-cycle quanta from the middle
+        // of epoch 0 into epoch 3: consecutive calls mostly ask for the
+        // epoch head a daemon already holds. Then quanta alternating
+        // between epochs 4 and 7, so every call must replace it.
+        let core_rng = r.stream("fwq-core", 0);
+        let daemons = DaemonSource::standard_set(&core_rng)
+            .into_iter()
+            .map(|d| d.with_activity(400.0))
+            .collect();
+        let mut rt =
+            LinuxCoreRuntime::with_rng(CoreId(0), None, daemons, core_rng.stream("exec", 0));
+        let quantum = Cycles(4_000);
+        let mut lock_step = |start: Cycles| {
+            let (want, _) = rt.noise_over_requery(start, start + quantum);
+            assert_eq!(
+                rt.noise_over(start, start + quantum),
+                want,
+                "quantum at {start:?}"
+            );
+            want
+        };
+        let epoch = Cycles::from_ms(10);
+        let (mut t, mut quanta, mut hit) = (epoch / 2, 0u32, 0u32);
+        while t < epoch * 3 + epoch / 2 {
+            let (stolen, count, _) = lock_step(t);
+            t += quantum + stolen;
+            quanta += 1;
+            hit += u32::from(count > 0);
+        }
+        assert!(
+            hit > 100,
+            "{hit} of {quanta} back-to-back quanta were interrupted"
+        );
+        let mut hit = 0u32;
+        for k in 0..4_000u64 {
+            let base = if k % 2 == 0 { epoch * 4 } else { epoch * 7 };
+            hit += u32::from(lock_step(base + quantum * k).1 > 0);
+        }
+        assert!(
+            hit > 20,
+            "{hit} of 4000 alternating quanta were interrupted"
+        );
     }
 
     fn busy_runtime() -> LinuxCoreRuntime {
         let rng = StreamRng::root(11).stream("core", 0);
-        LinuxCoreRuntime::new(
+        LinuxCoreRuntime::with_rng(
             CoreId(0),
             Some(TickSource::hz1000(rng.stream("tick", 0))),
             DaemonSource::standard_set(&rng),
+            rng.stream("exec", 0),
         )
     }
 
     #[test]
     fn uncontended_work_stretches_only_by_noise() {
-        let rt = busy_runtime();
+        let mut rt = busy_runtime();
         let occ = {
             let mut o = CoreOccupancy::new();
             o.seal();
@@ -422,7 +468,7 @@ mod tests {
     #[test]
     fn short_quantum_usually_clean_sometimes_hit() {
         // FWQ regime: 4k-cycle quanta; most miss the tick, some don't.
-        let rt = busy_runtime();
+        let mut rt = busy_runtime();
         let mut occ = CoreOccupancy::new();
         occ.seal();
         let mut t = Cycles(1);
@@ -442,7 +488,7 @@ mod tests {
 
     #[test]
     fn contention_stretches_by_fair_share() {
-        let rt = busy_runtime();
+        let mut rt = busy_runtime();
         let mut occ = CoreOccupancy::new();
         // 15 competitors throughout: the Fig. 5c worst case.
         occ.add_load(CoreId(0), Cycles::ZERO, Cycles::from_secs(100), 15);
@@ -455,7 +501,7 @@ mod tests {
 
     #[test]
     fn contention_ends_when_load_ends() {
-        let rt = busy_runtime();
+        let mut rt = busy_runtime();
         let mut occ = CoreOccupancy::new();
         occ.add_load(CoreId(0), Cycles::ZERO, Cycles::from_ms(1), 3);
         occ.seal();
@@ -478,10 +524,11 @@ mod tests {
     #[test]
     fn tickless_runtime_has_only_daemon_noise() {
         let rng = StreamRng::root(13).stream("core", 1);
-        let rt = LinuxCoreRuntime::new(
+        let mut rt = LinuxCoreRuntime::with_rng(
             CoreId(1),
             None,
             vec![DaemonSource::watchdog(rng.stream("watchdog", 0))],
+            rng.stream("exec", 0),
         );
         let mut occ = CoreOccupancy::new();
         occ.seal();
@@ -493,8 +540,8 @@ mod tests {
 
     #[test]
     fn determinism() {
-        let rt1 = busy_runtime();
-        let rt2 = busy_runtime();
+        let mut rt1 = busy_runtime();
+        let mut rt2 = busy_runtime();
         let mut occ = CoreOccupancy::new();
         occ.add_load(CoreId(0), Cycles::from_ms(2), Cycles::from_ms(5), 2);
         occ.seal();

@@ -10,20 +10,25 @@
 use simcore::{Cycles, StreamFamily, StreamRng};
 use std::ops::Range;
 
-/// Deterministic per-core tick event source.
+/// The tick period: CONFIG_HZ=1000.
+const PERIOD: Cycles = Cycles::from_ms(1);
+/// Every tick's fixed cost.
+const BASE_COST: Cycles = Cycles::from_us(2);
+/// The most a tick's uniform jitter adds to its cost.
+const JITTER_COST: Cycles = Cycles::from_us(3);
+/// 1-in-N ticks run extended work (RCU callbacks, timer cascades).
+const HEAVY_ONE_IN: u64 = 64;
+/// The most that extended work adds; it adds at least 30% of this.
+const HEAVY_EXTRA: Cycles = Cycles::from_us(14);
+
+/// Deterministic per-core tick event source, with era-typical costs.
 ///
-/// Tick instants are the fixed grid `k * period`; the *cost* of tick `k`
+/// Tick instants are the fixed grid `k * PERIOD`; the *cost* of tick `k`
 /// is drawn from a stream indexed by `k`, so queries are reproducible and
 /// order-independent across windows: a window's ticks are the union of
 /// its parts' at any split.
 #[derive(Debug, Clone)]
 pub struct TickSource {
-    period: Cycles,
-    base_cost: Cycles,
-    jitter_cost: Cycles,
-    /// 1-in-N ticks run extended work (RCU callbacks, timer cascades).
-    heavy_one_in: u64,
-    heavy_extra: Cycles,
     /// Tick `k`'s cost is drawn from `costs.at(k)`.
     costs: StreamFamily,
 }
@@ -38,22 +43,12 @@ pub struct Interruption {
 }
 
 impl TickSource {
-    /// CONFIG_HZ=1000 tick with era-typical costs. `rng` must be the
-    /// per-core stream so cores don't correlate.
+    /// CONFIG_HZ=1000 tick. `rng` must be the per-core stream so cores
+    /// don't correlate.
     pub fn hz1000(rng: StreamRng) -> Self {
         TickSource {
-            period: Cycles::from_ms(1),
-            base_cost: Cycles::from_us(2),
-            jitter_cost: Cycles::from_us(3),
-            heavy_one_in: 64,
-            heavy_extra: Cycles::from_us(14),
             costs: rng.family("tick-cost"),
         }
-    }
-
-    /// Tick period.
-    pub fn period(&self) -> Cycles {
-        self.period
     }
 
     /// The indices of the ticks in `[from, to)`; empty when the window is.
@@ -61,7 +56,7 @@ impl TickSource {
         if to <= from {
             return 0..0;
         }
-        let p = self.period.raw();
+        let p = PERIOD.raw();
         from.raw().div_ceil(p)..(to.raw() - 1) / p + 1
     }
 
@@ -69,12 +64,12 @@ impl TickSource {
     /// draw routine.
     pub(crate) fn tick(&self, k: u64) -> Interruption {
         let mut r = self.costs.at(k);
-        let mut cost = self.base_cost + self.jitter_cost.scale(r.uniform());
-        if self.heavy_one_in > 0 && r.range_u64(0, self.heavy_one_in) == 0 {
-            cost += self.heavy_extra.scale(0.3 + 0.7 * r.uniform());
+        let mut cost = BASE_COST + JITTER_COST.scale(r.uniform());
+        if r.range_u64(0, HEAVY_ONE_IN) == 0 {
+            cost += HEAVY_EXTRA.scale(0.3 + 0.7 * r.uniform());
         }
         Interruption {
-            at: self.period * k,
+            at: PERIOD * k,
             cost,
         }
     }

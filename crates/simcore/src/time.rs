@@ -26,26 +26,26 @@ impl Cycles {
 
     /// Convert a nanosecond duration at the default frequency.
     #[inline]
-    pub fn from_ns(ns: u64) -> Cycles {
+    pub const fn from_ns(ns: u64) -> Cycles {
         // 2.8 cycles per ns == 14/5.
         Cycles(ns * 14 / 5)
     }
 
     /// Convert a microsecond duration at the default frequency.
     #[inline]
-    pub fn from_us(us: u64) -> Cycles {
+    pub const fn from_us(us: u64) -> Cycles {
         Cycles::from_ns(us * 1_000)
     }
 
     /// Convert a millisecond duration at the default frequency.
     #[inline]
-    pub fn from_ms(ms: u64) -> Cycles {
+    pub const fn from_ms(ms: u64) -> Cycles {
         Cycles::from_ns(ms * 1_000_000)
     }
 
     /// Convert a second duration at the default frequency.
     #[inline]
-    pub fn from_secs(s: u64) -> Cycles {
+    pub const fn from_secs(s: u64) -> Cycles {
         Cycles(s * DEFAULT_FREQ_HZ)
     }
 
@@ -79,12 +79,25 @@ impl Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
     }
 
-    /// Scale by a floating factor, rounding to nearest. Used by the
-    /// interference models (e.g. LLC pollution stretches compute quanta).
+    /// Scale by a floating factor, rounding halves away from zero as
+    /// `f64::round` does. Used by the interference models (e.g. LLC
+    /// pollution stretches compute quanta) and by every tick draw.
+    ///
+    /// Truncating and adding one when the fraction is at least a half
+    /// is bit-identical to `round() as u64` without its libm call: the
+    /// fraction `x - i` is exact below 2^52 and 0 above, where every
+    /// double is whole, and from 2^64 up the cast and the add both
+    /// saturate. So
+    /// `0.49999999999999994` stays 0, where `(x + 0.5) as u64` would
+    /// give 1. The carry is a `bool` added as an integer, not an `if`:
+    /// whether a draw rounds up is a coin flip, and a branch on it
+    /// mispredicts half the time.
     #[inline]
     pub fn scale(self, factor: f64) -> Cycles {
         debug_assert!(factor >= 0.0, "negative time scale");
-        Cycles((self.0 as f64 * factor).round() as u64)
+        let x = self.0 as f64 * factor;
+        let i = x as u64;
+        Cycles(i.saturating_add(u64::from(x - i as f64 >= 0.5)))
     }
 
     /// Midpoint between two instants (no overflow).
@@ -196,6 +209,64 @@ mod tests {
         assert_eq!(Cycles(100).scale(1.5), Cycles(150));
         assert_eq!(Cycles(3).scale(0.5), Cycles(2)); // 1.5 rounds to 2
         assert_eq!(Cycles(100).scale(0.0), Cycles::ZERO);
+    }
+
+    #[test]
+    fn scale_rounds_as_f64_round_does() {
+        let check = |c: u64, f: f64| {
+            assert_eq!(
+                Cycles(c).scale(f),
+                Cycles((c as f64 * f).round() as u64),
+                "{c} x {f:e}"
+            );
+        };
+        // The doubles either side of one half.
+        let below_half = 0.49999999999999994;
+        assert_eq!(below_half, f64::from_bits(0.5f64.to_bits() - 1));
+        let above_half = f64::from_bits(0.5f64.to_bits() + 1);
+        // Exact halves, either side of them, and the largest double
+        // under a half.
+        for c in [1, 3, 5, 7, 1_001, (1 << 51) + 1, (1 << 52) - 1] {
+            check(c, 0.5);
+            check(c, above_half);
+            check(c, below_half);
+            check(c, 1.5);
+        }
+        check(1, below_half);
+        assert_eq!(Cycles(1).scale(below_half), Cycles::ZERO);
+        // Around and above 2^52, where doubles stop holding fractions,
+        // up to values (and infinity) that `as u64` saturates on.
+        for c in [
+            (1 << 52) - 1,
+            1 << 52,
+            (1 << 52) + 1,
+            1 << 53,
+            (1 << 53) + 1,
+            1 << 63,
+            u64::MAX,
+        ] {
+            for f in [0.0, 0.5, below_half, 1.0, 1.5, 2.0, 3.0, 1e6, f64::INFINITY] {
+                check(c, f);
+            }
+        }
+        // Factors 0 and 1 at every scale.
+        for shift in 0..64 {
+            for c in [1u64 << shift, (1u64 << shift) - 1, (1u64 << shift) | 1] {
+                check(c, 0.0);
+                check(c, 1.0);
+            }
+        }
+        // A seeded sweep: counts at every magnitude, factors in [0, 4)
+        // and a quarter of them exact multiples of a half.
+        let mut r = crate::StreamRng::root(0x5ca1e);
+        for _ in 0..1_000_000 {
+            let c = r.next_u64() >> r.range_u64(0, 64);
+            let f = match r.range_u64(0, 4) {
+                0 => r.range_u64(0, 8) as f64 * 0.5,
+                _ => r.range_f64(0.0, 4.0),
+            };
+            check(c, f);
+        }
     }
 
     #[test]
