@@ -21,8 +21,7 @@ mod tests {
 
     #[test]
     fn run_seeds_distinct() {
-        let seeds: std::collections::HashSet<u64> =
-            (0..100).map(|i| run_seed(42, i)).collect();
+        let seeds: simcore::FastSet<u64> = (0..100).map(|i| run_seed(42, i)).collect();
         assert_eq!(seeds.len(), 100);
         assert_eq!(run_seed(42, 5), run_seed(42, 5));
     }

@@ -764,7 +764,7 @@ impl NodeRuntime {
     }
 
     /// Arm the MPK-style protection domains: fast-path state (IKC ring,
-    /// delegator slabs, per-fd rings, time page) moves behind pkeys and
+    /// delegator tables, per-fd rings, time page) moves behind pkeys and
     /// every promoted entry/exit pays `costs.domain_switch`.
     pub fn enable_domains(&mut self) {
         let switch = self.costs.domain_switch;

@@ -11,20 +11,20 @@
 //! * the **tracking objects** created when a device file is mapped
 //!   (Fig. 4, step 3) and consulted on every LWK-side device fault.
 //!
-//! Both per-request tables sit on the offload hot path, so they are
-//! slabs indexed by the low bits of the sequence number with the full
-//! sequence stored as a generation tag — O(1) insert, lookup, and
-//! eviction, no hashing and no allocation in steady state. Offload
-//! sequence numbers are assigned monotonically per node, so the
-//! direct-mapped reply cache degenerates to exactly a sliding window of
-//! the last [`COMPLETED_CACHE`] completions; the in-flight slab keeps a
-//! (steady-state empty) overflow map so aliased sequence numbers — which
-//! only arise in adversarial tests — still behave correctly.
+//! Both per-request tables sit on the offload hot path. The in-flight
+//! table is one [`FastMap`] from sequence number to proxy pid. The
+//! completed-reply cache is a slab indexed by the low bits of the
+//! sequence number with the full sequence stored as a generation tag:
+//! O(1) insert, lookup and eviction, no allocation. Offload sequence
+//! numbers are assigned monotonically per node, so the direct-mapped
+//! cache holds exactly a sliding window of the last [`COMPLETED_CACHE`]
+//! completions, which is the retransmit dedup window.
 
 use crate::abi::{Errno, Pid};
 use crate::mck::syscall::{SyscallReply, SyscallRequest};
 use hwmodel::addr::PhysAddr;
-use std::collections::{HashMap, VecDeque};
+use simcore::FastMap;
+use std::collections::VecDeque;
 
 /// A device-file mapping tracked on the Linux side.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,9 +72,6 @@ struct ProxySlot {
 /// instead of being executed a second time. Must be a power of two
 /// (slab slot index is `seq & (COMPLETED_CACHE - 1)`).
 const COMPLETED_CACHE: usize = 128;
-
-/// In-flight slab slots; same power-of-two indexing.
-const IN_FLIGHT_SLOTS: usize = 128;
 
 /// Tag value marking an empty slab slot. Sequence numbers start at 1
 /// and could not reach this in any simulated horizon.
@@ -130,107 +127,19 @@ impl ReplyCache {
     }
 }
 
-/// In-flight request table: direct-mapped slab (seq-tagged slots) with
-/// an overflow map for aliased sequence numbers. Offload seqs are
-/// monotone and far fewer than `IN_FLIGHT_SLOTS` are ever concurrently
-/// outstanding, so the overflow map stays empty in steady state and
-/// every operation is a single array access.
-#[derive(Debug)]
-struct InFlightSlab {
-    seqs: Box<[u64; IN_FLIGHT_SLOTS]>,
-    pids: Box<[Pid; IN_FLIGHT_SLOTS]>,
-    overflow: HashMap<u64, Pid>,
-    live: usize,
-}
-
-impl Default for InFlightSlab {
-    fn default() -> Self {
-        InFlightSlab {
-            seqs: Box::new([EMPTY; IN_FLIGHT_SLOTS]),
-            pids: Box::new([Pid(0); IN_FLIGHT_SLOTS]),
-            overflow: HashMap::new(),
-            live: 0,
-        }
-    }
-}
-
-impl InFlightSlab {
-    #[inline]
-    fn slot(seq: u64) -> usize {
-        (seq as usize) & (IN_FLIGHT_SLOTS - 1)
-    }
-
-    #[inline]
-    fn contains(&self, seq: u64) -> bool {
-        self.seqs[Self::slot(seq)] == seq || self.overflow.contains_key(&seq)
-    }
-
-    #[inline]
-    fn insert(&mut self, seq: u64, pid: Pid) {
-        let i = Self::slot(seq);
-        if self.seqs[i] == EMPTY || self.seqs[i] == seq {
-            self.seqs[i] = seq;
-            self.pids[i] = pid;
-        } else {
-            // Aliased slot (128 seqs apart, both in flight): overflow.
-            self.overflow.insert(seq, pid);
-        }
-        self.live += 1;
-    }
-
-    #[inline]
-    fn remove(&mut self, seq: u64) -> Option<Pid> {
-        let i = Self::slot(seq);
-        let pid = if self.seqs[i] == seq {
-            self.seqs[i] = EMPTY;
-            Some(self.pids[i])
-        } else {
-            self.overflow.remove(&seq)
-        }?;
-        self.live -= 1;
-        Some(pid)
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Remove every entry owned by `pid`; returns their seqs sorted.
-    fn remove_for(&mut self, pid: Pid) -> Vec<u64> {
-        let mut stranded = Vec::new();
-        for i in 0..IN_FLIGHT_SLOTS {
-            if self.seqs[i] != EMPTY && self.pids[i] == pid {
-                stranded.push(self.seqs[i]);
-                self.seqs[i] = EMPTY;
-            }
-        }
-        self.overflow.retain(|seq, p| {
-            if *p == pid {
-                stranded.push(*seq);
-                false
-            } else {
-                true
-            }
-        });
-        self.live -= stranded.len();
-        stranded.sort_unstable();
-        stranded
-    }
-}
-
 /// The delegator module state (one per LWK instance).
 #[derive(Debug, Default)]
 pub struct Delegator {
-    proxies: HashMap<Pid, ProxySlot>,
-    /// In-flight requests: seq -> proxy pid (slab).
-    in_flight: InFlightSlab,
+    proxies: FastMap<Pid, ProxySlot>,
+    /// In-flight requests: seq -> proxy pid.
+    in_flight: FastMap<u64, Pid>,
     /// Recently completed replies, kept for retransmit dedup (slab).
     completed: ReplyCache,
-    tracking: HashMap<u64, TrackingObject>,
+    tracking: FastMap<u64, TrackingObject>,
     next_tracking: u64,
-    /// MPK protection key tagging the in-flight/reply slabs, if the
-    /// kernel armed intra-kernel domains. Tagged slabs may only be
-    /// touched while the matching domain is open.
+    /// MPK protection key tagging the in-flight table and reply slab,
+    /// if the kernel armed intra-kernel domains. Tagged tables may only
+    /// be touched while the matching domain is open.
     pkey: Option<u8>,
 }
 
@@ -257,17 +166,17 @@ impl Delegator {
         Delegator::default()
     }
 
-    /// Tag the delegator slabs with an MPK protection key. Idempotent;
+    /// Tag the delegator tables with an MPK protection key. Idempotent;
     /// retagging with a different key is a bug.
     pub fn set_pkey(&mut self, key: u8) {
         assert!(
             self.pkey.is_none_or(|k| k == key),
-            "delegator slabs already tagged with a different pkey"
+            "delegator tables already tagged with a different pkey"
         );
         self.pkey = Some(key);
     }
 
-    /// Protection key tagging the slabs, if domains are armed.
+    /// Protection key tagging the tables, if domains are armed.
     pub fn pkey(&self) -> Option<u8> {
         self.pkey
     }
@@ -291,11 +200,15 @@ impl Delegator {
     pub fn unregister_proxy(&mut self, proxy_pid: Pid) -> Vec<SyscallReply> {
         self.proxies.remove(&proxy_pid);
         self.tracking.retain(|_, t| t.pid != proxy_pid);
-        self.in_flight
-            .remove_for(proxy_pid)
-            .into_iter()
-            .map(|seq| SyscallReply { seq, ret: -(Errno::EIO as i64) })
-            .collect()
+        let mut stranded = Vec::new();
+        self.in_flight.retain(|&seq, &mut pid| {
+            if pid == proxy_pid {
+                stranded.push(SyscallReply { seq, ret: -(Errno::EIO as i64) });
+            }
+            pid != proxy_pid
+        });
+        stranded.sort_unstable_by_key(|r| r.seq);
+        stranded
     }
 
     /// Drop every tracking object owned by `pid`; returns how many were
@@ -324,7 +237,7 @@ impl Delegator {
         if let Some(rep) = self.completed.get(req.seq) {
             return DispatchAction::Retransmit(rep);
         }
-        if self.in_flight.contains(req.seq) {
+        if self.in_flight.contains_key(&req.seq) {
             return DispatchAction::DuplicateInFlight;
         }
         let Some(slot) = self.proxies.get_mut(&proxy_pid) else {
@@ -357,7 +270,7 @@ impl Delegator {
     /// The reply is remembered in a bounded cache so a retransmit of the
     /// same request (lost reply) can be answered without re-executing.
     pub fn complete(&mut self, seq: u64, ret: i64) -> Option<SyscallReply> {
-        self.in_flight.remove(seq)?;
+        self.in_flight.remove(&seq)?;
         let rep = SyscallReply { seq, ret };
         self.completed.insert(rep);
         Some(rep)
@@ -643,12 +556,12 @@ mod tests {
 
     #[test]
     fn aliased_inflight_seqs_do_not_collide() {
-        // Two seqs 128 apart (same slab slot) in flight at once: the
-        // overflow path must keep them distinct.
+        // Two seqs 128 apart (the same reply-cache slot) in flight at
+        // once stay distinct.
         let mut d = Delegator::new();
         let proxy = Pid(500);
         d.register_proxy(proxy);
-        let (a, b) = (5u64, 5 + IN_FLIGHT_SLOTS as u64);
+        let (a, b) = (5u64, 5 + 128);
         d.on_syscall_request(proxy, req(a));
         d.on_syscall_request(proxy, req(b));
         assert_eq!(d.in_flight(), 2);

@@ -1,7 +1,7 @@
 //! MPK-style intra-kernel protection domains.
 //!
 //! RustyMPK-flavored model: the LWK tags its unsafe shared surfaces —
-//! the IKC ring, the delegator slabs, the promoted-fd shared file
+//! the IKC ring, the delegator tables, the promoted-fd shared file
 //! rings, and the vDSO time page — with protection keys, and every
 //! fast-path entry/exit pays a WRPKRU-class register write
 //! (`costs.domain_switch`, ~25 ns) to open exactly one key. The model
@@ -25,7 +25,7 @@ pub enum DomainId {
     KernelCore = 0,
     /// The IKC rings shared with Linux.
     IkcRing = 1,
-    /// The delegator in-flight / reply-cache slabs.
+    /// The delegator's in-flight table and reply-cache slab.
     DelegatorSlab = 2,
     /// Per-fd shared file rings backing promoted read/write/lseek.
     FdRing = 3,

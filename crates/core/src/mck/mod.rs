@@ -21,8 +21,8 @@ use mem::FaultOutcome;
 use process::{Process, Thread};
 use sched::CoopScheduler;
 use signal::SignalState;
-use simcore::Cycles;
-use std::collections::{BTreeSet, HashMap};
+use simcore::{Cycles, FastMap};
+use std::collections::BTreeSet;
 use syscall::{BypassConfig, Disposition, SyscallProfiler, SyscallRequest};
 
 /// What the kernel wants the simulation to do after a syscall entry.
@@ -87,9 +87,9 @@ pub struct McKernel {
     pub alloc: FrameAllocator,
     /// Cooperative scheduler.
     pub sched: CoopScheduler,
-    procs: HashMap<Pid, Process>,
-    threads: HashMap<Tid, Thread>,
-    signals: HashMap<Pid, SignalState>,
+    procs: FastMap<Pid, Process>,
+    threads: FastMap<Tid, Thread>,
+    signals: FastMap<Pid, SignalState>,
     next_pid: u32,
     next_tid: u32,
     next_seq: u64,
@@ -105,7 +105,7 @@ pub struct McKernel {
     /// Offload-bypass policy (off by default: figures stay identical).
     pub bypass: BypassConfig,
     /// MPK-style protection-domain model guarding the IKC ring,
-    /// delegator slabs, fd rings, and time page (disabled by default).
+    /// delegator tables, fd rings, and time page (disabled by default).
     pub domains: domains::DomainModel,
     /// vDSO-style shared time page: the nanosecond value Linux last
     /// published toward the LWK (None until the first publish). The
@@ -126,9 +126,9 @@ impl McKernel {
             sched,
             cores,
             offline: BTreeSet::new(),
-            procs: HashMap::new(),
-            threads: HashMap::new(),
-            signals: HashMap::new(),
+            procs: FastMap::default(),
+            threads: FastMap::default(),
+            signals: FastMap::default(),
             next_pid: 1000,
             next_tid: 1000,
             next_seq: 1,

@@ -3,7 +3,7 @@
 //! McKernel "implements signaling" locally (Sec. II) — signals never cross
 //! to Linux, so delivery costs no IKC hop.
 
-use std::collections::HashMap;
+use simcore::FastMap;
 
 /// Signal numbers used by the workloads.
 pub mod sig {
@@ -50,7 +50,7 @@ pub enum Delivery {
 pub struct SignalState {
     pending: u64,
     blocked: u64,
-    actions: HashMap<u8, SigAction>,
+    actions: FastMap<u8, SigAction>,
 }
 
 fn bit(signo: u8) -> u64 {

@@ -9,8 +9,7 @@
 //! Everything filesystem/device shaped goes to the proxy.
 
 use crate::abi::{Pid, Sysno};
-use simcore::Cycles;
-use std::collections::HashMap;
+use simcore::{Cycles, FastMap};
 
 /// Where a system call executes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -280,7 +279,7 @@ struct Heat {
 /// perturbs figure output.
 #[derive(Debug, Default)]
 pub struct SyscallProfiler {
-    heat: HashMap<(Pid, u32), Heat>,
+    heat: FastMap<(Pid, u32), Heat>,
 }
 
 impl SyscallProfiler {

@@ -12,15 +12,16 @@
 //! [`UnifiedAddressSpace::read`]/[`write`](UnifiedAddressSpace::write),
 //! which go va → (LWK page table) → physical frame → `PhysMemory`.
 //! [`touch`](UnifiedAddressSpace::touch) resolves the same pages without
-//! copying, for a buffer whose bytes nothing in the model reads.
+//! copying, for a buffer whose bytes nothing in the model reads, and
+//! [`fill`](UnifiedAddressSpace::fill) writes one repeated byte without
+//! a source buffer.
 
 use crate::costs::CostModel;
 use crate::mck::mem::pagetable::PageTable;
 use crate::mck::mem::vm::{EXCLUDED_END, EXCLUDED_START, USER_END, USER_START};
 use hwmodel::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use hwmodel::memory::PhysMemory;
-use simcore::Cycles;
-use std::collections::HashMap;
+use simcore::{Cycles, FastMap};
 use std::ops::Range;
 
 /// Faults the pseudo mapping can raise.
@@ -45,12 +46,16 @@ const FRONT_SLOTS: usize = 64;
 /// Proxy-side pseudo-mapping state: which pages have been faulted in and
 /// what they resolve to. `faulted` is authoritative; `front_tags`/
 /// `front_base` are a small direct-mapped cache in front of it so the
-/// steady-state resolve is an index + compare instead of a SipHash probe.
+/// steady-state resolve is an index + compare with no hash at all. It
+/// still pays with the unseeded `FastMap` behind it: without it,
+/// `fig_offload_hotpath` read `uas_warm_hit_ns` 4.7 ns against 3.2 and
+/// `devmap_zero_copy_ns` 85 ns against 79 (medians of 5 alternating
+/// rounds on a 2-vCPU host).
 /// Observable behavior (fault/hit counts, resident PTEs, returned
 /// addresses) is identical with the cache disabled.
 #[derive(Debug)]
 pub struct UnifiedAddressSpace {
-    faulted: HashMap<u64, PhysAddr>,
+    faulted: FastMap<u64, PhysAddr>,
     front_tags: [u64; FRONT_SLOTS],
     front_base: [PhysAddr; FRONT_SLOTS],
     fault_count: u64,
@@ -61,7 +66,7 @@ pub struct UnifiedAddressSpace {
 impl Default for UnifiedAddressSpace {
     fn default() -> Self {
         UnifiedAddressSpace {
-            faulted: HashMap::new(),
+            faulted: FastMap::default(),
             front_tags: [u64::MAX; FRONT_SLOTS],
             front_base: [PhysAddr(0); FRONT_SLOTS],
             fault_count: 0,
@@ -167,7 +172,7 @@ impl UnifiedAddressSpace {
         self.walk(va, len, lwk_pt, costs, |_, _| {})
     }
 
-    /// Proxy-side write into application memory (e.g. `read()` results).
+    /// Proxy-side write into application memory (e.g. `/proc` reads).
     pub fn write(
         &mut self,
         va: VirtAddr,
@@ -177,6 +182,22 @@ impl UnifiedAddressSpace {
         costs: &CostModel,
     ) -> Result<Cycles, UasFault> {
         self.walk(va, data.len(), lwk_pt, costs, |pa, r| mem.write(pa, &data[r]))
+    }
+
+    /// [`write`](Self::write) of `len` copies of `byte`, set in the
+    /// backing frames with no source buffer (regular-file `read()`
+    /// results): the same pages, counters, cost and faults as `write`,
+    /// and the same bytes on every page before a fault.
+    pub fn fill(
+        &mut self,
+        va: VirtAddr,
+        len: usize,
+        byte: u8,
+        lwk_pt: &PageTable,
+        mem: &mut PhysMemory,
+        costs: &CostModel,
+    ) -> Result<Cycles, UasFault> {
+        self.walk(va, len, lwk_pt, costs, |pa, r| mem.fill(pa, r.len() as u64, byte))
     }
 
     /// Batch-prefault every page of `[start, start+len)` in one sweep —
@@ -284,6 +305,24 @@ mod tests {
         let mut back = [0u8; 6];
         mem.read(pa, &mut back);
         assert_eq!(&back, b"result");
+        // `fill` lands the same way across discontiguous frames, and a
+        // fault leaves the pages before it filled, as `write` does.
+        let fc = uas
+            .fill(VirtAddr(0x100_0ff8), 16, 0xAB, &pt, &mut mem, &costs)
+            .unwrap();
+        assert_eq!(fc, costs.unified_fault, "second page faults in");
+        let mut span = [0u8; 16];
+        uas.read(VirtAddr(0x100_0ff8), &mut span, &pt, &mem, &costs)
+            .unwrap();
+        assert_eq!(span, [0xAB; 16]);
+        let tail = VirtAddr(0x100_1ff8);
+        assert_eq!(
+            uas.fill(tail, 16, 0xCD, &pt, &mut mem, &costs),
+            Err(UasFault::NotMappedOnLwk(VirtAddr(0x100_2000)))
+        );
+        let mut head = [0u8; 8];
+        uas.read(tail, &mut head, &pt, &mem, &costs).unwrap();
+        assert_eq!(head, [0xCD; 8]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use hlwk_core::mck::mem::pagetable::{PageSize, PageTable, PteFlags};
 use hlwk_core::mck::mem::phys::{AllocError, BuddyAllocator, MAX_ORDER};
 use hwmodel::addr::{PhysAddr, VirtAddr, PAGE_SIZE, PAGE_SIZE_2M};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use simcore::{FastMap, FastSet};
 
 const POOL_BASE: u64 = 64 << 20;
 const POOL_LEN: u64 = 8 << 20;
@@ -114,7 +114,7 @@ proptest! {
     fn pagetable_matches_reference_model(ops in pt_ops()) {
         let mut pt = PageTable::new();
         // Reference: page-va -> (phys base, is_2m)
-        let mut model: HashMap<u64, (u64, bool)> = HashMap::new();
+        let mut model: FastMap<u64, (u64, bool)> = FastMap::default();
         for op in ops {
             match op {
                 PtOp::Map4k { slot, frame } => {
@@ -327,7 +327,7 @@ proptest! {
             }
         }
         // Touch every page: both spaces end fully and identically mapped.
-        let mut phys_seen = std::collections::HashSet::new();
+        let mut phys_seen = FastSet::default();
         for i in 0..npages {
             let off = i * PAGE_SIZE;
             handle_fault_with_window(&mut wide, &mut fa_wide, &costs, 0, va_w + off, window);

@@ -10,7 +10,8 @@
 
 use crate::addr::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 use crate::cpu::NumaId;
-use std::collections::{BTreeMap, HashMap};
+use simcore::FastMap;
+use std::collections::BTreeMap;
 
 /// Physical frame number (`phys >> 12`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -51,7 +52,7 @@ pub struct PhysMemory {
     /// covering `[0, ram_bytes)`; MMIO ranges may lie above RAM.
     owners: BTreeMap<u64, (u64, FrameOwner)>,
     /// Lazily materialized frame contents.
-    content: HashMap<FrameId, Box<[u8]>>,
+    content: FastMap<FrameId, Box<[u8]>>,
 }
 
 impl PhysMemory {
@@ -72,7 +73,7 @@ impl PhysMemory {
         PhysMemory {
             numa_ends,
             owners,
-            content: HashMap::new(),
+            content: FastMap::default(),
         }
     }
 

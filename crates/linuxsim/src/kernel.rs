@@ -20,8 +20,8 @@ use hwmodel::addr::VirtAddr;
 use hwmodel::cpu::CoreId;
 use hwmodel::memory::PhysMemory;
 use hwmodel::pci::DeviceClass;
-use simcore::{Cycles, StreamRng};
-use std::collections::{BTreeSet, HashMap};
+use simcore::{Cycles, FastMap, StreamRng};
+use std::collections::BTreeSet;
 
 /// Noise configuration for a node's Linux instance.
 #[derive(Clone, Debug, Default)]
@@ -59,6 +59,13 @@ pub struct ServiceResult {
     pub service: Cycles,
 }
 
+/// A proxy process and the Linux core it is pinned to.
+#[derive(Debug)]
+struct PinnedProxy {
+    process: ProxyProcess,
+    core: CoreId,
+}
+
 /// One node's Linux instance.
 #[derive(Debug)]
 pub struct LinuxKernel {
@@ -71,10 +78,7 @@ pub struct LinuxKernel {
     pub vfs: Vfs,
     /// The IHK delegator kernel module.
     pub delegator: Delegator,
-    proxies: HashMap<Pid, ProxyProcess>,
-    app_to_proxy: HashMap<Pid, Pid>,
-    /// Core each proxy is pinned to.
-    proxy_cores: HashMap<Pid, CoreId>,
+    proxies: FastMap<Pid, PinnedProxy>,
     params: CfsParams,
     next_pid: u32,
     rng: StreamRng,
@@ -127,9 +131,7 @@ impl LinuxKernel {
             occupancy: CoreOccupancy::new(),
             vfs: Vfs::new(devices),
             delegator: Delegator::new(),
-            proxies: HashMap::new(),
-            app_to_proxy: HashMap::new(),
-            proxy_cores: HashMap::new(),
+            proxies: FastMap::default(),
             params: CfsParams::default(),
             next_pid: 300,
             rng,
@@ -171,27 +173,26 @@ impl LinuxKernel {
     /// process").
     pub fn spawn_proxy(&mut self, app_pid: Pid, core: CoreId) -> Pid {
         assert!(self.cores.contains(&core), "{core} is not a Linux core");
+        assert!(
+            self.proxy_for_app(app_pid).is_none(),
+            "{app_pid} already has a proxy"
+        );
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
-        let proxy = ProxyProcess::new(pid, app_pid);
+        let process = ProxyProcess::new(pid, app_pid);
         self.vfs.create_process(pid);
         self.delegator.register_proxy(pid);
-        self.proxies.insert(pid, proxy);
-        self.app_to_proxy.insert(app_pid, pid);
-        self.proxy_cores.insert(pid, core);
+        self.proxies.insert(pid, PinnedProxy { process, core });
         pid
     }
 
     /// Tear down a proxy in an orderly fashion (application exit).
-    /// Any still-stranded requests are answered with `-EIO`.
+    /// Any still-stranded requests are answered with `-EIO`, sorted by
+    /// sequence number.
     pub fn reap_proxy(&mut self, proxy_pid: Pid) -> Vec<SyscallReply> {
-        if let Some(p) = self.proxies.remove(&proxy_pid) {
-            self.app_to_proxy.remove(&p.app_pid);
-        }
+        self.proxies.remove(&proxy_pid);
         self.vfs.destroy_process(proxy_pid);
-        let stranded = self.delegator.unregister_proxy(proxy_pid);
-        self.proxy_cores.remove(&proxy_pid);
-        stranded
+        self.delegator.unregister_proxy(proxy_pid)
     }
 
     /// The proxy dies *unexpectedly* (fault injection: crash mid-offload).
@@ -204,42 +205,24 @@ impl LinuxKernel {
     /// leaves them for the app's own munmap path). Returns the stranded
     /// `-EIO` replies and the app pid the caller must now fail over.
     pub fn kill_proxy(&mut self, proxy_pid: Pid) -> Option<(Vec<SyscallReply>, Pid)> {
-        let app_pid = self.proxies.get(&proxy_pid)?.app_pid;
-        let mut stranded = self.reap_proxy(proxy_pid);
-        stranded.sort_unstable_by_key(|r| r.seq);
+        let app_pid = self.proxies.get(&proxy_pid)?.process.app_pid;
+        let stranded = self.reap_proxy(proxy_pid);
         self.delegator.reclaim_tracking_for(app_pid);
         Some((stranded, app_pid))
     }
 
-    /// Proxy pid serving an application.
+    /// Proxy pid serving an application. An application has at most one
+    /// proxy, and a node runs one job at a time, so the scan is short.
     pub fn proxy_for_app(&self, app_pid: Pid) -> Option<Pid> {
-        self.app_to_proxy.get(&app_pid).copied()
+        self.proxies
+            .iter()
+            .find(|(_, p)| p.process.app_pid == app_pid)
+            .map(|(&pid, _)| pid)
     }
 
     /// Proxy accessor.
     pub fn proxy(&self, pid: Pid) -> Option<&ProxyProcess> {
-        self.proxies.get(&pid)
-    }
-
-    /// CFS wake latency for the proxy at `at`: idle core = context switch
-    /// only; contended core = up to a timeslice of queueing, drawn
-    /// deterministically from the wake instant.
-    pub fn proxy_wake_latency(&self, proxy_pid: Pid, at: Cycles) -> Cycles {
-        let core = self.proxy_cores[&proxy_pid];
-        let competitors = self.occupancy.competitors_at(core, at);
-        let base = self.params.ctx_switch;
-        if competitors == 0 {
-            return base;
-        }
-        // The woken proxy (vruntime at min) preempts the running task at
-        // the next scheduler tick at the latest; queue depth adds cache
-        // and runqueue-lock overhead on top.
-        let horizon = self
-            .params
-            .timeslice(competitors + 1)
-            .min(Cycles::from_us(100));
-        let mut r = self.rng.stream("wake", at.raw());
-        base + horizon.scale(r.uniform() * competitors.min(4) as f64 / 4.0)
+        self.proxies.get(&pid).map(|p| &p.process)
     }
 
     /// Service one offloaded system call (the proxy's userspace turn plus
@@ -253,11 +236,14 @@ impl LinuxKernel {
         lwk_pt: &PageTable,
         mem: &mut PhysMemory,
     ) -> ServiceResult {
-        let wake_delay = self.proxy_wake_latency(proxy_pid, at);
-        let proxy = self
+        let PinnedProxy {
+            process: proxy,
+            core,
+        } = self
             .proxies
             .get_mut(&proxy_pid)
             .expect("service_syscall for unknown proxy");
+        let wake_delay = wake_latency(&self.occupancy, &self.params, &self.rng, *core, at);
         proxy.state = ProxyState::Executing(req.seq);
         self.offloads_serviced += 1;
         let costs = hlwk_core::costs::CostModel::default();
@@ -291,23 +277,28 @@ impl LinuxKernel {
                 Err(e) => (encode_result(Err(e)), vfs.costs.close),
             },
             Some(Sysno::Read) => {
-                let (fd, ptr, len) = (Fd(req.args[0] as i32), req.args[1], req.args[2]);
+                let (fd, va, len) = (Fd(req.args[0] as i32), VirtAddr(req.args[1]), req.args[2]);
                 match vfs.rw_cost(proxy_pid, fd, len) {
                     Ok(c) => {
                         // Produce bytes into the app buffer through the
-                        // unified address space (bounded materialization).
-                        // /proc and /sys reads return real generated
-                        // content reflecting Linux's view of the node.
-                        let data: Vec<u8> = match &vfs.file(proxy_pid, fd).expect("checked").kind
-                        {
+                        // unified address space. /proc and /sys reads
+                        // return real generated content reflecting
+                        // Linux's view of the node; any other file fills
+                        // up to 64 KiB in place, the bytes the promoted
+                        // read fills.
+                        let (n, written) = match &vfs.file(proxy_pid, fd).expect("checked").kind {
                             crate::vfs::FileKind::ProcSys { path } => {
-                                crate::procfs::generate(path, &self.cores, mem)
-                                    .unwrap_or_else(|| b"0\n".to_vec())
+                                let data = crate::procfs::generate(path, &self.cores, mem)
+                                    .unwrap_or_else(|| b"0\n".to_vec());
+                                let n = data.len().min(len as usize);
+                                (n, proxy.uas.write(va, &data[..n], lwk_pt, mem, &costs))
                             }
-                            _ => vec![0xABu8; len.min(64 << 10) as usize],
+                            _ => {
+                                let n = len.min(64 << 10) as usize;
+                                (n, proxy.uas.fill(va, n, 0xAB, lwk_pt, mem, &costs))
+                            }
                         };
-                        let n = data.len().min(len as usize);
-                        match proxy.uas.write(VirtAddr(ptr), &data[..n], lwk_pt, mem, &costs) {
+                        match written {
                             Ok(fc) => {
                                 let _ = vfs.advance(proxy_pid, fd, n as u64);
                                 (n as i64, c + fc)
@@ -403,7 +394,6 @@ impl LinuxKernel {
             }
             _ => (encode_result(Err(Errno::ENOSYS)), Cycles::from_us(1)),
         };
-        let proxy = self.proxies.get_mut(&proxy_pid).expect("still present");
         proxy.state = ProxyState::Parked;
         ServiceResult {
             ret,
@@ -421,13 +411,16 @@ impl LinuxKernel {
 
     /// Invalidate proxy pseudo-mapping PTEs after an LWK munmap.
     pub fn sync_munmap(&mut self, app_pid: Pid, ranges: &[(VirtAddr, u64)]) -> u64 {
-        let Some(proxy_pid) = self.proxy_for_app(app_pid) else {
+        let Some(proxy) = self
+            .proxies
+            .values_mut()
+            .find(|p| p.process.app_pid == app_pid)
+        else {
             return 0;
         };
-        let proxy = self.proxies.get_mut(&proxy_pid).expect("proxy registered");
         let mut n = 0;
         for &(start, len) in ranges {
-            n += proxy.uas.invalidate_range(start, len);
+            n += proxy.process.uas.invalidate_range(start, len);
         }
         n
     }
@@ -439,8 +432,31 @@ impl LinuxKernel {
         pid: Pid,
     ) -> Option<(&mut ProxyProcess, &mut Delegator)> {
         let proxy = self.proxies.get_mut(&pid)?;
-        Some((proxy, &mut self.delegator))
+        Some((&mut proxy.process, &mut self.delegator))
     }
+}
+
+/// CFS wake latency at `at` for a proxy pinned to `core`: idle core =
+/// context switch only; contended core = up to a timeslice of queueing,
+/// drawn deterministically from the wake instant.
+fn wake_latency(
+    occupancy: &CoreOccupancy,
+    params: &CfsParams,
+    rng: &StreamRng,
+    core: CoreId,
+    at: Cycles,
+) -> Cycles {
+    let competitors = occupancy.competitors_at(core, at);
+    let base = params.ctx_switch;
+    if competitors == 0 {
+        return base;
+    }
+    // The woken proxy (vruntime at min) preempts the running task at
+    // the next scheduler tick at the latest; queue depth adds cache
+    // and runqueue-lock overhead on top.
+    let horizon = params.timeslice(competitors + 1).min(Cycles::from_us(100));
+    let mut r = rng.stream("wake", at.raw());
+    base + horizon.scale(r.uniform() * competitors.min(4) as f64 / 4.0)
 }
 
 #[cfg(test)]
@@ -543,8 +559,9 @@ mod tests {
     #[test]
     fn wake_latency_grows_with_contention() {
         let mut linux = boot_linux();
-        let proxy = linux.spawn_proxy(Pid(1000), CoreId(19));
-        let idle = linux.proxy_wake_latency(proxy, Cycles::from_ms(1));
+        let core = CoreId(19);
+        let wake = |l: &LinuxKernel, at| wake_latency(&l.occupancy, &l.params, &l.rng, core, at);
+        let idle = wake(&linux, Cycles::from_ms(1));
         linux
             .occupancy
             .add_load(CoreId(19), Cycles::ZERO, Cycles::from_secs(1), 8);
@@ -552,11 +569,7 @@ mod tests {
         // Sample several wake instants; contended wakes must on average
         // exceed the idle wake by a lot.
         let avg: u64 = (0..32)
-            .map(|i| {
-                linux
-                    .proxy_wake_latency(proxy, Cycles::from_ms(2 + i))
-                    .raw()
-            })
+            .map(|i| wake(&linux, Cycles::from_ms(2 + i)).raw())
             .sum::<u64>()
             / 32;
         assert!(avg > idle.raw() * 10, "idle={} avg={}", idle.raw(), avg);

@@ -9,8 +9,7 @@
 
 use hlwk_core::abi::{Errno, Fd, Pid};
 use hwmodel::pci::DeviceClass;
-use simcore::Cycles;
-use std::collections::HashMap;
+use simcore::{Cycles, FastMap};
 
 /// What an open file descriptor refers to.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,7 +45,7 @@ pub struct OpenFile {
 /// Per-process descriptor table.
 #[derive(Debug, Default)]
 struct FdTable {
-    files: HashMap<i32, OpenFile>,
+    files: FastMap<i32, OpenFile>,
     next_fd: i32,
 }
 
@@ -88,8 +87,8 @@ impl Default for VfsCosts {
 /// The node-wide VFS: fd tables per (proxy) process and device registry.
 #[derive(Debug)]
 pub struct Vfs {
-    tables: HashMap<Pid, FdTable>,
-    devices: HashMap<String, DeviceClass>,
+    tables: FastMap<Pid, FdTable>,
+    devices: FastMap<String, DeviceClass>,
     /// Cost table.
     pub costs: VfsCosts,
 }
@@ -98,7 +97,7 @@ impl Vfs {
     /// Empty VFS with a device registry.
     pub fn new(devices: impl IntoIterator<Item = (String, DeviceClass)>) -> Self {
         Vfs {
-            tables: HashMap::new(),
+            tables: FastMap::default(),
             devices: devices.into_iter().collect(),
             costs: VfsCosts::default(),
         }
@@ -107,7 +106,7 @@ impl Vfs {
     /// Create the fd table for a process (0/1/2 pre-opened).
     pub fn create_process(&mut self, pid: Pid) {
         let mut table = FdTable {
-            files: HashMap::new(),
+            files: FastMap::default(),
             next_fd: 3,
         };
         for fd in 0..3 {

@@ -12,6 +12,8 @@
 //!   that every experiment run is exactly reproducible from its seed.
 //! * [`fault`] — seeded fault injection (message drop/delay/corrupt,
 //!   back-pressure, proxy crash, delegator stall) on its own RNG stream.
+//! * [`hash`] — the unseeded multiply-rotate hasher behind [`FastMap`]
+//!   and [`FastSet`], the workspace's only hashed tables.
 //! * [`stats`] — the statistics used throughout the evaluation (mean,
 //!   standard deviation, percentiles, and the paper's "maximum performance
 //!   variation" metric).
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
+pub mod hash;
 pub mod hist;
 pub mod par;
 pub mod rng;
@@ -34,6 +37,7 @@ pub use fault::{
     DomainEvent, DomainEventKind, DomainFaultConfig, DomainFaultPlan, DomainScope, DomainTopology,
     FaultConfig, FaultEvent, FaultKind, FaultPlan, LinkFaultConfig, LinkFaultPlan, MsgFault,
 };
+pub use hash::{FastMap, FastSet};
 pub use hist::LogHistogram;
 pub use rng::{StreamFamily, StreamRng};
 pub use stats::Summary;

@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn distinct_labels_and_indices_give_distinct_streams() {
         let root = StreamRng::root(9);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::FastSet::default();
         for label in ["a", "b", "tick", "daemon"] {
             for idx in 0..16 {
                 let mut s = root.stream(label, idx);
