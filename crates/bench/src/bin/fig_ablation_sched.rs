@@ -21,8 +21,11 @@ fn measure(mut rt: Option<&mut LinuxCoreRuntime>, occ: &CoreOccupancy) -> Summar
         Cycles::from_secs(5),
         Cycles(1),
         |at, w| match rt.as_deref_mut() {
-            Some(rt) => rt.execute(at, w, occ).finish,
-            None => noiseless_execute(at, w).finish,
+            Some(rt) => {
+                let done = rt.execute(at, w, occ).finish;
+                (done, rt.quiet_until(done, occ))
+            }
+            None => (noiseless_execute(at, w).finish, Cycles::MAX),
         },
     );
     let worst = fwq::worst_window(&samples, fwq::WINDOW);

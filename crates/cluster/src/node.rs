@@ -710,14 +710,16 @@ impl NodeRuntime {
     /// address space's copy loop: pages before the first unmapped one
     /// stay written when the fill faults.
     fn lwk_fill_user(&mut self, va: VirtAddr, len: u64, byte: u8) -> Result<(), ()> {
+        // An empty range touches no page, so it needs no process.
+        if len == 0 {
+            return Ok(());
+        }
+        let m = self.mck.as_mut().ok_or(())?;
+        let aspace = &mut m.process_mut(self.app_pid).ok_or(())?.aspace;
         let mut done = 0u64;
         while done < len {
             let cur = va + done;
-            let pa = {
-                let m = self.mck.as_mut().ok_or(())?;
-                let proc = m.process_mut(self.app_pid).ok_or(())?;
-                proc.aspace.translate(cur).ok_or(())?.phys
-            };
+            let pa = aspace.translate(cur).ok_or(())?.phys;
             let n = (len - done).min(PAGE_SIZE - cur.page_offset());
             self.hw.mem.fill(pa, n, byte);
             done += n;
@@ -728,12 +730,16 @@ impl NodeRuntime {
     /// Verify `[va, va+len)` is fully mapped (the promoted `write()`
     /// source-buffer check); reads nothing.
     fn lwk_check_user(&mut self, va: VirtAddr, len: u64) -> Result<(), ()> {
+        // As in `lwk_fill_user`: an empty range needs no process.
+        if len == 0 {
+            return Ok(());
+        }
+        let m = self.mck.as_mut().ok_or(())?;
+        let aspace = &mut m.process_mut(self.app_pid).ok_or(())?.aspace;
         let mut done = 0u64;
         while done < len {
             let cur = va + done;
-            let m = self.mck.as_mut().ok_or(())?;
-            let proc = m.process_mut(self.app_pid).ok_or(())?;
-            proc.aspace.translate(cur).ok_or(())?;
+            aspace.translate(cur).ok_or(())?;
             done += (len - done).min(PAGE_SIZE - cur.page_offset());
         }
         Ok(())
@@ -1147,8 +1153,32 @@ impl NodeRuntime {
             // the quantum runs to completion exactly.
             OsVariant::McKernel => at + stretched,
             _ => {
-                let core = self.app_cores[thread_idx % self.app_cores.len()];
+                let core = self.app_core(thread_idx);
                 self.linux.execute_on(core, at, stretched).finish
+            }
+        }
+    }
+
+    /// The core application thread `thread_idx` runs on.
+    fn app_core(&self, thread_idx: usize) -> CoreId {
+        self.app_cores[thread_idx % self.app_cores.len()]
+    }
+
+    /// Until when quanta of thread `thread_idx` from `t` on run exactly
+    /// their work, so FWQ may append them without executing them. The
+    /// LWK never interrupts a quantum (`Cycles::MAX`); a Linux core is
+    /// quiet until its next tick, daemon arrival or competitor (see
+    /// [`linuxsim::runtime::LinuxCoreRuntime::quiet_until`]). Only pure
+    /// ALU work is quiet: any memory intensity stretches every quantum.
+    pub fn quiet_until(&mut self, thread_idx: usize, t: Cycles) -> Cycles {
+        if self.mem_intensity != 0.0 {
+            return t;
+        }
+        match self.os {
+            OsVariant::McKernel => Cycles::MAX,
+            _ => {
+                let core = self.app_core(thread_idx);
+                self.linux.quiet_until(core, t)
             }
         }
     }

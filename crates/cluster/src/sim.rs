@@ -174,7 +174,8 @@ impl Cluster {
         let saved = node.mem_intensity;
         node.mem_intensity = 0.0;
         let samples = fwq::run_for(quantum, duration, start, |at, w| {
-            node.exec_app_thread(0, at, w)
+            let done = node.exec_app_thread(0, at, w);
+            (done, node.quiet_until(0, done))
         });
         node.mem_intensity = saved;
         samples

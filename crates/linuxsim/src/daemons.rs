@@ -190,6 +190,39 @@ impl DaemonSource {
         EpochHead { epoch, count, rng }
     }
 
+    /// `memo` holding the head of `epoch`, drawn unless it already does.
+    fn head<'m>(&self, memo: &'m mut Option<EpochHead>, epoch: u64) -> &'m EpochHead {
+        if memo.as_ref().is_some_and(|h| h.epoch != epoch) {
+            *memo = None;
+        }
+        memo.get_or_insert_with(|| self.epoch_head(epoch))
+    }
+
+    /// No window of `t`'s epoch that starts at or after `t` and ends by
+    /// the instant returned keeps an arrival (see [`DaemonSource::arrivals`]).
+    /// It is the first gated position at or after `t` of the epoch's
+    /// arrivals drawn as if each were skipped, or the epoch's end.
+    ///
+    /// An arrival a window keeps follows only arrivals that window
+    /// skipped, so it sits at that all-skipped position: the first one
+    /// kept would have to land before the instant returned, and none
+    /// does. The argument holds within one epoch only, so the bound
+    /// stops at the epoch's end.
+    pub(crate) fn quiet_until(&self, memo: &mut Option<EpochHead>, t: Cycles) -> Cycles {
+        let epoch = t.raw() / EPOCH.raw();
+        let head = self.head(memo, epoch);
+        let mut r = head.rng.clone();
+        let base = epoch * EPOCH.raw();
+        let mut quiet = base + EPOCH.raw();
+        for _ in 0..head.count {
+            let at = base + r.range_u64(0, EPOCH.raw());
+            if at >= t.raw() && at < quiet && self.in_windows(Cycles(at)) {
+                quiet = at;
+            }
+        }
+        Cycles(quiet)
+    }
+
     /// Hand `f` each arrival of `epoch` that lands in `[from, to)` and
     /// inside the gating windows, in draw order. The source's one draw
     /// routine. `memo` holds the head of the epoch last asked about and
@@ -206,10 +239,7 @@ impl DaemonSource {
         to: Cycles,
         mut f: impl FnMut(Interruption),
     ) {
-        if memo.as_ref().is_some_and(|h| h.epoch != epoch) {
-            *memo = None;
-        }
-        let head = memo.get_or_insert_with(|| self.epoch_head(epoch));
+        let head = self.head(memo, epoch);
         let mut r = head.rng.clone();
         let base = head.epoch * EPOCH.raw();
         for _ in 0..head.count {

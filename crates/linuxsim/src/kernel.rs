@@ -168,6 +168,13 @@ impl LinuxKernel {
         self.runtimes[i].execute(start, work, &self.occupancy)
     }
 
+    /// Until when quanta on `core` from `t` on run exactly their work
+    /// (see [`LinuxCoreRuntime::quiet_until`]).
+    pub fn quiet_until(&mut self, core: CoreId, t: Cycles) -> Cycles {
+        let i = self.position(core);
+        self.runtimes[i].quiet_until(t, &self.occupancy)
+    }
+
     /// Spawn the proxy process for application `app_pid`, pinned to `core`
     /// (the paper assigns "the remaining single core to the proxy
     /// process").
@@ -278,15 +285,17 @@ impl LinuxKernel {
             },
             Some(Sysno::Read) => {
                 let (fd, va, len) = (Fd(req.args[0] as i32), VirtAddr(req.args[1]), req.args[2]);
-                match vfs.rw_cost(proxy_pid, fd, len) {
-                    Ok(c) => {
+                let vfs_costs = vfs.costs;
+                match vfs.file_mut(proxy_pid, fd) {
+                    Ok(file) => {
+                        let c = vfs_costs.rw(&file.kind, len);
                         // Produce bytes into the app buffer through the
                         // unified address space. /proc and /sys reads
                         // return real generated content reflecting
                         // Linux's view of the node; any other file fills
                         // up to 64 KiB in place, the bytes the promoted
                         // read fills.
-                        let (n, written) = match &vfs.file(proxy_pid, fd).expect("checked").kind {
+                        let (n, written) = match &file.kind {
                             crate::vfs::FileKind::ProcSys { path } => {
                                 let data = crate::procfs::generate(path, &self.cores, mem)
                                     .unwrap_or_else(|| b"0\n".to_vec());
@@ -300,19 +309,21 @@ impl LinuxKernel {
                         };
                         match written {
                             Ok(fc) => {
-                                let _ = vfs.advance(proxy_pid, fd, n as u64);
+                                file.pos += n as u64;
                                 (n as i64, c + fc)
                             }
                             Err(_) => (encode_result(Err(Errno::EFAULT)), c),
                         }
                     }
-                    Err(e) => (encode_result(Err(e)), vfs.costs.rw_base),
+                    Err(e) => (encode_result(Err(e)), vfs_costs.rw_base),
                 }
             }
             Some(Sysno::Write) => {
                 let (fd, ptr, len) = (Fd(req.args[0] as i32), req.args[1], req.args[2]);
-                match vfs.rw_cost(proxy_pid, fd, len) {
-                    Ok(c) => {
+                let vfs_costs = vfs.costs;
+                match vfs.file_mut(proxy_pid, fd) {
+                    Ok(file) => {
+                        let c = vfs_costs.rw(&file.kind, len);
                         // The proxy dereferences up to 64 KiB of the buffer
                         // through the unified address space. Nothing in the
                         // model reads those bytes, and the fault cost is all
@@ -321,13 +332,13 @@ impl LinuxKernel {
                         let n = len.min(64 << 10) as usize;
                         match proxy.uas.touch(VirtAddr(ptr), n, lwk_pt, &costs) {
                             Ok(fc) => {
-                                let _ = vfs.advance(proxy_pid, fd, len);
+                                file.pos += len;
                                 (len as i64, c + fc)
                             }
                             Err(_) => (encode_result(Err(Errno::EFAULT)), c),
                         }
                     }
-                    Err(e) => (encode_result(Err(e)), vfs.costs.rw_base),
+                    Err(e) => (encode_result(Err(e)), vfs_costs.rw_base),
                 }
             }
             Some(Sysno::Lseek) => {

@@ -159,6 +159,28 @@ impl LinuxCoreRuntime {
         }
     }
 
+    /// Until when this core stays quiet from `t`: every quantum that
+    /// starts at or after `t` and ends by the instant returned finishes
+    /// in exactly its work, so FWQ may append it without calling
+    /// [`LinuxCoreRuntime::execute`]. It is the least of the next tick
+    /// instant, the end of `t`'s competitor-free occupancy segment (`t`
+    /// itself when `t` has competitors), and each daemon's bound in `t`'s
+    /// epoch (see DESIGN.md D2).
+    pub fn quiet_until(&mut self, t: Cycles, occ: &CoreOccupancy) -> Cycles {
+        let seg = occ.segment_at(self.core, t, Cycles::MAX);
+        if seg.competitors > 0 {
+            return t;
+        }
+        let mut quiet = seg.end;
+        if let Some(tick) = &self.tick {
+            quiet = quiet.min(tick.next_at(t));
+        }
+        for (d, memo) in &mut self.daemons {
+            quiet = quiet.min(d.quiet_until(memo, t));
+        }
+        quiet
+    }
+
     /// Tick + daemon interruptions over the occupied window, extended to
     /// fixpoint (interruptions during makeup time can themselves be
     /// interrupted). Returns (stolen, count, max single).

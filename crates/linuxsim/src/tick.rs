@@ -60,6 +60,11 @@ impl TickSource {
         from.raw().div_ceil(p)..(to.raw() - 1) / p + 1
     }
 
+    /// The first tick instant at or after `t`.
+    pub(crate) fn next_at(&self, t: Cycles) -> Cycles {
+        PERIOD * t.raw().div_ceil(PERIOD.raw())
+    }
+
     /// Tick number `k`, its cost deterministic in `k`. The source's one
     /// draw routine.
     pub(crate) fn tick(&self, k: u64) -> Interruption {

@@ -70,6 +70,27 @@ pub struct VfsCosts {
     pub procfs_read: Cycles,
 }
 
+impl VfsCosts {
+    /// `read`/`write` service cost for `len` bytes on a file of `kind`.
+    /// Device writes to a uverbs fd model memory-registration commands:
+    /// cost scales with the number of pages being pinned.
+    pub fn rw(&self, kind: &FileKind, len: u64) -> Cycles {
+        let pages = len.div_ceil(4096).max(1);
+        match kind {
+            FileKind::Regular { .. } => self.rw_base + self.rw_per_page * pages,
+            FileKind::ProcSys { .. } => self.procfs_read,
+            FileKind::Device { class, .. } => match class {
+                DeviceClass::InfinibandHca => {
+                    // uverbs command channel: treat the byte count as the
+                    // registration length.
+                    self.ioctl + self.reg_per_page * pages
+                }
+                DeviceClass::EthernetNic => self.ioctl,
+            },
+        }
+    }
+}
+
 impl Default for VfsCosts {
     fn default() -> Self {
         VfsCosts {
@@ -169,31 +190,24 @@ impl Vfs {
             .ok_or(Errno::EBADF)
     }
 
-    /// `read`/`write` service cost for `len` bytes on `fd`. Device writes
-    /// to a uverbs fd model memory-registration commands: cost scales with
-    /// the number of pages being pinned.
+    /// Look up an open file for update.
+    pub fn file_mut(&mut self, pid: Pid, fd: Fd) -> Result<&mut OpenFile, Errno> {
+        self.tables
+            .get_mut(&pid)
+            .ok_or(Errno::ENOENT)?
+            .files
+            .get_mut(&fd.0)
+            .ok_or(Errno::EBADF)
+    }
+
+    /// `read`/`write` service cost for `len` bytes on `fd`.
     pub fn rw_cost(&self, pid: Pid, fd: Fd, len: u64) -> Result<Cycles, Errno> {
-        let f = self.file(pid, fd)?;
-        let pages = len.div_ceil(4096).max(1);
-        Ok(match &f.kind {
-            FileKind::Regular { .. } => self.costs.rw_base + self.costs.rw_per_page * pages,
-            FileKind::ProcSys { .. } => self.costs.procfs_read,
-            FileKind::Device { class, .. } => match class {
-                DeviceClass::InfinibandHca => {
-                    // uverbs command channel: treat the byte count as the
-                    // registration length.
-                    self.costs.ioctl + self.costs.reg_per_page * pages
-                }
-                DeviceClass::EthernetNic => self.costs.ioctl,
-            },
-        })
+        Ok(self.costs.rw(&self.file(pid, fd)?.kind, len))
     }
 
     /// Advance a regular file position (successful read/write of `len`).
     pub fn advance(&mut self, pid: Pid, fd: Fd, len: u64) -> Result<(), Errno> {
-        let table = self.tables.get_mut(&pid).ok_or(Errno::ENOENT)?;
-        let f = table.files.get_mut(&fd.0).ok_or(Errno::EBADF)?;
-        f.pos += len;
+        self.file_mut(pid, fd)?.pos += len;
         Ok(())
     }
 
@@ -203,8 +217,7 @@ impl Vfs {
     /// on the offloaded and promoted paths. A resulting negative
     /// position is `EINVAL` per POSIX. Returns the new position.
     pub fn seek(&mut self, pid: Pid, fd: Fd, off: i64, whence: u32) -> Result<i64, Errno> {
-        let table = self.tables.get_mut(&pid).ok_or(Errno::ENOENT)?;
-        let f = table.files.get_mut(&fd.0).ok_or(Errno::EBADF)?;
+        let f = self.file_mut(pid, fd)?;
         if !matches!(f.kind, FileKind::Regular { .. }) {
             return Err(Errno::EINVAL);
         }

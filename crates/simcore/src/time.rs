@@ -92,9 +92,25 @@ impl Cycles {
     /// give 1. The carry is a `bool` added as an integer, not an `if`:
     /// whether a draw rounds up is a coin flip, and a branch on it
     /// mispredicts half the time.
+    ///
+    /// Every tick draw, interference stretch and retransmit jitter
+    /// lands in the first branch: a count below 2^63 whose product lies
+    /// in [0, 2^63). There the signed casts are bit-identical to the
+    /// unsigned ones (the count converts to the same double, and both
+    /// truncations agree on the product), and each is one instruction
+    /// where the unsigned saturating ones are a sequence. The carry
+    /// cannot overflow, since the truncated product is below 2^63.
     #[inline]
     pub fn scale(self, factor: f64) -> Cycles {
         debug_assert!(factor >= 0.0, "negative time scale");
+        const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+        if let Ok(c) = i64::try_from(self.0) {
+            let x = c as f64 * factor;
+            if (0.0..TWO_POW_63).contains(&x) {
+                let i = x as i64;
+                return Cycles(i as u64 + u64::from(x - i as f64 >= 0.5));
+            }
+        }
         let x = self.0 as f64 * factor;
         let i = x as u64;
         Cycles(i.saturating_add(u64::from(x - i as f64 >= 0.5)))
@@ -266,6 +282,49 @@ mod tests {
                 _ => r.range_f64(0.0, 4.0),
             };
             check(c, f);
+        }
+    }
+
+    #[test]
+    fn scale_matches_the_saturating_formula() {
+        // The formula `scale` keeps at and above 2^63, and used alone
+        // before the signed branch.
+        let saturating = |c: u64, f: f64| {
+            let x = c as f64 * f;
+            let i = x as u64;
+            Cycles(i.saturating_add(u64::from(x - i as f64 >= 0.5)))
+        };
+        let below_half = 0.49999999999999994;
+        let below_two = f64::from_bits(2.0f64.to_bits() - 1);
+        for c in [
+            0,
+            1,
+            3,
+            (1 << 52) - 1,
+            (1 << 52) + 1,
+            (1 << 53) - 1,
+            (1 << 53) + 1,
+            1 << 62,
+            (1 << 63) - 1,
+            (1 << 63) + 1,
+            u64::MAX,
+        ] {
+            // 0.5 and 1.5 give exact halves on the odd counts below 2^53;
+            // 2.0 and the double under it take 2^62 to and just under 2^63.
+            for f in [
+                0.0,
+                -0.0,
+                0.5,
+                1.5,
+                2.5,
+                below_half,
+                1.0,
+                below_two,
+                2.0,
+                f64::INFINITY,
+            ] {
+                assert_eq!(Cycles(c).scale(f), saturating(c, f), "{c} x {f:e}");
+            }
         }
     }
 

@@ -15,40 +15,35 @@ pub const DEFAULT_QUANTUM: Cycles = Cycles(4_000);
 /// Samples per reported window (the paper plots 480).
 pub const WINDOW: usize = 480;
 
-/// Run FWQ: `samples` consecutive quanta of `quantum` work, executed by
-/// `exec(start, work) -> finish`. Returns each quantum's latency in
-/// cycles.
-pub fn run(
-    quantum: Cycles,
-    samples: usize,
-    start: Cycles,
-    mut exec: impl FnMut(Cycles, Cycles) -> Cycles,
-) -> Vec<u64> {
-    let mut out = Vec::with_capacity(samples);
-    let mut t = start;
-    for _ in 0..samples {
-        let done = exec(t, quantum);
-        out.push((done - t).raw());
-        t = done;
-    }
-    out
-}
-
 /// Run FWQ for a full measurement interval of `duration`, returning all
 /// sample latencies (the number of samples depends on the noise hit).
+///
+/// `exec(start, work)` runs one quantum and returns `(finish, quiet)`:
+/// every quantum that starts at or after `finish` and ends by `quiet`
+/// takes exactly `work`. Those quanta are appended without calling
+/// `exec`, so a run costs one call per interruption, not per quantum;
+/// a closure that cannot promise a quiet stretch returns `finish`.
 pub fn run_for(
     quantum: Cycles,
     duration: Cycles,
     start: Cycles,
-    mut exec: impl FnMut(Cycles, Cycles) -> Cycles,
+    mut exec: impl FnMut(Cycles, Cycles) -> (Cycles, Cycles),
 ) -> Vec<u64> {
-    let mut out = Vec::new();
+    assert!(quantum > Cycles::ZERO, "FWQ needs a non-zero quantum");
+    let q = quantum.raw();
+    let mut out = Vec::with_capacity(duration.raw().div_ceil(q) as usize);
     let mut t = start;
     let end = start + duration;
     while t < end {
-        let done = exec(t, quantum);
+        let (done, quiet) = exec(t, quantum);
         out.push((done - t).raw());
         t = done;
+        // The whole quanta that end by `quiet`, of those that start
+        // before `end`.
+        let fits = quiet.saturating_sub(t).raw() / q;
+        let skip = fits.min(end.saturating_sub(t).raw().div_ceil(q));
+        out.resize(out.len() + skip as usize, q);
+        t += quantum * skip;
     }
     out
 }
@@ -79,32 +74,69 @@ mod tests {
 
     #[test]
     fn noiseless_execution_is_flat() {
-        let samples = run(DEFAULT_QUANTUM, 1000, Cycles(1), |t, w| t + w);
+        let samples = run_for(
+            DEFAULT_QUANTUM,
+            DEFAULT_QUANTUM * 1000,
+            Cycles(1),
+            |t, w| (t + w, Cycles::MAX),
+        );
         assert_eq!(samples.len(), 1000);
         assert!(samples.iter().all(|&s| s == DEFAULT_QUANTUM.raw()));
     }
 
     #[test]
     fn noise_shows_up_as_latency() {
-        // Every 100th quantum is interrupted for 10k cycles.
-        let mut n = 0u64;
-        let samples = run(DEFAULT_QUANTUM, 1000, Cycles(1), |t, w| {
-            n += 1;
-            if n % 100 == 0 {
+        // Every 100th quantum is interrupted for 10k cycles: interruption
+        // `k` lands 1,000 cycles into quantum `100k - 1`. The closure
+        // promises quiet up to the next interruption, so `run_for` calls
+        // it once for the first quantum and once per interruption.
+        let q = DEFAULT_QUANTUM;
+        let hits: Vec<Cycles> = (1..=10u64)
+            .map(|k| Cycles(1) + q * (100 * k - 1) + Cycles(10_000) * (k - 1) + Cycles(1_000))
+            .collect();
+        let next_hit = |t: Cycles| {
+            hits.iter()
+                .copied()
+                .find(|&i| i >= t)
+                .unwrap_or(Cycles::MAX)
+        };
+        let mut calls = 0;
+        let samples = run_for(q, q * 1000 + Cycles(10_000) * 10, Cycles(1), |t, w| {
+            calls += 1;
+            let done = if next_hit(t) < t + w {
                 t + w + Cycles(10_000)
             } else {
                 t + w
-            }
+            };
+            (done, next_hit(done))
         });
-        let spikes = samples.iter().filter(|&&s| s > 4_000).count();
-        assert_eq!(spikes, 10);
+        assert_eq!(samples.len(), 1000);
+        let spikes: Vec<usize> = (0..samples.len()).filter(|&i| samples[i] > 4_000).collect();
+        assert_eq!(spikes, (1..=10).map(|k| 100 * k - 1).collect::<Vec<_>>());
         assert_eq!(*samples.iter().max().unwrap(), 14_000);
+        assert_eq!(calls, 11);
     }
 
     #[test]
     fn run_for_covers_duration() {
-        let samples = run_for(Cycles(1000), Cycles(100_000), Cycles::ZERO, |t, w| t + w);
+        let samples = run_for(Cycles(1000), Cycles(100_000), Cycles::ZERO, |t, w| {
+            (t + w, t + w)
+        });
         assert_eq!(samples.len(), 100);
+        // Quanta appended under a quiet bound past the end stop at the
+        // last one that starts before the end.
+        let samples = run_for(Cycles(1000), Cycles(100_500), Cycles::ZERO, |t, w| {
+            (t + w, Cycles::MAX)
+        });
+        assert_eq!(samples.len(), 101);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero quantum")]
+    fn zero_quantum_is_refused() {
+        run_for(Cycles::ZERO, Cycles(100), Cycles::ZERO, |t, w| {
+            (t + w, t + w)
+        });
     }
 
     #[test]
