@@ -9,11 +9,17 @@
 //! of the paper.
 
 use crate::cfs::CfsParams;
-use crate::daemons::{self, DaemonSource, EpochHead};
+use crate::daemons::DaemonSource;
+use crate::epoch::{epochs_in, EpochMemo};
 use crate::occupancy::CoreOccupancy;
 use crate::tick::{Interruption, TickSource};
 use hwmodel::cpu::CoreId;
 use simcore::{Cycles, StreamFamily, StreamRng};
+
+/// How far past `t` [`LinuxCoreRuntime::quiet_until`] looks for the next
+/// daemon arrival: 100 epochs. Only a tickless core with no competitor
+/// can need the cap, which bounds the search for a rare or gated daemon.
+const QUIET_HORIZON: Cycles = Cycles::from_secs(1);
 
 /// Work shorter than this runs inside the task's own timeslice: a spinning
 /// MPI process or FWQ probe is not continuously descheduled — it only pays
@@ -42,10 +48,10 @@ pub struct ExecOutcome {
 pub struct LinuxCoreRuntime {
     /// Which core this is.
     pub core: CoreId,
-    tick: Option<TickSource>,
-    /// Each daemon with the head of the epoch it was last asked about
-    /// (see [`LinuxCoreRuntime::noise_over`]).
-    daemons: Vec<(DaemonSource, Option<EpochHead>)>,
+    /// The tick, and each daemon, with the interruptions of the epoch it
+    /// drew last (see [`LinuxCoreRuntime::noise_over`]).
+    tick: Option<(TickSource, EpochMemo)>,
+    daemons: Vec<(DaemonSource, EpochMemo)>,
     params: CfsParams,
     /// The short-quantum slice-expiry draw at `start` reads
     /// `slices.at(start)`.
@@ -65,8 +71,8 @@ impl LinuxCoreRuntime {
     ) -> Self {
         LinuxCoreRuntime {
             core,
-            tick,
-            daemons: daemons.into_iter().map(|d| (d, None)).collect(),
+            tick: tick.map(|t| (t, EpochMemo::default())),
+            daemons: daemons.into_iter().map(|d| (d, EpochMemo::default())).collect(),
             params: CfsParams::default(),
             slices: rng.family("slice"),
         }
@@ -75,7 +81,7 @@ impl LinuxCoreRuntime {
     /// Attach an additional noise source (e.g. phase-gated IRQ pressure
     /// from a co-located job).
     pub fn push_daemon(&mut self, d: DaemonSource) {
-        self.daemons.push((d, None));
+        self.daemons.push((d, EpochMemo::default()));
     }
 
     /// Run `work` cycles starting at `start`, against the competing load in
@@ -164,19 +170,19 @@ impl LinuxCoreRuntime {
     /// in exactly its work, so FWQ may append it without calling
     /// [`LinuxCoreRuntime::execute`]. It is the least of the next tick
     /// instant, the end of `t`'s competitor-free occupancy segment (`t`
-    /// itself when `t` has competitors), and each daemon's bound in `t`'s
-    /// epoch (see DESIGN.md D2).
+    /// itself when `t` has competitors), each daemon's next arrival at
+    /// or after `t`, and [`QUIET_HORIZON`] past `t` (see DESIGN.md D2).
     pub fn quiet_until(&mut self, t: Cycles, occ: &CoreOccupancy) -> Cycles {
         let seg = occ.segment_at(self.core, t, Cycles::MAX);
         if seg.competitors > 0 {
             return t;
         }
-        let mut quiet = seg.end;
-        if let Some(tick) = &self.tick {
+        let mut quiet = seg.end.min(Cycles(t.raw().saturating_add(QUIET_HORIZON.raw())));
+        if let Some((tick, _)) = &self.tick {
             quiet = quiet.min(tick.next_at(t));
         }
         for (d, memo) in &mut self.daemons {
-            quiet = quiet.min(d.quiet_until(memo, t));
+            quiet = memo.next_at(d, t, quiet);
         }
         quiet
     }
@@ -185,69 +191,43 @@ impl LinuxCoreRuntime {
     /// fixpoint (interruptions during makeup time can themselves be
     /// interrupted). Returns (stolen, count, max single).
     ///
-    /// Each pass tallies the window `[start, busy_end + stolen)`, and the
-    /// fixpoint stops after eight passes or when a pass steals what the
-    /// previous one did. Every tick and every whole daemon epoch is drawn
-    /// once per call and folded into prefix tallies, so a pass reads
-    /// them at its window's end and redraws only the daemon epoch that
-    /// holds that end. That epoch's draws depend on where the window cuts
-    /// it (see [`crate::daemons`]), and stolen time can shrink between
-    /// passes, so the window moves either way.
-    ///
-    /// Only an epoch's arrival loop depends on the window. Its head, the
-    /// stream after the Poisson count draw plus the count, depends only
-    /// on (daemon, epoch), so each daemon keeps the last head it drew
-    /// and redraws it only for another epoch. A 4,000-cycle FWQ quantum
-    /// is 1/7000 of an epoch, so consecutive quanta, the passes of one
-    /// fixpoint and the first epoch a longer quantum folds mostly ask
-    /// for the head already held.
+    /// The first pass tallies `[start, busy_end)`, and each later pass
+    /// only the window it adds, `[previous end, busy_end + stolen)`: any
+    /// split of a window composes (see [`crate::epoch`]), so the running
+    /// sum is the whole window's tally. The fixpoint stops after eight
+    /// passes or at the first pass that adds nothing. Each source draws
+    /// an epoch into its memo once, so the passes of one call, and the
+    /// consecutive short quanta of FWQ and OSU, mostly read the epoch
+    /// already drawn.
     fn noise_over(&mut self, start: Cycles, busy_end: Cycles) -> (Cycles, u32, Cycles) {
-        let mut folds = Folds::default();
         let mut tally = Tally::default();
-        let mut window_end = busy_end;
+        let (mut from, mut to) = (start, busy_end);
         for _ in 0..8 {
-            let prev = tally.stolen;
-            tally = self.window_tally(start, window_end, &mut folds);
-            if tally.stolen == prev {
+            let before = tally.count;
+            self.tally_window(from, to, &mut tally);
+            if tally.count == before {
                 break;
             }
-            window_end = busy_end + tally.stolen;
+            (from, to) = (to, busy_end + tally.stolen);
         }
         (tally.stolen, tally.count, tally.max)
     }
 
-    /// The interruptions in `[start, to)`, from the prefix tallies in
-    /// `folds` (extended as needed) and a fresh draw of the end epoch's
-    /// arrivals.
-    fn window_tally(&mut self, start: Cycles, to: Cycles, folds: &mut Folds) -> Tally {
-        let mut total = Tally::default();
-        if let Some(tick) = &self.tick {
-            let ks = tick.ticks_in(start, to);
-            total = prefix(&mut folds.ticks, ks.end - ks.start, |j, t| {
-                t.add(tick.tick(ks.start + j));
-            });
-        }
-        let es = daemons::epochs_in(start, to);
-        if self.daemons.is_empty() || es.is_empty() {
-            return total;
-        }
-        let last = es.end - 1;
-        // Every epoch before the last ends inside the window, so only
-        // `start` clips it.
-        total = total.plus(prefix(&mut folds.epochs, last - es.start, |j, t| {
-            for (d, memo) in &mut self.daemons {
-                d.arrivals(memo, es.start + j, start, Cycles::MAX, |i| t.add(i));
+    /// Add every tick and daemon interruption in `[from, to)` to `tally`.
+    fn tally_window(&mut self, from: Cycles, to: Cycles, tally: &mut Tally) {
+        for e in epochs_in(from, to) {
+            if let Some((tick, memo)) = &mut self.tick {
+                tally.add_in(memo.get(tick, e), from, to);
             }
-        }));
-        for (d, memo) in &mut self.daemons {
-            d.arrivals(memo, last, start, to, |i| total.add(i));
+            for (d, memo) in &mut self.daemons {
+                tally.add_in(memo.get(d, e), from, to);
+            }
         }
-        total
     }
 }
 
 /// Count, total and largest cost of a set of interruptions.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 struct Tally {
     stolen: Cycles,
     count: u32,
@@ -255,42 +235,14 @@ struct Tally {
 }
 
 impl Tally {
-    fn add(&mut self, i: Interruption) {
-        self.stolen += i.cost;
-        self.count += 1;
-        self.max = self.max.max(i.cost);
-    }
-
-    fn plus(self, other: Tally) -> Tally {
-        Tally {
-            stolen: self.stolen + other.stolen,
-            count: self.count + other.count,
-            max: self.max.max(other.max),
+    /// Add the interruptions of the time-ordered `ints` in `[from, to)`.
+    fn add_in(&mut self, ints: &[Interruption], from: Cycles, to: Cycles) {
+        for i in ints.iter().skip_while(|i| i.at < from).take_while(|i| i.at < to) {
+            self.stolen += i.cost;
+            self.count += 1;
+            self.max = self.max.max(i.cost);
         }
     }
-}
-
-/// One [`LinuxCoreRuntime::noise_over`] call's prefix tallies, indexed
-/// from its window start: `ticks[j]` covers the window's first `j + 1`
-/// ticks, and `epochs[j]` every daemon's first `j + 1` whole epochs.
-#[derive(Default)]
-struct Folds {
-    ticks: Vec<Tally>,
-    epochs: Vec<Tally>,
-}
-
-/// The tally of `folded`'s first `n` groups. Groups not yet folded are
-/// folded first: `fold(j, t)` adds group `j` to `t`, the tally of groups
-/// `0..j`.
-fn prefix(folded: &mut Vec<Tally>, n: u64, mut fold: impl FnMut(u64, &mut Tally)) -> Tally {
-    let n = n as usize;
-    folded.reserve(n.saturating_sub(folded.len()));
-    while folded.len() < n {
-        let mut t = folded.last().copied().unwrap_or_default();
-        fold(folded.len() as u64, &mut t);
-        folded.push(t);
-    }
-    n.checked_sub(1).map_or(Tally::default(), |i| folded[i])
 }
 
 /// A noiseless runtime for comparison — what an LWK core does: no tick,
@@ -315,7 +267,7 @@ mod tests {
         /// afresh.
         fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
             let mut all: Vec<Interruption> = Vec::new();
-            if let Some(t) = &self.tick {
+            if let Some((t, _)) = &self.tick {
                 all.extend(t.interruptions_in(from, to));
             }
             for (d, _) in &self.daemons {
@@ -410,14 +362,14 @@ mod tests {
             multi > windows / 4,
             "{multi} of {windows} windows saw several interruptions"
         );
-        assert!(shrank > 0, "no window's stolen time shrank between passes");
+        assert_eq!(shrank, 0, "a window's stolen time shrank between passes");
 
         // The FWQ regime, on a tickless core at activity 400 (about 140
         // daemon arrivals per 10 ms epoch), so every interruption is a
         // daemon's. First back-to-back 4,000-cycle quanta from the middle
-        // of epoch 0 into epoch 3: consecutive calls mostly ask for the
-        // epoch head a daemon already holds. Then quanta alternating
-        // between epochs 4 and 7, so every call must replace it.
+        // of epoch 0 into epoch 3: consecutive calls mostly read the
+        // epoch a daemon's memo already holds. Then quanta alternating
+        // between epochs 4 and 7, so every call must redraw it.
         let core_rng = r.stream("fwq-core", 0);
         let daemons = DaemonSource::standard_set(&core_rng)
             .into_iter()
@@ -456,6 +408,77 @@ mod tests {
             hit > 20,
             "{hit} of 4000 alternating quanta were interrupted"
         );
+    }
+
+    #[test]
+    fn any_split_composes() {
+        // A window's interruptions are its two parts' at any cut: inside
+        // an epoch, on a tick instant, and one cycle either side of one.
+        // Each source is queried afresh; a whole core's sources are
+        // tallied through its memos, which every query leaves drawn at
+        // some other epoch.
+        let rng = StreamRng::root(0x5b11).stream("core", 0);
+        let phases: Vec<(Cycles, Cycles)> = (0..40)
+            .map(|k| (Cycles::from_ms(25 * k + 3), Cycles::from_ms(25 * k + 14)))
+            .collect();
+        let tick = TickSource::hz1000(rng.stream("tick", 0));
+        let ungated = DaemonSource::kworker(rng.stream("kw", 0)).with_activity(40.0);
+        let gated = DaemonSource::eth_irq(rng.stream("eth", 0))
+            .with_activity(20.0)
+            .with_windows(phases);
+        type Query<'a> = &'a dyn Fn(Cycles, Cycles) -> Vec<Interruption>;
+        let sources: [(&str, Query); 3] = [
+            ("tick", &|a, b| tick.interruptions_in(a, b)),
+            ("ungated daemon", &|a, b| ungated.interruptions_in(a, b)),
+            ("gated daemon", &|a, b| gated.interruptions_in(a, b)),
+        ];
+        let mut daemons = DaemonSource::standard_set(&rng);
+        daemons.extend([ungated.clone(), gated.clone()]);
+        let mut rt = LinuxCoreRuntime::with_rng(
+            CoreId(0),
+            Some(tick.clone()),
+            daemons,
+            rng.stream("exec", 0),
+        );
+        let fresh = |rt: &LinuxCoreRuntime, from, to| {
+            let mut t = Tally::default();
+            let mut ints = rt.interruptions_in(from, to);
+            ints.sort_by_key(|i| i.at);
+            t.add_in(&ints, from, to);
+            t
+        };
+        let mut r = StreamRng::root(0xc07);
+        let ms = Cycles::from_ms(1).raw();
+        let (mut cuts, mut hit) = (0, 0);
+        for w in 0..3_000u64 {
+            let from = Cycles(r.range_u64(0, Cycles::from_secs(1).raw()));
+            let to = from + Cycles(r.range_u64(1, Cycles::from_ms(40).raw()));
+            let cut = match w % 4 {
+                0 => r.range_u64(from.raw(), to.raw() + 1),
+                side => {
+                    let (k0, k1) = (from.raw().div_ceil(ms), to.raw() / ms);
+                    if k0 > k1 {
+                        continue;
+                    }
+                    let at = ms * r.range_u64(k0, k1 + 1);
+                    (at + side - 2).clamp(from.raw(), to.raw())
+                }
+            };
+            let cut = Cycles(cut);
+            for (name, query) in &sources {
+                let mut parts = query(from, cut);
+                parts.extend(query(cut, to));
+                assert_eq!(parts, query(from, to), "{name}: {from:?}..{cut:?}..{to:?}");
+            }
+            let want = fresh(&rt, from, to);
+            let mut parts = Tally::default();
+            rt.tally_window(from, cut, &mut parts);
+            rt.tally_window(cut, to, &mut parts);
+            assert_eq!(parts, want, "core: {from:?}..{cut:?}..{to:?}");
+            cuts += 1;
+            hit += u32::from(want.count > 0);
+        }
+        assert!(cuts > 2_500 && hit > cuts / 2, "{hit} of {cuts} windows hit");
     }
 
     fn busy_runtime() -> LinuxCoreRuntime {

@@ -7,29 +7,33 @@
 //! are skipped (NO_HZ), and McKernel cores never tick at all — McKernel is
 //! tick-less by construction, so it simply has no [`TickSource`].
 
+use crate::epoch::{self, EpochSource, EPOCH};
 use simcore::{Cycles, StreamFamily, StreamRng};
-use std::ops::Range;
 
 /// The tick period: CONFIG_HZ=1000.
 const PERIOD: Cycles = Cycles::from_ms(1);
+/// Ticks per noise epoch.
+const TICKS_PER_EPOCH: u64 = EPOCH.0 / PERIOD.0;
 /// Every tick's fixed cost.
 const BASE_COST: Cycles = Cycles::from_us(2);
-/// The most a tick's uniform jitter adds to its cost.
+/// A tick's uniform jitter adds less than this to its cost.
 const JITTER_COST: Cycles = Cycles::from_us(3);
-/// 1-in-N ticks run extended work (RCU callbacks, timer cascades).
+/// 1-in-N ticks run extended work (RCU callbacks, timer cascades). A
+/// power of two: a draw's low bits decide.
 const HEAVY_ONE_IN: u64 = 64;
-/// The most that extended work adds; it adds at least 30% of this.
-const HEAVY_EXTRA: Cycles = Cycles::from_us(14);
+/// Extended work adds at least this, 30% of its most (14 us)...
+const HEAVY_MIN: Cycles = Cycles::from_ns(4_200);
+/// ... and less than this on top.
+const HEAVY_SPAN: Cycles = Cycles::from_ns(9_800);
 
 /// Deterministic per-core tick event source, with era-typical costs.
 ///
-/// Tick instants are the fixed grid `k * PERIOD`; the *cost* of tick `k`
-/// is drawn from a stream indexed by `k`, so queries are reproducible and
-/// order-independent across windows: a window's ticks are the union of
-/// its parts' at any split.
+/// Tick instants are the fixed grid `k * PERIOD`. The costs of an
+/// epoch's ten ticks are drawn in order from one stream indexed by the
+/// epoch, so a window's ticks are the union of its parts' at any split.
 #[derive(Debug, Clone)]
 pub struct TickSource {
-    /// Tick `k`'s cost is drawn from `costs.at(k)`.
+    /// Epoch `e`'s tick costs are drawn from `costs.at(e)`.
     costs: StreamFamily,
 }
 
@@ -42,6 +46,11 @@ pub struct Interruption {
     pub cost: Cycles,
 }
 
+/// A uniform integer in `[0, span)` from the high 32 bits of `x`.
+fn below(span: Cycles, x: u64) -> u64 {
+    (span.raw() * (x >> 32)) >> 32
+}
+
 impl TickSource {
     /// CONFIG_HZ=1000 tick. `rng` must be the per-core stream so cores
     /// don't correlate.
@@ -51,39 +60,38 @@ impl TickSource {
         }
     }
 
-    /// The indices of the ticks in `[from, to)`; empty when the window is.
-    pub(crate) fn ticks_in(&self, from: Cycles, to: Cycles) -> Range<u64> {
-        if to <= from {
-            return 0..0;
-        }
-        let p = PERIOD.raw();
-        from.raw().div_ceil(p)..(to.raw() - 1) / p + 1
-    }
-
     /// The first tick instant at or after `t`.
     pub(crate) fn next_at(&self, t: Cycles) -> Cycles {
         PERIOD * t.raw().div_ceil(PERIOD.raw())
-    }
-
-    /// Tick number `k`, its cost deterministic in `k`. The source's one
-    /// draw routine.
-    pub(crate) fn tick(&self, k: u64) -> Interruption {
-        let mut r = self.costs.at(k);
-        let mut cost = BASE_COST + JITTER_COST.scale(r.uniform());
-        if r.range_u64(0, HEAVY_ONE_IN) == 0 {
-            cost += HEAVY_EXTRA.scale(0.3 + 0.7 * r.uniform());
-        }
-        Interruption {
-            at: PERIOD * k,
-            cost,
-        }
     }
 
     /// All tick interruptions in `[from, to)`. The core is busy throughout
     /// (the caller only asks about windows where the app occupies the core;
     /// NO_HZ means idle windows generate nothing).
     pub fn interruptions_in(&self, from: Cycles, to: Cycles) -> Vec<Interruption> {
-        self.ticks_in(from, to).map(|k| self.tick(k)).collect()
+        epoch::interruptions_in(self, from, to)
+    }
+}
+
+impl EpochSource for TickSource {
+    /// The epoch's ten ticks, one 64-bit output each: the jitter comes
+    /// from its high 32 bits, the heavy test from its low bits, and a
+    /// heavy tick's extra cost from the next output.
+    fn draw(&self, epoch: u64, out: &mut Vec<Interruption>) {
+        let mut r = self.costs.at(epoch);
+        let first = epoch * TICKS_PER_EPOCH;
+        out.clear();
+        out.extend((first..first + TICKS_PER_EPOCH).map(|k| {
+            let x = r.next_u64();
+            let mut cost = BASE_COST.raw() + below(JITTER_COST, x);
+            if x % HEAVY_ONE_IN == 0 {
+                cost += HEAVY_MIN.raw() + below(HEAVY_SPAN, r.next_u64());
+            }
+            Interruption {
+                at: PERIOD * k,
+                cost: Cycles(cost),
+            }
+        }));
     }
 }
 
@@ -124,8 +132,10 @@ mod tests {
         let b = s2.interruptions_in(Cycles::ZERO, Cycles::from_ms(100));
         assert_eq!(a, b, "same stream, same costs");
         for i in &a {
-            assert!(i.cost >= Cycles::from_us(2));
-            assert!(i.cost <= Cycles::from_us(25));
+            // 2-5 us, plus 4.2-14 us on a heavy tick.
+            let light = Cycles::from_us(2) <= i.cost && i.cost < Cycles::from_us(5);
+            let heavy = Cycles::from_ns(6_200) <= i.cost && i.cost < Cycles::from_us(19);
+            assert!(light || heavy, "{:?}", i.cost);
         }
         // Some cost variance must exist.
         assert!(a.iter().any(|i| i.cost != a[0].cost));
