@@ -4,8 +4,7 @@
 //! Reproduces the five panels: (a) Linux+cgroup, (b) McKernel,
 //! (c) Linux+cgroup with Hadoop, (d) Linux+cgroup+isolcpus with Hadoop,
 //! (e) McKernel with Hadoop. For each, the worst 480-sample window of a
-//! measurement interval is reported (the paper's selection rule), plus
-//! the per-panel sample series on request (`HLWK_SERIES=1`).
+//! measurement interval is reported (the paper's selection rule).
 //!
 //! The five panels are independent single-node clusters and run as one
 //! pool submission (whole-figure parallelism); each panel's derived
@@ -27,8 +26,6 @@ struct PanelResult {
     summary: Summary,
     spikes: usize,
     tail_pct: f64,
-    hist_render: Option<String>,
-    series: Option<String>,
 }
 
 fn main() {
@@ -61,8 +58,6 @@ fn main() {
     ];
     let secs = fwq_secs();
     let quantum = fwq::DEFAULT_QUANTUM;
-    let want_hist = std::env::var("HLWK_HIST").is_ok();
-    let want_series = std::env::var("HLWK_SERIES").is_ok();
     header(&format!(
         "Figure 5 — FWQ noise (quantum {} cycles, {secs}s interval, worst {} samples)",
         quantum.raw(),
@@ -94,8 +89,6 @@ fn main() {
             summary,
             spikes,
             tail_pct: hist.tail_fraction_above(2 * quantum.raw()) * 100.0,
-            hist_render: want_hist.then(|| hist.render(48)),
-            series: want_series.then(|| format!("{worst:?}")),
         }
     });
     for (p, r) in panels.iter().zip(&results) {
@@ -109,12 +102,6 @@ fn main() {
             r.spikes,
             r.tail_pct
         );
-        if let Some(h) = &r.hist_render {
-            print!("{h}");
-        }
-        if let Some(s) = &r.series {
-            println!("  series: {s}");
-        }
     }
     println!(
         "\nPaper shape: (a) low jitter, (b) virtually constant, (c) spikes up to ~16x,\n(d) improved but still significant variation, (e) no disturbance at all."

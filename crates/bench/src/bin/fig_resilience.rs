@@ -17,8 +17,7 @@
 use bench::{header, max_nodes, seed_base};
 use cluster::experiment::run_seed;
 use cluster::{run_resilient, Cluster, OsVariant, RecoveryCosts, RecoveryPolicy, RecoveryReport};
-use netsim::reliable::CrashTrigger;
-use simcore::fault::LinkFaultConfig;
+use simcore::fault::{DomainEvent, DomainEventKind, DomainScope, LinkFaultConfig};
 use simcore::{par, Cycles};
 use workloads::miniapps::MiniApp;
 
@@ -56,7 +55,11 @@ fn run_cell(os: OsVariant, policy: RecoveryPolicy, rate: f64, seed: u64) -> Row 
         let crash_at = start + est.scale(f64::from(app.iterations) / 2.0);
         cfg = cfg
             .with_link_faults(LinkFaultConfig::loss(rate))
-            .with_node_crash(1, CrashTrigger::AtTime(crash_at));
+            .with_domain_event(DomainEvent {
+                at: crash_at,
+                scope: DomainScope::Node(1),
+                kind: DomainEventKind::FailStop,
+            });
     }
     let mut c = Cluster::build(cfg);
     let res = run_resilient(&mut c, &app, policy, &RecoveryCosts::default(), start);

@@ -2,7 +2,6 @@
 
 use hlwk_core::mck::syscall::BypassConfig;
 use hwmodel::cpu::CoreId;
-use netsim::reliable::CrashTrigger;
 use simcore::fault::{
     DomainEvent, DomainFaultConfig, DomainTopology, FaultConfig, LinkFaultConfig,
 };
@@ -66,9 +65,6 @@ pub struct ClusterConfig {
     /// Fault injection on the fabric links (off by default: the reliable
     /// layer is then an exact passthrough that draws no randomness).
     pub link_faults: LinkFaultConfig,
-    /// An armed node-crash fault, if any (fail-stop at a configured
-    /// simulated time or in-flight send depth).
-    pub node_crash: Option<NodeCrash>,
     /// Failure-domain layout: nodes per rack (ToR switch / PDU scope).
     /// Pure metadata until domain faults or events are armed.
     pub nodes_per_rack: u32,
@@ -76,20 +72,12 @@ pub struct ClusterConfig {
     /// RNG streams are derived and nothing is injected).
     pub domain_faults: DomainFaultConfig,
     /// Deterministic domain events injected on top of (or without) the
-    /// stochastic plan — "kill rack 1 at t=X". RNG-free.
+    /// stochastic plan — "kill rack 1 at t=X", or one node at node
+    /// scope. RNG-free.
     pub domain_events: Vec<DomainEvent>,
     /// Offload-bypass policy of every McKernel node (off by default, so
     /// every call takes the IKC trip and figures run unchanged).
     pub bypass: BypassConfig,
-}
-
-/// A configured fail-stop node crash.
-#[derive(Clone, Copy, Debug)]
-pub struct NodeCrash {
-    /// Which node dies.
-    pub node: usize,
-    /// When it dies.
-    pub trigger: CrashTrigger,
 }
 
 impl ClusterConfig {
@@ -105,7 +93,6 @@ impl ClusterConfig {
             mpi_hybrid_aware: false,
             faults: FaultConfig::off(),
             link_faults: LinkFaultConfig::off(),
-            node_crash: None,
             nodes_per_rack: 16,
             domain_faults: DomainFaultConfig::off(),
             domain_events: Vec::new(),
@@ -143,12 +130,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Arm a fail-stop node crash.
-    pub fn with_node_crash(mut self, node: usize, trigger: CrashTrigger) -> Self {
-        self.node_crash = Some(NodeCrash { node, trigger });
-        self
-    }
-
     /// Set the failure-domain layout (nodes per rack).
     pub fn with_domains(mut self, nodes_per_rack: u32) -> Self {
         assert!(nodes_per_rack >= 1);
@@ -162,7 +143,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Inject one deterministic domain event ("kill rack 1 at t=X").
+    /// Inject one deterministic domain event ("kill rack 1 at t=X"). A
+    /// fixed-time fail-stop of one node is an event at node scope.
     pub fn with_domain_event(mut self, event: DomainEvent) -> Self {
         self.domain_events.push(event);
         self

@@ -31,7 +31,7 @@ pub mod recovery;
 pub mod sim;
 pub mod tenancy;
 
-pub use config::{ClusterConfig, NodeCrash, OsVariant};
+pub use config::{ClusterConfig, OsVariant};
 pub use node::NodeError;
 pub use recovery::{
     run_resilient, BuddyPlacement, HierarchicalCkpt, RecoveryCosts, RecoveryPolicy, RecoveryReport,

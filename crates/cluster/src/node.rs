@@ -12,9 +12,9 @@ use crate::config::{ClusterConfig, OsVariant};
 use hlwk_core::abi::{encode_result, Errno, Fd, Pid, Sysno, Tid};
 use hlwk_core::costs::CostModel;
 use hlwk_core::ihk::delegator::DispatchAction;
-use hlwk_core::ihk::ikc::{message_checksum, ControlMsg, IkcPair, MsgKind};
-use hlwk_core::ihk::manager::HeartbeatMonitor;
+use hlwk_core::ihk::ikc::{message_checksum, IkcChannel, IkcPair, MsgKind};
 use hlwk_core::ihk::partition::PartitionError;
+use hlwk_core::ihk::DEATH_CONFIRMATION;
 use hlwk_core::mck::domains::{DomainId, DomainModel};
 use hlwk_core::mck::mem::FaultOutcome;
 use hlwk_core::mck::syscall::{Disposition, RetryPolicy, SyscallReply, SyscallRequest};
@@ -140,7 +140,8 @@ pub struct NodeRuntime {
     pub alive: bool,
     /// Offload retransmissions performed (timeouts, NACKs, back-pressure).
     pub offload_retries: u64,
-    /// Checksum NACKs exchanged over IKC.
+    /// Checksum failures answered with a NACK: a modeled turnaround on
+    /// the offload path, not a message on IKC.
     pub nacks: u64,
     /// Offloads that ultimately failed with `-EIO` (proxy dead or retry
     /// budget exhausted).
@@ -165,8 +166,16 @@ pub struct NodeRuntime {
     /// reproduce locally. McKernel itself holds no fd table (fd state
     /// lives in Linux's VFS), so the bypass layer keeps this node-side
     /// shadow; any fd it has no lease for falls back to offload, and
-    /// `close()`, job reap, and proxy death all revoke leases.
+    /// `close()` and proxy death revoke leases.
     fd_lease: Vec<u8>,
+}
+
+/// Receive the message just sent on `ch` and decode it, or `None` when
+/// its checksum fails (the receiver then NACKs).
+fn recv_verified<T>(ch: &mut IkcChannel, decode: impl Fn(&[u8]) -> Option<T>) -> Option<T> {
+    let msg = ch.recv_ref().expect("just sent");
+    msg.verify()
+        .then(|| decode(msg.payload).expect("a verified message decodes"))
 }
 
 /// No offloaded call has classified this fd yet (or it was closed).
@@ -207,6 +216,8 @@ impl NodeRuntime {
         // --- Linux boot over its cores. ---
         let noise = NoiseConfig {
             isolcpus: cfg.isolcpus().into_iter().collect(),
+            // Hadoop's NodeManager heartbeats, HDFS I/O and GbE traffic
+            // raise kernel-thread activity 4x node-wide.
             daemon_activity: if cfg.insitu { 4.0 } else { 1.0 },
             // Memory pressure (and hence reclaim) lives on NUMA 0: the
             // analytics job's domain, and where Linux itself booted.
@@ -458,7 +469,7 @@ impl NodeRuntime {
     /// retransmitted after a timeout with exponential backoff, checksum
     /// failures are NACKed and resent, duplicate deliveries are absorbed
     /// by the delegator's completed-reply cache, and a proxy crash turns
-    /// into `-EIO` after heartbeat-bounded detection plus full partition
+    /// into `-EIO` after [`DEATH_CONFIRMATION`] plus full partition
     /// reclamation. With the fault plan inactive the timing and results
     /// are identical to the fault-free path.
     pub fn offload_syscall(&mut self, sysno: Sysno, args: [u64; 6], at: Cycles) -> (i64, Cycles) {
@@ -480,8 +491,8 @@ impl NodeRuntime {
             return Err(NodeError::NodeDead { node: self.id });
         }
         if self.os == OsVariant::McKernel && !self.proxy_alive {
-            // The LWK already knows the proxy is gone (ControlMsg::ProxyDead):
-            // offloads fail fast without touching IKC.
+            // The LWK already knows the proxy is gone: offloads fail
+            // fast without touching IKC.
             self.offload_eio += 1;
             return Ok((-(Errno::EIO as i64), at + self.costs.lwk_syscall));
         }
@@ -510,11 +521,7 @@ impl NodeRuntime {
         Ok(match outcome {
             SyscallOutcome::Offload { req, cost } => {
                 let (ret, done) = self.drive_offload(req, at + cost);
-                // Feed the heat profiler the observed roundtrip and keep
-                // the promotability lease in sync with offload results.
-                if let Some(m) = self.mck.as_mut() {
-                    m.prof.record_cycles(self.app_pid, sysno, done - at);
-                }
+                // Keep the promotability lease in sync with offload results.
                 if self.mck.as_ref().is_some_and(|m| m.bypass.enabled) {
                     self.note_offload_result(sysno, &args, ret);
                 }
@@ -557,7 +564,7 @@ impl NodeRuntime {
                 // locally; everything else (devices, /proc, unknown
                 // fds) stays offloaded. A held lease is an invariant,
                 // not a hint: every way a VFS entry can disappear
-                // (close, job reap, proxy death) also revokes it, so
+                // (close, proxy death) also revokes it, so
                 // the hot path skips re-validating against the VFS.
                 if self.lease(args[0]) != LEASE_REGULAR {
                     return None;
@@ -789,9 +796,9 @@ impl NodeRuntime {
     /// Allocation discipline: the request is serialized exactly once into
     /// the node's reusable wire buffer (CRC computed over those bytes at
     /// the same time); every retransmit replays the buffer through
-    /// [`IkcChannel::send_encoded`](hlwk_core::ihk::ikc::IkcChannel);
-    /// replies and NACKs are encoded straight into ring slots and read
-    /// back by reference. Steady state allocates nothing.
+    /// [`IkcChannel::send_encoded`];
+    /// replies are encoded straight into ring slots and read back by
+    /// reference. Steady state allocates nothing.
     fn drive_offload(&mut self, req: SyscallRequest, start: Cycles) -> (i64, Cycles) {
         // Encode-once: take the scratch buffer out of self so the borrow
         // checker lets the retry loop borrow self freely.
@@ -868,22 +875,11 @@ impl NodeRuntime {
                 self.ikc.to_linux.corrupt_newest(seq);
             }
             let delivered = now + costs.ikc_ipi + stall + req_delay;
-            let wire_req = {
-                let msg = self.ikc.to_linux.recv_ref().expect("just sent");
-                if msg.verify() {
-                    Some(SyscallRequest::decode(msg.payload).expect("verified request decodes"))
-                } else {
-                    None
-                }
-            };
-            let Some(wire_req) = wire_req else {
+            let Some(wire_req) = recv_verified(&mut self.ikc.to_linux, SyscallRequest::decode)
+            else {
                 // Checksum failure on arrival: the delegator NACKs and the
-                // LWK retransmits immediately (no timeout wait).
-                self.ikc
-                    .to_lwk
-                    .send_with(MsgKind::Control, |b| ControlMsg::Nack { seq }.encode_into(b))
-                    .expect("IKC queue sized for the workload");
-                let _ = self.ikc.to_lwk.recv_ref();
+                // LWK retransmits immediately (no timeout wait). The NACK
+                // costs one send and one IPI back to the LWK.
                 self.nacks += 1;
                 self.offload_retries += 1;
                 attempt += 1;
@@ -960,111 +956,37 @@ impl NodeRuntime {
             if let Some(flip) = corrupt_rep {
                 self.ikc.to_lwk.corrupt_newest(flip);
             }
-            // Batched receive: one drain consumes the whole Linux→LWK
-            // backlog instead of one recv per poll.
-            if self.drain_replies(seq).is_none() {
-                // The LWK NACKs; the delegator resends from its cache on
-                // the retransmitted request.
-                self.ikc
-                    .to_linux
-                    .send_with(MsgKind::Control, |b| ControlMsg::Nack { seq }.encode_into(b))
-                    .expect("IKC queue sized for the workload");
-                let _ = self.ikc.to_linux.recv_ref();
+            let Some(wire_rep) = recv_verified(&mut self.ikc.to_lwk, SyscallReply::decode) else {
+                // The LWK NACKs, at the same turnaround cost, and the
+                // delegator resends from its cache on the retransmitted
+                // request.
                 self.nacks += 1;
                 self.offload_retries += 1;
                 attempt += 1;
                 now = dispatched + wake_service + costs.ikc_send + costs.ikc_ipi;
                 continue;
-            }
+            };
+            debug_assert_eq!(wire_rep, reply);
             let finish =
                 dispatched + wake_service + costs.ikc_send + costs.ikc_ipi + rep_delay;
             return (reply.ret, finish);
         }
     }
 
-    /// Drain every message queued toward the LWK in a single pass and
-    /// return the verified reply for `want_seq` if the batch held one.
-    /// Anything else in the backlog (stale `-EIO` replies, control
-    /// traffic, corrupted frames) is consumed along the way; a reply
-    /// that fails its checksum is treated as not-received so the caller
-    /// NACKs exactly as it would for a lone corrupted message.
-    fn drain_replies(&mut self, want_seq: u64) -> Option<SyscallReply> {
-        let mut found = None;
-        while let Some(m) = self.ikc.to_lwk.recv_ref() {
-            if m.kind != MsgKind::SyscallReply || !m.verify() {
-                continue;
-            }
-            if let Some(rep) = SyscallReply::decode(m.payload) {
-                if rep.seq == want_seq {
-                    found = Some(rep);
-                }
-            }
-        }
-        found
-    }
-
-    /// The proxy died. Heartbeats go unanswered until the monitor declares
-    /// death (bounded by `detection_bound`), then Linux reaps the proxy:
-    /// stranded offloads are answered with `-EIO` over IKC, the LWK
+    /// The proxy died. Its heartbeats go unanswered for
+    /// [`DEATH_CONFIRMATION`]; then Linux reaps the proxy, the LWK
     /// application is SIGKILLed, tracking objects are dropped and the
     /// whole partition (cores + memory) returns to Linux. Returns the
     /// instant recovery completes.
     fn handle_proxy_death(&mut self, now: Cycles) -> Cycles {
-        let mut hb = HeartbeatMonitor::paper_default();
-        let mut t = now;
-        loop {
-            if let Some(beat) = hb.poll(t) {
-                // Probe the proxy over the control channel; a dead proxy
-                // never acks.
-                self.ikc
-                    .to_linux
-                    .send_with(MsgKind::Control, |b| {
-                        ControlMsg::Heartbeat { beat }.encode_into(b)
-                    })
-                    .expect("IKC queue sized for the workload");
-                let _ = self.ikc.to_linux.recv_ref();
-            }
-            if hb.is_dead() {
-                break;
-            }
-            t += hb.interval;
-        }
-        debug_assert!(t - now <= hb.detection_bound());
         let proxy_pid = self.proxy_pid.take().expect("proxy was alive");
         let (stranded, app_pid) = self
             .linux
             .kill_proxy(proxy_pid)
             .expect("proxy was registered");
-        // Stranded in-flight offloads come back as -EIO replies over IKC,
-        // batched: enqueue the whole teardown backlog, drain it once
-        // (draining mid-way only if the ring back-pressures).
-        for rep in &stranded {
-            debug_assert_eq!(rep.ret, -(Errno::EIO as i64));
-            if self
-                .ikc
-                .to_lwk
-                .send_with(MsgKind::SyscallReply, |b| rep.encode_into(b))
-                .is_err()
-            {
-                while self.ikc.to_lwk.recv_ref().is_some() {}
-                self.ikc
-                    .to_lwk
-                    .send_with(MsgKind::SyscallReply, |b| rep.encode_into(b))
-                    .expect("just drained");
-            }
-        }
-        // Tell the LWK; it SIGKILLs the orphaned application.
-        self.ikc
-            .to_lwk
-            .send_with(MsgKind::Control, |b| {
-                ControlMsg::ProxyDead {
-                    proxy_pid: proxy_pid.0,
-                }
-                .encode_into(b)
-            })
-            .expect("IKC queue sized for the workload");
-        // One batched drain delivers everything to the LWK side.
-        while self.ikc.to_lwk.recv_ref().is_some() {}
+        // A node drives one offload at a time, and the offload that finds
+        // the proxy dead is not in the delegator's in-flight table.
+        debug_assert!(stranded.is_empty(), "{} offloads stranded", stranded.len());
         if let Some(mck) = self.mck.as_mut() {
             let killed = mck.kill_process(app_pid);
             debug_assert!(killed, "application existed");
@@ -1080,7 +1002,7 @@ impl NodeRuntime {
                 .expect("instance was booted");
         }
         self.proxy_alive = false;
-        t + self.costs.delegator_dispatch
+        now + DEATH_CONFIRMATION + self.costs.delegator_dispatch
     }
 
     /// Kill the proxy process now (external fault injection entry point,
@@ -1097,11 +1019,11 @@ impl NodeRuntime {
     }
 
     /// Fail-stop the whole node at `at`. On McKernel the proxy-death
-    /// recovery flow runs first (heartbeat-bounded detection, stranded
-    /// `-EIO` replies, partition reclamation — node death kills the
-    /// proxy along with everything else); either way the node stops
-    /// executing and later operations fail with
-    /// [`NodeError::NodeDead`]. Returns when local teardown completed.
+    /// recovery flow runs first ([`DEATH_CONFIRMATION`], then partition
+    /// reclamation — node death kills the proxy along with everything
+    /// else); either way the node stops executing and later operations
+    /// fail with [`NodeError::NodeDead`]. Returns when local teardown
+    /// completed.
     /// Peers detect the death separately, through the fabric.
     pub fn crash_node(&mut self, at: Cycles) -> Cycles {
         let done = if self.os == OsVariant::McKernel && self.proxy_alive {
@@ -1331,19 +1253,6 @@ impl NodeRuntime {
         }
         Ok(())
     }
-
-    /// Tear the job down. McKernel nodes must return to a pristine LWK —
-    /// the paper reinitializes McKernel between runs (Sec. IV-B3).
-    pub fn reap_job(&mut self) {
-        if let Some(mck) = self.mck.as_mut() {
-            mck.reap_process(self.app_pid);
-            assert!(mck.is_pristine(), "reinit policy violated");
-        }
-        if let Some(proxy) = self.proxy_pid {
-            self.linux.reap_proxy(proxy);
-        }
-        self.fd_lease.clear();
-    }
 }
 
 #[cfg(test)]
@@ -1400,7 +1309,6 @@ mod tests {
             .filter(|&&c| !mck.threads_on(c).is_empty())
             .count();
         assert_eq!(spread, 8.min(width0), "threads spread across the gang");
-        n.reap_job();
     }
 
     #[test]
@@ -1587,7 +1495,8 @@ mod tests {
         let at = Cycles::from_ms(1);
         let done = n.crash_node(at);
         // McKernel death runs the proxy-death recovery flow first.
-        assert!(done > at, "heartbeat detection takes time");
+        let dispatch = CostModel::default().delegator_dispatch;
+        assert_eq!(done, at + DEATH_CONFIRMATION + dispatch);
         assert!(!n.alive);
         assert!(!n.proxy_alive);
         assert!(n.mck.is_none(), "partition reclaimed");
@@ -1608,13 +1517,6 @@ mod tests {
             n.try_offload_syscall(Sysno::Getpid, [0; 6], at),
             Err(NodeError::NodeDead { node: 0 })
         ));
-    }
-
-    #[test]
-    fn reap_restores_pristine_lwk() {
-        let mut n = build(OsVariant::McKernel, false);
-        n.reap_job();
-        assert!(n.mck.as_ref().unwrap().is_pristine());
     }
 
     /// Arm the bypass programmatically (tests never touch the process

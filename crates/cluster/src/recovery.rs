@@ -34,7 +34,7 @@
 //! the termination proptest in `tests/proptest_recovery.rs`).
 
 use crate::sim::Cluster;
-use hlwk_core::ihk::manager::HeartbeatMonitor;
+use hlwk_core::ihk::DEATH_CONFIRMATION;
 use mpisim::{FailureBatch, RankFailure};
 use simcore::fault::DomainTopology;
 use simcore::Cycles;
@@ -219,9 +219,9 @@ pub struct RecoveryReport {
     pub redone_iters: u32,
     /// Checkpoints written.
     pub checkpoints: u32,
-    /// For the first failure: detector firing to cluster-level
-    /// confirmation (heartbeat sweep), the paper-style detection
-    /// latency.
+    /// For the first failure: the node's death (its suspicion, when the
+    /// fabric recorded no death) to cluster-level confirmation, the
+    /// paper-style detection latency.
     pub detection_latency: Option<Cycles>,
     /// Ranks still alive at completion.
     pub survivors: usize,
@@ -259,28 +259,6 @@ impl RecoveryReport {
             steps: 0,
         }
     }
-}
-
-/// Confirm a suspected death at cluster scope. The observer's failure
-/// detector fired at `suspected_at` (straggler timeout or retry-budget
-/// exhaustion); the job runtime then sweeps the suspect with the same
-/// heartbeat machinery the LWK uses for its proxy
-/// ([`HeartbeatMonitor::paper_default`]: misses are declared after a
-/// bounded number of unanswered probes), so confirmation lags suspicion
-/// by at most [`HeartbeatMonitor::detection_bound`].
-fn confirm_death(suspected_at: Cycles) -> Cycles {
-    let mut hb = HeartbeatMonitor::paper_default();
-    let mut t = suspected_at;
-    loop {
-        // A dead node never answers the probe.
-        let _ = hb.poll(t);
-        if hb.is_dead() {
-            break;
-        }
-        t += hb.interval;
-    }
-    debug_assert!(t - suspected_at <= hb.detection_bound());
-    t
 }
 
 /// Run `app` on the whole cluster under `policy`, surviving node
@@ -333,7 +311,10 @@ pub fn run_resilient(
                 report.ranks_lost += 1;
                 let dead_rank = f.rank;
                 let dead_node = ranks[dead_rank];
-                let confirmed = confirm_death(f.detected_at);
+                // The observer's failure detector fired at `detected_at`
+                // (straggler timeout or retry-budget exhaustion); the job
+                // runtime's heartbeats confirm the death.
+                let confirmed = f.detected_at + DEATH_CONFIRMATION;
                 if report.detection_latency.is_none() {
                     // Paper-style metric: actual death (if the fabric
                     // knows it) to cluster-level confirmation.
@@ -492,7 +473,7 @@ fn run_hierarchical(
             Ok(()) => iter += 1,
             Err(f) => {
                 report.failures += 1;
-                let confirmed = confirm_death(f.detected_at);
+                let confirmed = f.detected_at + DEATH_CONFIRMATION;
                 if report.detection_latency.is_none() {
                     let died = cluster
                         .fabric
@@ -610,14 +591,23 @@ mod tests {
     use super::*;
     use crate::config::{ClusterConfig, OsVariant};
     use netsim::reliable::CrashTrigger;
+    use simcore::fault::{DomainEvent, DomainEventKind, DomainScope};
 
     fn cluster(os: OsVariant, nodes: u32, crash_at: Option<Cycles>) -> Cluster {
         let mut cfg = ClusterConfig::paper(os).with_nodes(nodes).with_seed(99);
         cfg.horizon_secs = 30;
         if let Some(at) = crash_at {
-            cfg = cfg.with_node_crash(1, CrashTrigger::AtTime(at));
+            cfg = cfg.with_domain_event(fail_stop(DomainScope::Node(1), at));
         }
         Cluster::build(cfg)
+    }
+
+    fn fail_stop(scope: DomainScope, at: Cycles) -> DomainEvent {
+        DomainEvent {
+            at,
+            scope,
+            kind: DomainEventKind::FailStop,
+        }
     }
 
     fn short_app() -> MiniApp {
@@ -723,7 +713,7 @@ mod tests {
         os: OsVariant,
         nodes: u32,
         nodes_per_rack: u32,
-        event: Option<simcore::fault::DomainEvent>,
+        event: Option<DomainEvent>,
     ) -> Cluster {
         let mut cfg = ClusterConfig::paper(os)
             .with_nodes(nodes)
@@ -734,14 +724,6 @@ mod tests {
             cfg = cfg.with_domain_event(ev);
         }
         Cluster::build(cfg)
-    }
-
-    fn rack_kill(rack: usize, at: Cycles) -> simcore::fault::DomainEvent {
-        simcore::fault::DomainEvent {
-            at,
-            scope: simcore::fault::DomainScope::Rack(rack),
-            kind: simcore::fault::DomainEventKind::FailStop,
-        }
     }
 
     #[test]
@@ -822,7 +804,7 @@ mod tests {
         // with their originals, so recovery must use the last global
         // checkpoint; cross-rack buddies survive and serve the restore.
         let app = MiniApp { iterations: 12, ..MiniApp::hpccg() };
-        let kill = rack_kill(1, Cycles::from_ms(1600));
+        let kill = fail_stop(DomainScope::Rack(1), Cycles::from_ms(1600));
         let run = |buddy| {
             let mut c = domain_cluster(OsVariant::McKernel, 8, 4, Some(kill));
             run_resilient(
@@ -856,7 +838,7 @@ mod tests {
     #[test]
     fn degraded_mode_completes_where_abort_mode_loses() {
         let app = MiniApp { iterations: 12, ..MiniApp::hpccg() };
-        let kill = rack_kill(1, Cycles::from_ms(1600));
+        let kill = fail_stop(DomainScope::Rack(1), Cycles::from_ms(1600));
         let abort = {
             let mut c = domain_cluster(OsVariant::McKernel, 8, 4, Some(kill));
             run_resilient(
@@ -892,7 +874,7 @@ mod tests {
         // victim at a time (a rollback per rank); the hierarchical
         // policy drains the whole batch in one detection window.
         let app = MiniApp { iterations: 12, ..MiniApp::hpccg() };
-        let kill = rack_kill(1, Cycles::from_ms(1600));
+        let kill = fail_stop(DomainScope::Rack(1), Cycles::from_ms(1600));
         let mut c = domain_cluster(OsVariant::McKernel, 8, 4, Some(kill));
         let blocking = run_resilient(
             &mut c,
@@ -925,7 +907,8 @@ mod tests {
     #[test]
     fn every_policy_terminates_under_in_flight_crash() {
         // AfterSends trigger: the node dies mid-protocol rather than at
-        // a tidy time boundary.
+        // a tidy time boundary. Armed on the built cluster's fabric, as
+        // `Cluster::build` arms a domain event.
         for policy in [
             RecoveryPolicy::Abort,
             RecoveryPolicy::ShrinkAndRedo,
@@ -936,8 +919,8 @@ mod tests {
                 .with_nodes(4)
                 .with_seed(7);
             cfg.horizon_secs = 30;
-            cfg = cfg.with_node_crash(2, CrashTrigger::AfterSends(40));
             let mut c = Cluster::build(cfg);
+            c.fabric.kill_node(2, CrashTrigger::AfterSends(40));
             let res = run_resilient(
                 &mut c,
                 &short_app(),

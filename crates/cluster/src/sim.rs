@@ -8,9 +8,8 @@ use mpisim::collectives::{Ctx, Recorder};
 use mpisim::p2p::P2pParams;
 use mpisim::regcache::RegCache;
 use mpisim::RankFailure;
-use netsim::reliable::CrashTrigger;
 use netsim::{LinkParams, ReliableFabric};
-use simcore::fault::{DomainFaultPlan, DomainTopology};
+use simcore::fault::{domain_fault_events, DomainTopology};
 use simcore::{Cycles, StreamRng};
 use workloads::miniapps::MiniApp;
 use workloads::osu::{self, Collective, OsuConfig, OsuResult};
@@ -28,9 +27,6 @@ pub struct Cluster {
     pub fabric: ReliableFabric,
     /// Failure-domain layout (node → rack).
     pub topo: DomainTopology,
-    /// The correlated-fault schedule, if domain faults were enabled.
-    /// Its events are already applied to the fabric at build time.
-    pub domain_plan: Option<DomainFaultPlan>,
     params: P2pParams,
     regcaches: Vec<RegCache>,
     recorder: Recorder,
@@ -59,27 +55,19 @@ impl Cluster {
         } else {
             ReliableFabric::new(cfg.nodes as usize, LinkParams::fdr_infiniband())
         };
-        if let Some(crash) = cfg.node_crash {
-            fabric.kill_node(crash.node, crash.trigger);
-        }
         // Correlated domain faults follow the same discipline: a
         // disabled config derives no per-domain streams at all, and
         // deterministic injected events are RNG-free either way.
         let topo = cfg.topology();
-        let domain_plan = cfg.domain_faults.enabled.then(|| {
-            let plan = DomainFaultPlan::new(cfg.domain_faults, topo, &rng);
-            for ev in plan.events() {
-                fabric.apply_domain_event(&topo, ev);
-            }
-            plan
-        });
-        for ev in &cfg.domain_events {
+        for ev in domain_fault_events(cfg.domain_faults, topo, &rng)
+            .iter()
+            .chain(&cfg.domain_events)
+        {
             fabric.apply_domain_event(&topo, ev);
         }
         Cluster {
             fabric,
             topo,
-            domain_plan,
             host: ClusterHost { nodes },
             params: P2pParams::default(),
             regcaches,
@@ -160,11 +148,6 @@ impl Cluster {
             grown.push(n.grow_lwk_core()?);
         }
         Ok(grown)
-    }
-
-    /// Arm a fail-stop node crash (fabric-level: the node stops ACKing).
-    pub fn kill_node(&mut self, node: usize, trigger: CrashTrigger) {
-        self.fabric.kill_node(node, trigger);
     }
 
     /// Run the FWQ probe on node 0's first application core. FWQ is pure

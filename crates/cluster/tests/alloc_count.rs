@@ -1,6 +1,7 @@
-//! Heap allocations on two hot paths, counted by a global allocator: a
-//! steady-state offloaded system call, and a Linux compute quantum once
-//! its core's noise memos are warm.
+//! Heap allocations on three hot paths, counted by a global allocator: a
+//! steady-state offloaded system call, a `read` the bypass serves inside
+//! the LWK, and a Linux compute quantum once its core's noise memos are
+//! warm.
 //!
 //! The allocator counts per thread, since the test harness runs tests on
 //! several threads at once.
@@ -8,6 +9,7 @@
 use cluster::node::NodeRuntime;
 use cluster::{ClusterConfig, OsVariant};
 use hlwk_core::abi::Sysno;
+use hlwk_core::mck::syscall::BypassConfig;
 use hwmodel::cpu::CoreId;
 use linuxsim::daemons::DaemonSource;
 use linuxsim::occupancy::CoreOccupancy;
@@ -84,6 +86,63 @@ fn a_steady_state_offload_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "10,000 offloaded getrandom(64) calls allocated {n} times");
+}
+
+#[test]
+fn a_promoted_read_allocates_nothing() {
+    let mut cfg = ClusterConfig::paper(OsVariant::McKernel).with_nodes(1);
+    cfg.horizon_secs = 5;
+    cfg.bypass = BypassConfig {
+        enabled: true,
+        ..BypassConfig::default()
+    };
+    let mut node = NodeRuntime::build(&cfg, 0, &StreamRng::root(1));
+    // Open a regular file through the offload path, its name written
+    // into the arena the job setup faulted in.
+    let arena = node.arena_va;
+    let pa = node
+        .mck
+        .as_ref()
+        .expect("McKernel node")
+        .process(node.app_pid)
+        .expect("application process")
+        .aspace
+        .pt
+        .translate(arena)
+        .expect("arena faulted at job setup")
+        .phys;
+    node.hw.mem.write(pa, b"/data/input.bin\0");
+    let (fd, mut t) = node.offload_syscall(
+        Sysno::Open,
+        [arena.raw(), 0, 0, 0, 0, 0],
+        Cycles::from_ms(1),
+    );
+    assert!(fd >= 0, "offloaded open failed: {fd}");
+    let mut read = |node: &mut NodeRuntime| {
+        let (ret, done) =
+            node.offload_syscall(Sysno::Read, [fd as u64, arena.raw(), 64, 0, 0, 0], t);
+        assert_eq!(ret, 64);
+        t = done;
+    };
+    // The first reads offload: they heat the profiler until it promotes
+    // `read` and lease the fd as a regular file. Later ones are served
+    // in the LWK.
+    for _ in 0..1_000 {
+        read(&mut node);
+    }
+    let promoted = node.bypass_promoted;
+    assert!(promoted > 0, "the warm-up never promoted a read");
+    let n = allocations(|| {
+        for _ in 0..10_000 {
+            read(&mut node);
+        }
+    });
+    assert_eq!(
+        node.bypass_promoted - promoted,
+        10_000,
+        "every read took the bypass"
+    );
+    assert_eq!(n, 0, "10,000 promoted read(64) calls allocated {n} times");
 }
 
 #[test]

@@ -58,7 +58,8 @@ fn apply_fault(cfg: ClusterConfig, raw: RawFault) -> (ClusterConfig, Option<(usi
             }),
             None,
         ),
-        // In-flight crash: armed on the built cluster, not the config.
+        // In-flight crash: armed on the built cluster's fabric, not the
+        // config.
         _ => (cfg, Some((node, 10 + sel % 200))),
     }
 }
@@ -100,7 +101,7 @@ proptest! {
             }
             let mut c = Cluster::build(cfg);
             for (node, depth) in &in_flight {
-                c.kill_node(*node, CrashTrigger::AfterSends(*depth));
+                c.fabric.kill_node(*node, CrashTrigger::AfterSends(*depth));
             }
             let res = run_resilient(
                 &mut c,

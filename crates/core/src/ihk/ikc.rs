@@ -1,6 +1,7 @@
 //! Inter-Kernel Communication: bounded message queues between McKernel and
-//! Linux, with typed payloads for syscall delegation and control traffic
-//! (heartbeats, NACKs, proxy death).
+//! Linux. IKC carries one thing: a marshalled system call on its way to
+//! the proxy, and the reply coming back. A checksum NACK and proxy-death
+//! detection are time charges on the node's offload path, not messages.
 //!
 //! The channel is the single structure every offloaded syscall crosses
 //! twice, so it is built for **zero steady-state allocation**: a
@@ -19,20 +20,16 @@ pub enum MsgKind {
     SyscallRequest,
     /// Linux -> LWK: offload result.
     SyscallReply,
-    /// Management traffic: a [`ControlMsg`] (heartbeats, NACKs, proxy
-    /// death).
-    Control,
 }
 
 impl MsgKind {
     /// Stable wire tag, mixed into the checksum so a corrupted kind
     /// cannot masquerade as a valid message of another kind. The values
-    /// are fixed wire constants (3 and 4 are unused).
+    /// are fixed wire constants.
     fn tag(self) -> u8 {
         match self {
             MsgKind::SyscallRequest => 1,
             MsgKind::SyscallReply => 2,
-            MsgKind::Control => 5,
         }
     }
 }
@@ -154,69 +151,6 @@ impl WireMsg<'_> {
     /// True when the checksum matches the payload.
     pub fn verify(&self) -> bool {
         self.checksum == message_checksum(self.kind, self.payload)
-    }
-}
-
-/// Management traffic riding the Control kind: liveness heartbeats for
-/// proxy-death detection and NACKs for the corruption/retransmit
-/// protocol.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ControlMsg {
-    /// Linux -> LWK liveness probe for the proxy serving this channel.
-    Heartbeat {
-        /// Monotone heartbeat number.
-        beat: u64,
-    },
-    /// LWK -> Linux (or reverse) acknowledgment of a heartbeat.
-    HeartbeatAck {
-        /// Echoed heartbeat number.
-        beat: u64,
-    },
-    /// Receiver saw a checksum mismatch: retransmit offload `seq`.
-    Nack {
-        /// Sequence number of the corrupted message.
-        seq: u64,
-    },
-    /// Linux announces the proxy died; the LWK must fail over.
-    ProxyDead {
-        /// Pid of the dead proxy process.
-        proxy_pid: u32,
-    },
-}
-
-impl ControlMsg {
-    /// Serialize into `out` (tag byte + one u64 field).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let (tag, val) = match *self {
-            ControlMsg::Heartbeat { beat } => (1u8, beat),
-            ControlMsg::HeartbeatAck { beat } => (2, beat),
-            ControlMsg::Nack { seq } => (3, seq),
-            ControlMsg::ProxyDead { proxy_pid } => (4, u64::from(proxy_pid)),
-        };
-        out.push(tag);
-        out.extend_from_slice(&val.to_le_bytes());
-    }
-
-    /// Serialize: tag byte + one u64 field.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(9);
-        self.encode_into(&mut v);
-        v
-    }
-
-    /// Deserialize; `None` on truncation or an unknown tag.
-    pub fn decode(b: &[u8]) -> Option<Self> {
-        if b.len() != 9 {
-            return None;
-        }
-        let val = u64::from_le_bytes(b[1..9].try_into().ok()?);
-        match b[0] {
-            1 => Some(ControlMsg::Heartbeat { beat: val }),
-            2 => Some(ControlMsg::HeartbeatAck { beat: val }),
-            3 => Some(ControlMsg::Nack { seq: val }),
-            4 => u32::try_from(val).ok().map(|proxy_pid| ControlMsg::ProxyDead { proxy_pid }),
-            _ => None,
-        }
     }
 }
 
@@ -475,27 +409,27 @@ mod tests {
     #[test]
     fn bounded_queue_back_pressures() {
         let mut ch = IkcChannel::new(2);
-        ch.send_with(MsgKind::Control, |_| {}).unwrap();
-        ch.send_with(MsgKind::Control, |_| {}).unwrap();
-        assert_eq!(ch.send_with(MsgKind::Control, |_| {}), Err(IkcFull));
+        ch.send_with(MsgKind::SyscallRequest, |_| {}).unwrap();
+        ch.send_with(MsgKind::SyscallRequest, |_| {}).unwrap();
+        assert_eq!(ch.send_with(MsgKind::SyscallRequest, |_| {}), Err(IkcFull));
         assert_eq!(ch.stats(), (2, 0, 1));
         ch.recv_ref().unwrap();
-        ch.send_with(MsgKind::Control, |_| {}).unwrap();
+        ch.send_with(MsgKind::SyscallRequest, |_| {}).unwrap();
     }
 
     #[test]
     fn non_power_of_two_capacity_back_pressures_exactly() {
         let mut ch = IkcChannel::new(3);
         for _ in 0..3 {
-            ch.send_with(MsgKind::Control, |_| {}).unwrap();
+            ch.send_with(MsgKind::SyscallRequest, |_| {}).unwrap();
         }
         assert_eq!(
-            ch.send_with(MsgKind::Control, |_| {}),
+            ch.send_with(MsgKind::SyscallRequest, |_| {}),
             Err(IkcFull),
             "capacity 3, not 4"
         );
         ch.recv_ref().unwrap();
-        ch.send_with(MsgKind::Control, |_| {}).unwrap();
+        ch.send_with(MsgKind::SyscallRequest, |_| {}).unwrap();
         assert_eq!(ch.len(), 3);
     }
 
@@ -567,7 +501,7 @@ mod tests {
         ch.corrupt_newest(13);
         assert!(!ch.recv_ref().unwrap().verify());
         // Empty payloads corrupt through the checksum.
-        ch.send_with(MsgKind::Control, |_| {}).unwrap();
+        ch.send_with(MsgKind::SyscallRequest, |_| {}).unwrap();
         ch.corrupt_newest(0);
         assert!(!ch.recv_ref().unwrap().verify());
         // Corrupting an empty channel is a no-op.
@@ -630,31 +564,11 @@ mod tests {
             .unwrap();
         assert!(ch.recv_ref().unwrap().verify(), "pristine copy verifies");
         // Empty payloads are covered through the checksum itself.
-        ch.send_with(MsgKind::Control, |_| {}).unwrap();
+        ch.send_with(MsgKind::SyscallRequest, |_| {}).unwrap();
         assert!(ch.recv_ref().unwrap().verify());
-        ch.send_with(MsgKind::Control, |_| {}).unwrap();
+        ch.send_with(MsgKind::SyscallRequest, |_| {}).unwrap();
         ch.corrupt_newest(0);
         assert!(!ch.recv_ref().unwrap().verify());
-    }
-
-    #[test]
-    fn control_messages_round_trip() {
-        let mut ch = IkcChannel::new(1);
-        for msg in [
-            ControlMsg::Heartbeat { beat: 3 },
-            ControlMsg::HeartbeatAck { beat: 3 },
-            ControlMsg::Nack { seq: 99 },
-            ControlMsg::ProxyDead { proxy_pid: 500 },
-        ] {
-            assert_eq!(ControlMsg::decode(&msg.encode()), Some(msg));
-            ch.send_with(MsgKind::Control, |b| msg.encode_into(b))
-                .unwrap();
-            let wrapped = ch.recv_ref().unwrap();
-            assert!(wrapped.verify());
-            assert_eq!(ControlMsg::decode(wrapped.payload), Some(msg));
-        }
-        assert_eq!(ControlMsg::decode(&[1, 0, 0]), None);
-        assert_eq!(ControlMsg::decode(&[9; 9]), None);
     }
 
     #[test]

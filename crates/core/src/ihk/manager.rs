@@ -161,89 +161,6 @@ impl IhkManager {
     }
 }
 
-/// Liveness tracking for one proxy process via heartbeat `Control`
-/// messages over IKC.
-///
-/// The delegator side sends `Heartbeat { beat }` every
-/// [`interval`](HeartbeatMonitor::interval); the proxy answers with
-/// `HeartbeatAck`. If [`miss_threshold`](HeartbeatMonitor::miss_threshold)
-/// consecutive beats go unanswered the proxy is declared dead, which
-/// upper layers turn into `-EIO` replies for stranded offloads, a
-/// SIGKILL for the LWK application, and partition reclamation. The
-/// detection latency is therefore bounded by
-/// `interval * miss_threshold` ([`detection_bound`](HeartbeatMonitor::detection_bound)).
-#[derive(Clone, Copy, Debug)]
-pub struct HeartbeatMonitor {
-    /// Time between heartbeat probes.
-    pub interval: simcore::Cycles,
-    /// Consecutive unanswered beats that declare death.
-    pub miss_threshold: u32,
-    next_beat: u64,
-    last_acked: u64,
-    next_due: simcore::Cycles,
-    dead: bool,
-}
-
-impl HeartbeatMonitor {
-    /// Monitor with the given probe interval and miss threshold.
-    pub fn new(interval: simcore::Cycles, miss_threshold: u32) -> Self {
-        assert!(miss_threshold >= 1);
-        HeartbeatMonitor {
-            interval,
-            miss_threshold,
-            next_beat: 0,
-            last_acked: 0,
-            next_due: simcore::Cycles::ZERO,
-            dead: false,
-        }
-    }
-
-    /// Default tuning: 100 us probes, 3 misses — death is detected
-    /// within 300 us of the proxy's last sign of life.
-    pub fn paper_default() -> Self {
-        HeartbeatMonitor::new(simcore::Cycles::from_us(100), 3)
-    }
-
-    /// Worst-case time from proxy death to detection.
-    pub fn detection_bound(&self) -> simcore::Cycles {
-        self.interval * u64::from(self.miss_threshold)
-    }
-
-    /// If a probe is due at `now`, emit its beat number and schedule
-    /// the next one. Declares death when the ack deficit reaches the
-    /// threshold.
-    pub fn poll(&mut self, now: simcore::Cycles) -> Option<u64> {
-        if self.dead || now < self.next_due {
-            return None;
-        }
-        let outstanding = self.next_beat - self.last_acked;
-        if outstanding >= u64::from(self.miss_threshold) {
-            self.dead = true;
-            return None;
-        }
-        self.next_beat += 1;
-        self.next_due = now + self.interval;
-        Some(self.next_beat)
-    }
-
-    /// Record an ack for `beat` (acks may arrive out of order; only
-    /// the newest matters).
-    pub fn ack(&mut self, beat: u64) {
-        self.last_acked = self.last_acked.max(beat.min(self.next_beat));
-    }
-
-    /// True once the miss threshold was reached.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
-    /// Force the dead state (e.g. Linux reaped the proxy and told us
-    /// directly via `ControlMsg::ProxyDead`).
-    pub fn mark_dead(&mut self) {
-        self.dead = true;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,52 +238,6 @@ mod tests {
             Err(PartitionError::NotReserved)
         );
         ihk.shrink_os(idx, &[CoreId(18)]).unwrap();
-    }
-
-    #[test]
-    fn heartbeat_detects_death_within_bound() {
-        use simcore::Cycles;
-        let mut hb = HeartbeatMonitor::new(Cycles::from_us(100), 3);
-        assert_eq!(hb.detection_bound(), Cycles::from_us(300));
-        // Healthy proxy: probe, ack, repeat.
-        let mut now = Cycles::ZERO;
-        for _ in 0..5 {
-            let beat = hb.poll(now).expect("probe due");
-            hb.ack(beat);
-            now += hb.interval;
-        }
-        assert!(!hb.is_dead());
-        // Proxy dies: probes go unanswered; death within the bound.
-        let died_at = now;
-        let mut detected_at = None;
-        for _ in 0..10 {
-            hb.poll(now);
-            if hb.is_dead() {
-                detected_at = Some(now);
-                break;
-            }
-            now += hb.interval;
-        }
-        let detected_at = detected_at.expect("death detected");
-        assert!(detected_at - died_at <= hb.detection_bound());
-    }
-
-    #[test]
-    fn heartbeat_not_due_before_interval() {
-        use simcore::Cycles;
-        let mut hb = HeartbeatMonitor::new(Cycles::from_us(100), 3);
-        let b = hb.poll(Cycles::ZERO).expect("first probe fires at 0");
-        hb.ack(b);
-        assert_eq!(hb.poll(Cycles::from_us(50)), None, "not due yet");
-        assert!(hb.poll(Cycles::from_us(100)).is_some());
-    }
-
-    #[test]
-    fn mark_dead_is_terminal() {
-        let mut hb = HeartbeatMonitor::paper_default();
-        hb.mark_dead();
-        assert!(hb.is_dead());
-        assert_eq!(hb.poll(simcore::Cycles::from_secs(1)), None);
     }
 
     #[test]

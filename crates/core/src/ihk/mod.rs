@@ -12,3 +12,11 @@ pub mod delegator;
 pub mod ikc;
 pub mod manager;
 pub mod partition;
+
+use simcore::Cycles;
+
+/// How long a peer's death takes to confirm once it is suspected: three
+/// 100 µs heartbeat probes go unanswered. A dead peer never acks, so the
+/// confirmation is this closed form, whether the LWK confirms its proxy
+/// or the job runtime confirms a node.
+pub const DEATH_CONFIRMATION: Cycles = Cycles::from_us(300);

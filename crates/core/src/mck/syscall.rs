@@ -241,7 +241,7 @@ pub struct BypassConfig {
     /// exactly as before, and the promotion check costs nothing.
     pub enabled: bool,
     /// A (pid, sysno) pair is promoted once the profiler has seen this
-    /// many offloaded executions of it (the EWMA then has a signal).
+    /// many offloaded executions of it.
     /// `u64::MAX` arms the machinery without ever promoting — the
     /// "on-but-cold" determinism smoke.
     pub promote_after: u64,
@@ -261,25 +261,15 @@ impl Default for BypassConfig {
     }
 }
 
-/// Per-(pid, sysno) heat entry.
-#[derive(Clone, Copy, Debug, Default)]
-struct Heat {
-    /// Executions observed (local count, not a trace counter).
-    count: u64,
-    /// EWMA of the observed per-call cost in raw cycles (α = 1/8,
-    /// integer arithmetic so replays are bit-identical). 0 = no sample.
-    ewma_raw: u64,
-}
-
-/// Per-process syscall heat profiler: counts plus an EWMA of observed
-/// cycles per [`Sysno`], driving the [`Disposition::Promoted`] tier.
+/// Per-process syscall heat profiler: an execution count per
+/// (pid, [`Sysno`]), driving the [`Disposition::Promoted`] tier.
 ///
 /// Recording is branch-light bookkeeping on the LWK side of the offload
 /// path; it charges no modeled cycles, so arming the profiler never
 /// perturbs figure output.
 #[derive(Debug, Default)]
 pub struct SyscallProfiler {
-    heat: FastMap<(Pid, u32), Heat>,
+    heat: FastMap<(Pid, u32), u64>,
 }
 
 impl SyscallProfiler {
@@ -290,32 +280,14 @@ impl SyscallProfiler {
 
     /// Record one execution of `sysno` by `pid`; returns the new count.
     pub fn record_call(&mut self, pid: Pid, sysno: Sysno) -> u64 {
-        let h = self.heat.entry((pid, sysno.nr())).or_default();
-        h.count += 1;
-        h.count
-    }
-
-    /// Fold one observed per-call cost into the EWMA (α = 1/8).
-    pub fn record_cycles(&mut self, pid: Pid, sysno: Sysno, cost: Cycles) {
-        let h = self.heat.entry((pid, sysno.nr())).or_default();
-        if h.ewma_raw == 0 {
-            h.ewma_raw = cost.raw();
-        } else {
-            h.ewma_raw = h.ewma_raw - h.ewma_raw / 8 + cost.raw() / 8;
-        }
+        let count = self.heat.entry((pid, sysno.nr())).or_default();
+        *count += 1;
+        *count
     }
 
     /// Executions recorded for (pid, sysno).
     pub fn count(&self, pid: Pid, sysno: Sysno) -> u64 {
-        self.heat.get(&(pid, sysno.nr())).map_or(0, |h| h.count)
-    }
-
-    /// Smoothed per-call cost, if any sample landed yet.
-    pub fn ewma(&self, pid: Pid, sysno: Sysno) -> Option<Cycles> {
-        match self.heat.get(&(pid, sysno.nr())) {
-            Some(h) if h.ewma_raw > 0 => Some(Cycles(h.ewma_raw)),
-            _ => None,
-        }
+        self.heat.get(&(pid, sysno.nr())).copied().unwrap_or(0)
     }
 
     /// The tiered disposition under `cfg`: [`Disposition::Promoted`] for
@@ -488,15 +460,9 @@ mod tests {
     }
 
     #[test]
-    fn ewma_tracks_and_forget_clears() {
+    fn forget_clears_the_profile() {
         let mut prof = SyscallProfiler::new();
         let pid = Pid(1000);
-        assert_eq!(prof.ewma(pid, Sysno::Read), None);
-        prof.record_cycles(pid, Sysno::Read, Cycles(8000));
-        assert_eq!(prof.ewma(pid, Sysno::Read), Some(Cycles(8000)), "seeded");
-        prof.record_cycles(pid, Sysno::Read, Cycles(800));
-        // 8000 - 1000 + 100 = 7100: pulled 1/8 toward the new sample.
-        assert_eq!(prof.ewma(pid, Sysno::Read), Some(Cycles(7100)));
         assert_eq!(prof.record_call(pid, Sysno::Read), 1);
         prof.forget(pid);
         assert!(prof.is_empty());

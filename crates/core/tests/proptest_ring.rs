@@ -120,9 +120,9 @@ proptest! {
         for (id, &len) in lens.iter().enumerate() {
             let p = payload(id as u64, len);
             let ck = ch
-                .send_with(MsgKind::Control, |b| b.extend_from_slice(&p))
+                .send_with(MsgKind::SyscallReply, |b| b.extend_from_slice(&p))
                 .expect("one in, one out: never full");
-            prop_assert_eq!(ck, message_checksum(MsgKind::Control, &p));
+            prop_assert_eq!(ck, message_checksum(MsgKind::SyscallReply, &p));
             let m = ch.recv_ref().expect("just sent");
             prop_assert!(m.verify());
             prop_assert_eq!(m.payload, &p[..]);

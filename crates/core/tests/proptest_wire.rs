@@ -3,7 +3,7 @@
 //! must be lossless, and the message checksum must catch every injected
 //! single-bit corruption on the ring path the fault model corrupts.
 
-use hlwk_core::ihk::ikc::{ControlMsg, IkcChannel, MsgKind, WireMsg};
+use hlwk_core::ihk::ikc::{IkcChannel, MsgKind, WireMsg};
 use hlwk_core::mck::syscall::{SyscallReply, SyscallRequest};
 use proptest::prelude::*;
 
@@ -40,7 +40,6 @@ proptest! {
     fn decoders_are_total(bytes in wire_bytes()) {
         let _ = SyscallRequest::decode(&bytes);
         let _ = SyscallReply::decode(&bytes);
-        let _ = ControlMsg::decode(&bytes);
     }
 
     /// Wrong-length input is always rejected, and exact-length garbage
@@ -53,9 +52,6 @@ proptest! {
         }
         if bytes.len() != SyscallReply::WIRE_SIZE {
             prop_assert!(SyscallReply::decode(&bytes).is_none());
-        }
-        if bytes.len() != 9 {
-            prop_assert!(ControlMsg::decode(&bytes).is_none());
         }
     }
 
@@ -72,32 +68,17 @@ proptest! {
         prop_assert_eq!(SyscallReply::decode(&rep.encode()), Some(rep));
     }
 
-    /// encode -> decode is the identity for every control message.
-    #[test]
-    fn control_messages_round_trip(val in 0u64..u64::MAX, pid in 0u32..u32::MAX) {
-        for msg in [
-            ControlMsg::Heartbeat { beat: val },
-            ControlMsg::HeartbeatAck { beat: val },
-            ControlMsg::Nack { seq: val },
-            ControlMsg::ProxyDead { proxy_pid: pid },
-        ] {
-            prop_assert_eq!(ControlMsg::decode(&msg.encode()), Some(msg));
-        }
-    }
-
     /// encode -> corrupt -> verify: the CRC catches every injected
     /// corruption of a ring slot, for every kind the offload path sends,
     /// at every flip position.
     #[test]
     fn corruption_is_always_detected(req in syscall_request(), flip in 0u64..u64::MAX) {
         let rep = SyscallReply { seq: req.seq, ret: req.args[0] as i64 };
-        let nack = ControlMsg::Nack { seq: req.seq };
         let mut ch = IkcChannel::new(1);
-        for kind in [MsgKind::SyscallRequest, MsgKind::SyscallReply, MsgKind::Control] {
+        for kind in [MsgKind::SyscallRequest, MsgKind::SyscallReply] {
             let fill = |b: &mut Vec<u8>| match kind {
                 MsgKind::SyscallRequest => req.encode_into(b),
                 MsgKind::SyscallReply => rep.encode_into(b),
-                MsgKind::Control => nack.encode_into(b),
             };
             ch.send_with(kind, fill).unwrap();
             prop_assert!(ch.recv_ref().unwrap().verify(), "pristine message must verify");
@@ -116,9 +97,7 @@ proptest! {
         ch.send_with(MsgKind::SyscallReply, |b| rep.encode_into(b)).unwrap();
         let msg = ch.recv_ref().unwrap();
         prop_assert!(msg.verify());
-        for kind in [MsgKind::SyscallRequest, MsgKind::Control] {
-            let forged = WireMsg { kind, ..msg };
-            prop_assert!(!forged.verify());
-        }
+        let forged = WireMsg { kind: MsgKind::SyscallRequest, ..msg };
+        prop_assert!(!forged.verify());
     }
 }

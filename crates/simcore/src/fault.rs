@@ -532,7 +532,7 @@ pub struct DomainEvent {
 /// and an off config draws no randomness at all.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DomainFaultConfig {
-    /// Master switch; when false the plan derives no RNG streams.
+    /// Master switch; when false the schedule derives no RNG streams.
     pub enabled: bool,
     /// Fail-stop arrivals per node per hour.
     pub node_fail_per_hour: f64,
@@ -553,7 +553,7 @@ impl Default for DomainFaultConfig {
 }
 
 impl DomainFaultConfig {
-    /// No correlated faults; the plan will consume no randomness.
+    /// No correlated faults; the schedule consumes no randomness.
     pub fn off() -> Self {
         DomainFaultConfig {
             enabled: false,
@@ -588,160 +588,81 @@ impl DomainFaultConfig {
     }
 }
 
-/// A seeded, hierarchical correlated-fault injector.
+/// The correlated-fault schedule of `cfg` over `topo`, sorted by
+/// (time, scope): at one instant node events precede rack events.
 ///
-/// Every domain instance at every level owns its **own** RNG stream
-/// (derived from the experiment master seed with a per-level label and
-/// the domain index), so enabling rack faults never perturbs the node
-/// fault schedule, changing the topology only re-seeds the domains that
-/// moved, and a disabled plan derives no streams at all — the same
-/// zero-draw contract as [`FaultPlan`] and [`LinkFaultPlan`].
+/// Every domain instance at every level draws from its **own** RNG
+/// stream (derived from the experiment master seed with a per-level
+/// label and the domain index), so enabling rack faults never perturbs
+/// the node fault schedule, changing the topology only re-seeds the
+/// domains that moved, and a disabled config derives no streams at all —
+/// the same zero-draw contract as [`FaultPlan`] and [`LinkFaultPlan`].
 ///
-/// The whole schedule is pre-generated at construction (like link
-/// flaps), so consumers replay it RNG-free. Fail-stop arrivals keep only
-/// the *first* event per domain — the subtree is already dead for any
-/// later arrival — while blackouts repeat. Deterministic events can be
-/// added on top with [`DomainFaultPlan::inject`], which never draws.
-#[derive(Clone, Debug)]
-pub struct DomainFaultPlan {
+/// The whole schedule is generated here, up front (like link flaps), so
+/// consumers replay it RNG-free. Fail-stop arrivals keep only the
+/// *first* event per domain — the subtree is already dead for any later
+/// arrival — while blackouts repeat.
+pub fn domain_fault_events(
     cfg: DomainFaultConfig,
     topo: DomainTopology,
-    events: Vec<DomainEvent>,
-}
-
-impl DomainFaultPlan {
-    /// Build a plan over per-domain streams derived from `rng`.
-    pub fn new(cfg: DomainFaultConfig, topo: DomainTopology, rng: &StreamRng) -> Self {
-        let mut plan = DomainFaultPlan { cfg, topo, events: Vec::new() };
-        if !cfg.enabled {
-            return plan;
+    rng: &StreamRng,
+) -> Vec<DomainEvent> {
+    let mut events = Vec::new();
+    if !cfg.enabled {
+        return events;
+    }
+    let horizon = Cycles::from_secs(cfg.horizon_secs);
+    // First Poisson arrival within the horizon, or None.
+    let first_arrival = |stream: &mut StreamRng, per_hour: f64| -> Option<Cycles> {
+        if per_hour <= 0.0 {
+            return None;
         }
-        let horizon = Cycles::from_secs(cfg.horizon_secs);
-        // First Poisson arrival within the horizon, or None.
-        let first_arrival = |stream: &mut StreamRng, per_hour: f64| -> Option<Cycles> {
-            if per_hour <= 0.0 {
-                return None;
-            }
-            let gap_mean_ns = 3.6e12 / per_hour;
-            let t = Cycles::from_ns(stream.exp_mean(gap_mean_ns) as u64).max(Cycles(1));
-            (t < horizon).then_some(t)
-        };
-        for n in 0..topo.nodes {
-            let mut s = rng.stream("domfault.node", n as u64);
-            if let Some(at) = first_arrival(&mut s, cfg.node_fail_per_hour) {
-                plan.events.push(DomainEvent {
-                    at,
-                    scope: DomainScope::Node(n),
-                    kind: DomainEventKind::FailStop,
-                });
-            }
+        let gap_mean_ns = 3.6e12 / per_hour;
+        let t = Cycles::from_ns(stream.exp_mean(gap_mean_ns) as u64).max(Cycles(1));
+        (t < horizon).then_some(t)
+    };
+    for n in 0..topo.nodes {
+        let mut s = rng.stream("domfault.node", n as u64);
+        if let Some(at) = first_arrival(&mut s, cfg.node_fail_per_hour) {
+            events.push(DomainEvent {
+                at,
+                scope: DomainScope::Node(n),
+                kind: DomainEventKind::FailStop,
+            });
         }
-        for r in 0..topo.num_racks() {
-            let mut s = rng.stream("domfault.rack", r as u64);
-            if let Some(at) = first_arrival(&mut s, cfg.rack_fail_per_hour) {
-                plan.events.push(DomainEvent {
-                    at,
-                    scope: DomainScope::Rack(r),
-                    kind: DomainEventKind::FailStop,
-                });
-            }
-            // Blackouts repeat: separate stream so enabling them never
-            // shifts the fail-stop schedule.
-            if cfg.rack_blackout_per_hour > 0.0 && cfg.blackout_mean_ns > 0.0 {
-                let mut s = rng.stream("domfault.rackblackout", r as u64);
-                let gap_mean_ns = 3.6e12 / cfg.rack_blackout_per_hour;
-                let mut t = Cycles::ZERO;
-                loop {
-                    t += Cycles::from_ns(s.exp_mean(gap_mean_ns) as u64).max(Cycles(1));
-                    if t >= horizon {
-                        break;
-                    }
-                    let dur =
-                        Cycles::from_ns(s.exp_mean(cfg.blackout_mean_ns) as u64).max(Cycles(1));
-                    plan.events.push(DomainEvent {
-                        at: t,
-                        scope: DomainScope::Rack(r),
-                        kind: DomainEventKind::Blackout(dur),
-                    });
-                    t += dur;
+    }
+    for r in 0..topo.num_racks() {
+        let mut s = rng.stream("domfault.rack", r as u64);
+        if let Some(at) = first_arrival(&mut s, cfg.rack_fail_per_hour) {
+            events.push(DomainEvent {
+                at,
+                scope: DomainScope::Rack(r),
+                kind: DomainEventKind::FailStop,
+            });
+        }
+        // Blackouts repeat: separate stream so enabling them never
+        // shifts the fail-stop schedule.
+        if cfg.rack_blackout_per_hour > 0.0 && cfg.blackout_mean_ns > 0.0 {
+            let mut s = rng.stream("domfault.rackblackout", r as u64);
+            let gap_mean_ns = 3.6e12 / cfg.rack_blackout_per_hour;
+            let mut t = Cycles::ZERO;
+            loop {
+                t += Cycles::from_ns(s.exp_mean(gap_mean_ns) as u64).max(Cycles(1));
+                if t >= horizon {
+                    break;
                 }
+                let dur = Cycles::from_ns(s.exp_mean(cfg.blackout_mean_ns) as u64).max(Cycles(1));
+                events.push(DomainEvent {
+                    at: t,
+                    scope: DomainScope::Rack(r),
+                    kind: DomainEventKind::Blackout(dur),
+                });
+                t += dur;
             }
         }
-        plan.sort_events();
-        plan
     }
-
-    /// A plan over `topo` that injects nothing and draws nothing.
-    pub fn disabled(topo: DomainTopology) -> Self {
-        DomainFaultPlan::new(DomainFaultConfig::off(), topo, &StreamRng::root(0))
-    }
-
-    fn sort_events(&mut self) {
-        self.events.sort_by_key(|e| (e.at, e.scope));
-    }
-
-    /// Add a deterministic event (RNG-free), keeping the schedule
-    /// sorted. This is how experiments arm "kill rack 1 at t=X".
-    pub fn inject(&mut self, event: DomainEvent) {
-        self.events.push(event);
-        self.sort_events();
-    }
-
-    /// The configuration this plan runs.
-    pub fn config(&self) -> &DomainFaultConfig {
-        &self.cfg
-    }
-
-    /// The domain layout.
-    pub fn topology(&self) -> &DomainTopology {
-        &self.topo
-    }
-
-    /// The full schedule, sorted by (time, scope): at one instant node
-    /// events precede rack events.
-    pub fn events(&self) -> &[DomainEvent] {
-        &self.events
-    }
-
-    /// Number of events of each kind: `(fail_stops, blackouts)`.
-    pub fn counts(&self) -> (u64, u64) {
-        let mut c = (0, 0);
-        for e in &self.events {
-            match e.kind {
-                DomainEventKind::FailStop => c.0 += 1,
-                DomainEventKind::Blackout(_) => c.1 += 1,
-            }
-        }
-        c
-    }
-
-    /// FNV-1a fold of the schedule — equal fingerprints mean
-    /// byte-identical correlated-fault sequences.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for e in &self.events {
-            eat(e.at.raw());
-            let (lvl, idx) = match e.scope {
-                DomainScope::Node(n) => (0u64, n as u64),
-                DomainScope::Rack(r) => (1, r as u64),
-            };
-            eat(lvl);
-            eat(idx);
-            let (tag, arg) = match e.kind {
-                DomainEventKind::FailStop => (1u64, 0u64),
-                DomainEventKind::Blackout(d) => (2, d.raw()),
-            };
-            eat(tag);
-            eat(arg);
-        }
-        h
-    }
+    events.sort_by_key(|e| (e.at, e.scope));
+    events
 }
 
 /// Per-link fault injector for the fabric layer. Owns its own RNG
@@ -1130,21 +1051,16 @@ mod tests {
             );
         }
 
-        // A disabled DomainFaultPlan derives no streams and generates no
-        // events — its schedule is seed-independent, and deterministic
-        // injection stays RNG-free.
+        // A disabled domain config derives no streams and generates no
+        // events, whatever its rates say.
         let topo = DomainTopology::new(8, 2);
-        let a = DomainFaultPlan::new(DomainFaultConfig::off(), topo, &StreamRng::root(1));
-        let b = DomainFaultPlan::new(DomainFaultConfig::off(), topo, &StreamRng::root(2));
-        assert!(a.events().is_empty());
-        assert_eq!(a.fingerprint(), b.fingerprint(), "disabled plan must ignore the seed");
-        let mut c = DomainFaultPlan::disabled(topo);
-        c.inject(DomainEvent {
-            at: Cycles::from_ms(1),
-            scope: DomainScope::Rack(1),
-            kind: DomainEventKind::FailStop,
-        });
-        assert_eq!(c.counts(), (1, 0));
+        let off = DomainFaultConfig {
+            enabled: false,
+            ..DomainFaultConfig::off()
+                .with_node_fails(1e6)
+                .with_rack_blackouts(1e6, 1e3)
+        };
+        assert!(domain_fault_events(off, topo, &root).is_empty());
     }
 
     #[test]
@@ -1170,15 +1086,14 @@ mod tests {
             .with_node_fails(40.0)
             .with_rack_fails(10.0)
             .with_rack_blackouts(30.0, 500_000.0);
-        let a = DomainFaultPlan::new(cfg, topo, &StreamRng::root(0xD0));
-        let b = DomainFaultPlan::new(cfg, topo, &StreamRng::root(0xD0));
-        assert_eq!(a.events(), b.events());
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert!(!a.events().is_empty(), "at those rates events must land");
+        let a = domain_fault_events(cfg, topo, &StreamRng::root(0xD0));
+        let b = domain_fault_events(cfg, topo, &StreamRng::root(0xD0));
+        assert_eq!(a, b);
+        assert!(!a.is_empty(), "at those rates events must land");
         // Sorted by time.
-        assert!(a.events().windows(2).all(|w| w[0].at <= w[1].at));
-        let c = DomainFaultPlan::new(cfg, topo, &StreamRng::root(0xD1));
-        assert_ne!(a.fingerprint(), c.fingerprint(), "own streams, not shared");
+        assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
+        let c = domain_fault_events(cfg, topo, &StreamRng::root(0xD1));
+        assert_ne!(a, c, "own streams, not shared");
     }
 
     #[test]
@@ -1188,23 +1103,27 @@ mod tests {
         let topo = DomainTopology::new(16, 4);
         let root = StreamRng::root(0xD0);
         let just_nodes =
-            DomainFaultPlan::new(DomainFaultConfig::off().with_node_fails(60.0), topo, &root);
-        let both = DomainFaultPlan::new(
+            domain_fault_events(DomainFaultConfig::off().with_node_fails(60.0), topo, &root);
+        let both = domain_fault_events(
             DomainFaultConfig::off()
                 .with_node_fails(60.0)
                 .with_rack_blackouts(50.0, 400_000.0),
             topo,
             &root,
         );
-        let nodes_only = |p: &DomainFaultPlan| {
-            p.events()
+        let nodes_only = |events: &[DomainEvent]| {
+            events
                 .iter()
                 .filter(|e| matches!(e.scope, DomainScope::Node(_)))
                 .copied()
                 .collect::<Vec<_>>()
         };
         assert_eq!(nodes_only(&just_nodes), nodes_only(&both));
-        assert!(both.counts().1 > 0, "blackouts must have fired");
+        assert!(
+            both.iter()
+                .any(|e| matches!(e.kind, DomainEventKind::Blackout(_))),
+            "blackouts must have fired"
+        );
     }
 
     #[test]

@@ -95,33 +95,6 @@ impl LogHistogram {
         tail as f64 / self.total as f64
     }
 
-    /// Iterate non-empty buckets as `(bucket_low, bucket_high, count)`.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts.iter().enumerate().filter_map(|(k, &c)| {
-            if c == 0 {
-                None
-            } else {
-                let lo = if k == 0 { 0 } else { 1u64 << k };
-                let hi = (1u64 << k) * 2 - 1;
-                Some((lo, hi, c))
-            }
-        })
-    }
-
-    /// Render an ASCII distribution (one row per non-empty bucket).
-    pub fn render(&self, width: usize) -> String {
-        let max = self.counts.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            return String::from("(empty)\n");
-        }
-        let mut out = String::new();
-        for (lo, hi, c) in self.buckets() {
-            let bar = "#".repeat(((c as f64 / max as f64) * width as f64).ceil() as usize);
-            out.push_str(&format!("{lo:>12}..{hi:<12} {c:>9} |{bar}\n"));
-        }
-        out
-    }
-
     /// Merge another histogram.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -228,21 +201,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 3);
         assert_eq!(a.count_at(5), 2);
-    }
-
-    #[test]
-    fn render_shows_nonempty_buckets() {
-        let mut h = LogHistogram::new();
-        h.record_all(&[4000; 50]);
-        h.record(64_000);
-        let r = h.render(40);
-        assert_eq!(r.lines().count(), 2);
-        assert!(r.contains("4096..8191") || r.contains("2048..4095"));
-    }
-
-    #[test]
-    fn empty_render() {
-        assert_eq!(LogHistogram::new().render(10), "(empty)\n");
     }
 
     #[test]

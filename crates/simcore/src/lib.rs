@@ -34,8 +34,8 @@ pub mod stats;
 pub mod time;
 
 pub use fault::{
-    DomainEvent, DomainEventKind, DomainFaultConfig, DomainFaultPlan, DomainScope, DomainTopology,
-    FaultConfig, FaultEvent, FaultKind, FaultPlan, LinkFaultConfig, LinkFaultPlan, MsgFault,
+    DomainEvent, DomainEventKind, DomainFaultConfig, DomainScope, DomainTopology, FaultConfig,
+    FaultEvent, FaultKind, FaultPlan, LinkFaultConfig, LinkFaultPlan, MsgFault,
 };
 pub use hash::{FastMap, FastSet};
 pub use hist::LogHistogram;

@@ -10,7 +10,8 @@
 //!   (YARN typically runs more containers than cores);
 //! * **GC pauses** — short full-CPU bursts on all of that JVM's cores;
 //! * **Daemon/IRQ pressure** — NodeManager heartbeats, HDFS I/O and GbE
-//!   traffic raise kernel-thread activity node-wide;
+//!   traffic raise kernel-thread activity node-wide (the node runtime
+//!   applies it to Linux's daemons and IRQ sources);
 //! * **Cache pollution** — streaming shuffles pollute the LLC of the
 //!   socket the tasks run on and consume memory bandwidth node-wide.
 
@@ -35,8 +36,6 @@ pub struct LoadInterval {
 pub struct HadoopLoad {
     /// Busy intervals for the CFS contention model.
     pub intervals: Vec<LoadInterval>,
-    /// Multiplier for kernel daemon / IRQ activity while the job runs.
-    pub daemon_activity: f64,
     /// LLC pollution (0..1) on sockets hosting Hadoop tasks (applies
     /// during busy phases).
     pub same_socket_pollution: f64,
@@ -98,10 +97,6 @@ impl Default for HadoopParams {
     }
 }
 
-/// Generate the load a Hadoop node-manager inflicts over `[0, duration)`,
-/// with its containers schedulable on `allowed_cores` (the crucial knob:
-/// under cgroup-only isolation this includes the HPC cores; with
-/// `isolcpus` or McKernel it does not).
 /// Generate the job's busy-phase schedule. The Hadoop job is
 /// *cluster-wide*: all node managers run the same map/shuffle waves, so
 /// one schedule is shared by every node of a run — that correlation is
@@ -142,7 +137,11 @@ pub fn generate_phases(
     phases
 }
 
-/// Per-node load for a given cluster-wide phase schedule.
+/// Generate the load a Hadoop node-manager inflicts over `[0, duration)`
+/// for a given cluster-wide phase schedule, with its containers
+/// schedulable on `allowed_cores` (the crucial knob: under cgroup-only
+/// isolation this includes the HPC cores; with `isolcpus` or McKernel it
+/// does not).
 pub fn generate_with_phases(
     params: &HadoopParams,
     allowed_cores: &[CoreId],
@@ -250,23 +249,10 @@ pub fn generate_with_phases(
     }
     HadoopLoad {
         intervals,
-        daemon_activity: 4.0,
         same_socket_pollution: 0.8,
         cross_socket_pollution: 0.65,
         busy_phases: phases,
     }
-}
-
-/// Convenience: phases + per-node load from one stream (single-node uses
-/// and tests).
-pub fn generate(
-    params: &HadoopParams,
-    allowed_cores: &[CoreId],
-    duration: Cycles,
-    rng: &StreamRng,
-) -> HadoopLoad {
-    let phases = generate_phases(params, duration, rng);
-    generate_with_phases(params, allowed_cores, duration, phases, rng)
 }
 
 #[cfg(test)]
@@ -277,12 +263,20 @@ mod tests {
         range.map(CoreId).collect()
     }
 
+    /// One node's load the way a node builds it: the cluster-wide phase
+    /// schedule from one stream, the node's containers from another.
+    fn generate(allowed_cores: &[CoreId], duration: Cycles, seed: u64) -> HadoopLoad {
+        let params = HadoopParams::default();
+        let rng = StreamRng::root(seed);
+        let phases = generate_phases(&params, duration, &rng.stream("hadoop-phases", 0));
+        generate_with_phases(&params, allowed_cores, duration, phases, &rng.stream("hadoop", 0))
+    }
+
     #[test]
     fn generates_substantial_load_in_busy_phases() {
         let dur = Cycles::from_secs(200);
-        let load = generate(&HadoopParams::default(), &cores(0..10), dur, &StreamRng::root(3));
+        let load = generate(&cores(0..10), dur, 3);
         assert!(load.intervals.len() > 100, "{}", load.intervals.len());
-        assert!(load.daemon_activity > 1.0);
         assert!(!load.busy_phases.is_empty());
         // All intervals in range, on allowed cores, starting inside a
         // busy phase.
@@ -309,19 +303,15 @@ mod tests {
     #[test]
     fn phase_layout_varies_by_seed() {
         let dur = Cycles::from_secs(100);
-        let a = generate(&HadoopParams::default(), &cores(0..10), dur, &StreamRng::root(1));
-        let b = generate(&HadoopParams::default(), &cores(0..10), dur, &StreamRng::root(2));
+        let a = generate(&cores(0..10), dur, 1);
+        let b = generate(&cores(0..10), dur, 2);
         assert_ne!(a.busy_phases, b.busy_phases);
     }
 
     #[test]
     fn oversubscription_piles_tasks_on_cores() {
-        let load = generate(
-            &HadoopParams::default(),
-            &cores(0..4), // few cores, many containers
-            Cycles::from_secs(120),
-            &StreamRng::root(7),
-        );
+        // Few cores, many containers.
+        let load = generate(&cores(0..4), Cycles::from_secs(120), 7);
         // Some instant must see >= 3 concurrent tasks on one core.
         let mut max_overlap = 0u32;
         for iv in &load.intervals {
@@ -339,36 +329,16 @@ mod tests {
     #[test]
     fn cgroup_confinement_respects_allowed_cores() {
         // Hadoop confined to NUMA 0 (cores 0..10) never touches 10..20.
-        let load = generate(
-            &HadoopParams::default(),
-            &cores(0..10),
-            Cycles::from_secs(120),
-            &StreamRng::root(9),
-        );
+        let load = generate(&cores(0..10), Cycles::from_secs(120), 9);
         assert!(load.intervals.iter().all(|iv| iv.core.0 < 10));
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = generate(
-            &HadoopParams::default(),
-            &cores(0..10),
-            Cycles::from_secs(60),
-            &StreamRng::root(11),
-        );
-        let b = generate(
-            &HadoopParams::default(),
-            &cores(0..10),
-            Cycles::from_secs(60),
-            &StreamRng::root(11),
-        );
+        let a = generate(&cores(0..10), Cycles::from_secs(60), 11);
+        let b = generate(&cores(0..10), Cycles::from_secs(60), 11);
         assert_eq!(a.intervals, b.intervals);
-        let c = generate(
-            &HadoopParams::default(),
-            &cores(0..10),
-            Cycles::from_secs(60),
-            &StreamRng::root(12),
-        );
+        let c = generate(&cores(0..10), Cycles::from_secs(60), 12);
         assert_ne!(a.intervals, c.intervals);
     }
 }

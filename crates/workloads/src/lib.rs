@@ -6,8 +6,9 @@
 //! * [`miniapps`] — BSP models of miniFE, HPC-CG (Mantevo) and Modylas,
 //!   FFVC (Fiber) with the paper's scaling modes (Fig. 8/9);
 //! * [`hadoop`] — the in-situ data-analytics noise source: map/shuffle/
-//!   reduce task waves, JVM GC pauses, heartbeats; emitted as competing
-//!   core-load intervals plus daemon-activity and cache-pollution levels.
+//!   reduce task waves, JVM GC pauses, shuffle storms; emitted as
+//!   competing core-load intervals plus cache-pollution levels and the
+//!   job's busy phases.
 //!
 //! Workloads are OS-agnostic: they run against closures / the
 //! [`mpisim::HostModel`] hook, and the `cluster` crate binds them to a

@@ -4,7 +4,8 @@
 #
 #   scripts/ci.sh                 # build + test + clippy + a locked
 #                                 # `cargo check` of the benchmark
-#                                 # harness + the figure
+#                                 # harness + one run of each of the
+#                                 # four examples/ + the figure
 #                                 # table (every binary that prints
 #                                 # simulated output against its golden
 #                                 # results/reduced/<bin>.txt at 1
@@ -47,6 +48,15 @@ cargo clippy --all-targets -- -D warnings
 cargo check --release --offline --locked \
     --manifest-path perfbench/harness/Cargo.toml \
     --target-dir target/perfbench-check
+
+# The examples print simulated output too. `cargo test` only builds
+# them; build them in release and run each once, so one that panics or
+# exits non-zero fails the gate.
+cargo build --release --examples -p cluster
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    ./target/release/examples/"$name" > "$scratch/example_$name.txt"
+done
 
 # Figure conformance: every binary that prints simulated output must
 # print its committed golden at 1 thread, and at 4 threads with the

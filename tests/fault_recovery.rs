@@ -1,10 +1,12 @@
 //! Fault-injection integration tests: determinism of the fault schedule
 //! under a fixed seed, recovery of the offload path under loss and
-//! corruption, and liveness under proxy death (bounded -EIO, full
-//! partition reclamation, no hangs).
+//! corruption, and liveness under proxy death (-EIO at a fixed instant,
+//! full partition reclamation, no hangs).
 
 use cluster::{node::NodeRuntime, ClusterConfig, OsVariant};
 use hlwk_core::abi::{Errno, Sysno};
+use hlwk_core::costs::CostModel;
+use hlwk_core::ihk::DEATH_CONFIRMATION;
 use hwmodel::cpu::{CoreId, NumaId};
 use simcore::fault::FaultConfig;
 use simcore::{Cycles, StreamRng};
@@ -104,8 +106,8 @@ fn loss_and_corruption_are_recovered() {
     assert_eq!(serviced, 30, "no duplicate execution under retransmission");
 }
 
-/// Proxy death: stranded offloads come back as -EIO within the heartbeat
-/// detection bound, nothing hangs, and the partition (cores, memory,
+/// Proxy death: the offload that meets it comes back as -EIO once the
+/// death is confirmed, nothing hangs, and the partition (cores, memory,
 /// tracking objects) is fully reclaimed — reusable immediately.
 #[test]
 fn proxy_death_liveness_and_reclamation() {
@@ -114,12 +116,11 @@ fn proxy_death_liveness_and_reclamation() {
     let at = Cycles::from_ms(1);
     let (ret, done) = n.offload_syscall(Sysno::GetRandom, [n.arena_va.raw(), 64, 0, 0, 0, 0], at);
     assert_eq!(ret, EIO, "stranded offload fails with -EIO, not a hang");
-    let hb_bound = Cycles::from_us(300); // paper_default: 100us x 3 misses
-    assert!(
-        done - at <= hb_bound + Cycles::from_us(100),
-        "detection + recovery within the heartbeat bound: took {}",
-        done - at
-    );
+    // The LWK marshals the call, then the death is confirmed and the
+    // delegator dispatches the teardown.
+    let c = CostModel::default();
+    let marshalled = at + c.lwk_syscall + c.ikc_send;
+    assert_eq!(done, marshalled + DEATH_CONFIRMATION + c.delegator_dispatch);
     // The LWK application was SIGKILLed and the partition reclaimed.
     assert!(!n.proxy_alive);
     assert!(n.mck.is_none(), "LWK instance torn down");

@@ -125,8 +125,12 @@ fn teardown_restores_pristine_lwk_and_linux() {
     );
     let proxy = node.proxy_pid.unwrap();
     assert!(node.linux.vfs.fd_count(proxy) > 0);
-    node.reap_job();
-    assert!(node.mck.as_ref().unwrap().is_pristine());
+    // Teardown is the fail-stop path: the job is SIGKILLed (debug builds
+    // assert the LWK is pristine before IHK destroys it), the proxy is
+    // reaped and the partition goes back to Linux.
+    node.crash_node(Cycles::from_ms(2));
+    assert!(node.mck.is_none());
+    assert_eq!(node.ihk.as_ref().unwrap().linux_cores().len(), 20);
     assert_eq!(node.linux.vfs.fd_count(proxy), 0);
     assert!(node.linux.proxy(proxy).is_none());
 }
