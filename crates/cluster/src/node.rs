@@ -1006,16 +1006,15 @@ impl NodeRuntime {
     }
 
     /// Kill the proxy process now (external fault injection entry point,
-    /// e.g. from tests), running the full recovery flow. Returns the
-    /// stranded-reply count, or `None` on non-McKernel nodes or if the
-    /// proxy is already dead.
-    pub fn inject_proxy_death(&mut self, at: Cycles) -> Option<usize> {
+    /// e.g. from tests), running the full recovery flow. Returns whether
+    /// a proxy died: `false` on non-McKernel nodes or if the proxy is
+    /// already dead.
+    pub fn inject_proxy_death(&mut self, at: Cycles) -> bool {
         if self.os != OsVariant::McKernel || !self.proxy_alive {
-            return None;
+            return false;
         }
-        let stranded = self.linux.delegator.in_flight();
-        let _ = self.handle_proxy_death(at);
-        Some(stranded)
+        self.handle_proxy_death(at);
+        true
     }
 
     /// Fail-stop the whole node at `at`. On McKernel the proxy-death
@@ -1309,6 +1308,14 @@ mod tests {
             .filter(|&&c| !mck.threads_on(c).is_empty())
             .count();
         assert_eq!(spread, 8.min(width0), "threads spread across the gang");
+
+        // Tearing the regrown LWK down leaves it pristine (debug-asserted
+        // on the proxy-death path, Sec. IV-B3 reinit policy) and hands
+        // every core, regrown ones included, back to Linux.
+        n.crash_node(Cycles::from_ms(1));
+        assert!(n.mck.is_none());
+        let ihk = n.ihk.as_ref().unwrap();
+        assert!(!ihk.is_reserved(c1) && !ihk.is_reserved(c2));
     }
 
     #[test]
